@@ -1,0 +1,286 @@
+"""Attention backbones over the neighbor pair list.
+
+The implicit-edge model keeps three tokens per particle: a state token v, a
+receiver token r, and a sender token s.  Each block first updates r and s
+per particle (touching every particle exactly once, independent of the pair
+count), then runs attention over the pair list where r_i + s_j stands in for
+the explicit edge feature.  The normalized variant rescales the score and
+value terms by the standard deviation of r_i + s_j, recovered per pair from
+per-particle statistics.
+
+The vanilla backbone is standard masked multi-head attention over state
+tokens only.  Both accept abstract particles: learnable per-material state
+tokens appended as extra rows that attend to every particle of their
+material.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+
+from . import tensor as T
+from .tensor import Tensor
+from .nn import ModelConfig, ParamStore, Mlp, LinearMap
+from .particles import InputError
+
+SIGMA_FLOOR = 1e-10
+
+
+@contextmanager
+def _null_scope(label):
+    yield
+
+
+def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.ndarray,
+                          n: int, n_abstract: int, bidirectional: bool = True):
+    """Extend a pair list with abstract-particle connectivity.
+
+    Abstract particle k occupies row n + k, receives from every particle of
+    material k and (if bidirectional) also sends to them.  No abstract pair
+    connects two abstract rows.  Result is sorted by (receiver, sender).
+    """
+    if n_abstract == 0:
+        return recv, send
+    material_ids = np.asarray(material_ids, dtype=np.int64)
+    if material_ids.shape[0] != n:
+        raise InputError(f"got {material_ids.shape[0]} material ids for {n} particles")
+    if material_ids.min() < 0 or material_ids.max() >= n_abstract:
+        raise InputError(f"material id out of range [0, {n_abstract})")
+    extra_r = []
+    extra_s = []
+    for k in range(n_abstract):
+        members = np.nonzero(material_ids == k)[0].astype(np.int64)
+        a = n + k
+        extra_r.append(np.full(members.size, a, dtype=np.int64))
+        extra_s.append(members)
+        if bidirectional:
+            extra_r.append(members)
+            extra_s.append(np.full(members.size, a, dtype=np.int64))
+    recv = np.concatenate([recv] + extra_r)
+    send = np.concatenate([send] + extra_s)
+    order = np.lexsort((send, recv))
+    return recv[order], send[order]
+
+
+class _AttentionBase:
+    def __init__(self, cfg: ModelConfig, seed: int):
+        self.cfg = cfg
+        self.store = ParamStore(cfg.precision, seed)
+        d, din, hid = cfg.d, cfg.d_in, cfg.mlp_hidden
+        if cfg.linear_mode:
+            self.dec = LinearMap(self.store, "dec.w", d, cfg.out_dim)
+        else:
+            self.enc = Mlp(self.store, "enc", din, d, d)
+            self.dec = Mlp(self.store, "dec", d, d, cfg.out_dim)
+            self.w_o = [self.store.weight(f"block{l}.w_o", (d, d)) for l in range(cfg.blocks)]
+            self.mlp = [Mlp(self.store, f"block{l}.mlp", d, hid, d) for l in range(cfg.blocks)]
+            self.ln_gain = [self.store.ones(f"block{l}.ln.gain", (d,)) for l in range(cfg.blocks)]
+            self.ln_shift = [self.store.zeros(f"block{l}.ln.shift", (d,)) for l in range(cfg.blocks)]
+        if cfg.n_abstract > 0:
+            self.bank = self.store.weight("abstract_bank", (cfg.n_abstract, d))
+
+    def params(self) -> dict[str, Tensor]:
+        return self.store.params()
+
+    def load_params(self, values):
+        self.store.load(values)
+
+    def _encode(self, x: Tensor) -> Tensor:
+        return x if self.cfg.linear_mode else self.enc(x)
+
+    def _with_abstract(self, v: Tensor) -> Tensor:
+        if self.cfg.n_abstract == 0:
+            return v
+        return T.concat([v, self.bank], axis=0)
+
+    def _post(self, v: Tensor, head_outs: list[Tensor], layer: int) -> Tensor:
+        if self.cfg.linear_mode:
+            return head_outs[0]
+        h = T.matmul(T.concat(head_outs, axis=1), self.w_o[layer])
+        return T.layer_norm(T.add(v, self.mlp[layer](h)),
+                            self.ln_gain[layer], self.ln_shift[layer])
+
+    def _decode(self, v: Tensor, n: int) -> Tensor:
+        return self.dec(T.rows(v, 0, n) if v.data.shape[0] != n else v)
+
+    def extend_pairs(self, recv, send, material_ids, n):
+        return attach_abstract_pairs(recv, send, material_ids, n,
+                                     self.cfg.n_abstract, self.cfg.abstract_bidirectional)
+
+    def predict_velocities(self, x_np, recv, send, material_ids=None) -> np.ndarray:
+        return self.forward(x_np, recv, send, material_ids).data
+
+
+class ImplicitEdgeModel(_AttentionBase):
+    """State/receiver/sender token recursion with implicit-edge attention."""
+
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
+        if cfg.backbone != "tie":
+            raise ValueError(f"config backbone is {cfg.backbone!r}, expected 'tie'")
+        super().__init__(cfg, seed)
+        d, dh, H = cfg.d, cfg.d_head, cfg.heads
+        self.w_r0 = [self.store.weight(f"init.w_r0.h{h}", (d, dh)) for h in range(H)]
+        self.w_s0 = [self.store.weight(f"init.w_s0.h{h}", (d, dh)) for h in range(H)]
+        self.w_q = [[self.store.weight(f"block{l}.w_q.h{h}", (d, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+        self.w_r = [[self.store.weight(f"block{l}.w_r.h{h}", (d, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+        self.w_s = [[self.store.weight(f"block{l}.w_s.h{h}", (d, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+        self.w_m = [[self.store.weight(f"block{l}.w_m.h{h}", (dh, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+        if not cfg.linear_mode:
+            self.w_rp = [self.store.weight(f"block{l}.w_rp", (d, d)) for l in range(cfg.blocks)]
+            self.w_sp = [self.store.weight(f"block{l}.w_sp", (d, d)) for l in range(cfg.blocks)]
+        if cfg.normalized_attention:
+            self.attn_gain = [[self.store.ones(f"block{l}.attn_ln.gain.h{h}", (dh,))
+                               for h in range(H)] for l in range(cfg.blocks)]
+            self.attn_shift = [[self.store.zeros(f"block{l}.attn_ln.shift.h{h}", (dh,))
+                                for h in range(H)] for l in range(cfg.blocks)]
+
+    def init_tokens(self, v0: Tensor):
+        r = [T.matmul(v0, w) for w in self.w_r0]
+        s = [T.matmul(v0, w) for w in self.w_s0]
+        return r, s
+
+    def update_tokens(self, v: Tensor, r_prev: list, s_prev: list, layer: int):
+        H = self.cfg.heads
+        r = [T.add(T.matmul(v, self.w_r[layer][h]), T.matmul(r_prev[h], self.w_m[layer][h]))
+             for h in range(H)]
+        s = [T.add(T.matmul(v, self.w_s[layer][h]), T.matmul(s_prev[h], self.w_m[layer][h]))
+             for h in range(H)]
+        if not self.cfg.linear_mode:
+            dh = self.cfg.d_head
+            rcat = T.matmul(T.concat(r, axis=1), self.w_rp[layer])
+            scat = T.matmul(T.concat(s, axis=1), self.w_sp[layer])
+            r = [T.cols(rcat, h * dh, (h + 1) * dh) for h in range(H)]
+            s = [T.cols(scat, h * dh, (h + 1) * dh) for h in range(H)]
+        return r, s
+
+    def _attend_plain(self, v, r, s, recv, send, layer, h):
+        n = v.data.shape[0]
+        dh = self.cfg.d_head
+        q = T.matmul(v, self.w_q[layer][h])
+        qr = T.reduce_sum(T.mul(q, r[h]), axis=1)  # (N',)
+        qs = T.reduce_sum(T.mul(T.gather_rows(q, recv), T.gather_rows(s[h], send)), axis=1)
+        logits = T.scale(T.add(T.gather_rows(qr, recv), qs), 1.0 / np.sqrt(dh))
+        alpha = T.segment_softmax(logits, recv, n)
+        agg = T.segment_sum(T.scale_rows(T.gather_rows(s[h], send), alpha), recv, n)
+        return T.add(r[h], agg)
+
+    def _attend_normalized(self, v, r, s, recv, send, layer, h):
+        n = v.data.shape[0]
+        dh = self.cfg.d_head
+        rh, sh = r[h], s[h]
+        q = T.matmul(v, self.w_q[layer][h])
+        mu_r = T.reduce_mean(rh, axis=1)  # (N',)
+        mu_s = T.reduce_mean(sh, axis=1)
+        r_cent = T.shift_rows(rh, T.neg(mu_r))
+        s_cent = T.shift_rows(sh, T.neg(mu_s))
+        # sigma^2 recovered from per-particle statistics plus one pair term
+        rr = T.scale(T.reduce_sum(T.square(rh), axis=1), 1.0 / dh)
+        ss = T.scale(T.reduce_sum(T.square(sh), axis=1), 1.0 / dh)
+        rs = T.scale(T.reduce_sum(
+            T.mul(T.gather_rows(rh, recv), T.gather_rows(sh, send)), axis=1), 2.0 / dh)
+        mu_pair = T.add(T.gather_rows(mu_r, recv), T.gather_rows(mu_s, send))
+        var = T.sub(T.add(T.add(T.gather_rows(rr, recv), T.gather_rows(ss, send)), rs),
+                    T.square(mu_pair))
+        sigma = T.sqrt(T.clamp_min(var, SIGMA_FLOOR))
+        qr = T.reduce_sum(T.mul(q, r_cent), axis=1)
+        qs = T.reduce_sum(T.mul(T.gather_rows(q, recv), T.gather_rows(s_cent, send)), axis=1)
+        logits = T.scale(T.div(T.add(T.gather_rows(qr, recv), qs), sigma), 1.0 / np.sqrt(dh))
+        alpha = T.segment_softmax(logits, recv, n)
+        value = T.div_rows(T.add(T.gather_rows(r_cent, recv), T.gather_rows(s_cent, send)), sigma)
+        agg = T.segment_sum(T.scale_rows(value, alpha), recv, n)
+        return T.add(T.scale_cols(agg, self.attn_gain[layer][h]), self.attn_shift[layer][h])
+
+    def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
+                material_ids=None, record=None) -> Tensor:
+        cfg = self.cfg
+        tape = T.active_tape()
+        scope = tape.scope if tape is not None else _null_scope
+        n = np.asarray(x_np).shape[0]
+        if cfg.n_abstract > 0:
+            recv, send = self.extend_pairs(recv, send, material_ids, n)
+        x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
+        with scope("encode"):
+            v = self._with_abstract(self._encode(x))
+        with scope("token_update"):
+            r, s = self.init_tokens(v)
+        if record is not None:
+            record["v"] = [v.data.copy()]
+            record["r"] = [[t.data.copy() for t in r]]
+            record["s"] = [[t.data.copy() for t in s]]
+        attend = self._attend_normalized if cfg.normalized_attention else self._attend_plain
+        for l in range(cfg.blocks):
+            with scope("token_update"):
+                r, s = self.update_tokens(v, r, s, l)
+            with scope("attention"):
+                head_outs = [attend(v, r, s, recv, send, l, h) for h in range(cfg.heads)]
+            with scope("post"):
+                v = self._post(v, head_outs, l)
+            if record is not None:
+                record["v"].append(v.data.copy())
+                record["r"].append([t.data.copy() for t in r])
+                record["s"].append([t.data.copy() for t in s])
+        with scope("decode"):
+            return self._decode(v, n)
+
+
+class VanillaTransformer(_AttentionBase):
+    """Standard masked multi-head attention over state tokens only."""
+
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
+        if cfg.backbone != "vanilla":
+            raise ValueError(f"config backbone is {cfg.backbone!r}, expected 'vanilla'")
+        super().__init__(cfg, seed)
+        d, dh, H = cfg.d, cfg.d_head, cfg.heads
+        self.w_q = [[self.store.weight(f"block{l}.w_q.h{h}", (d, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+        self.w_k = [[self.store.weight(f"block{l}.w_k.h{h}", (d, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+        self.w_v = [[self.store.weight(f"block{l}.w_v.h{h}", (d, dh)) for h in range(H)]
+                    for l in range(cfg.blocks)]
+
+    def _attend(self, v, recv, send, layer, h):
+        n = v.data.shape[0]
+        dh = self.cfg.d_head
+        q = T.matmul(v, self.w_q[layer][h])
+        k = T.matmul(v, self.w_k[layer][h])
+        val = T.matmul(v, self.w_v[layer][h])
+        logits = T.scale(T.reduce_sum(
+            T.mul(T.gather_rows(q, recv), T.gather_rows(k, send)), axis=1), 1.0 / np.sqrt(dh))
+        alpha = T.segment_softmax(logits, recv, n)
+        return T.segment_sum(T.scale_rows(T.gather_rows(val, send), alpha), recv, n)
+
+    def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
+                material_ids=None, record=None) -> Tensor:
+        cfg = self.cfg
+        tape = T.active_tape()
+        scope = tape.scope if tape is not None else _null_scope
+        n = np.asarray(x_np).shape[0]
+        if cfg.n_abstract > 0:
+            recv, send = self.extend_pairs(recv, send, material_ids, n)
+        x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
+        with scope("encode"):
+            v = self._with_abstract(self._encode(x))
+        for l in range(cfg.blocks):
+            with scope("attention"):
+                head_outs = [self._attend(v, recv, send, l, h) for h in range(cfg.heads)]
+            with scope("post"):
+                v = self._post(v, head_outs, l)
+            if record is not None:
+                record.setdefault("v", []).append(v.data.copy())
+        with scope("decode"):
+            return self._decode(v, n)
+
+
+def build_model(cfg: ModelConfig, seed: int = 0):
+    if cfg.backbone == "gnn":
+        from .gnn import ExplicitEdgeGnn
+        return ExplicitEdgeGnn(cfg, seed)
+    if cfg.backbone == "vanilla":
+        return VanillaTransformer(cfg, seed)
+    return ImplicitEdgeModel(cfg, seed)

@@ -1,0 +1,165 @@
+"""Explicit-edge message-passing baseline and the linear edge recursion used
+as the exactness oracle for the implicit-edge attention model.
+
+Each round updates edges from (receiver node, sender node, previous edge),
+then nodes from the sum of their incoming edges.  In linear mode every map
+is a single bias-free matrix and the edge-update weight is partitioned into
+three square blocks [W_r | W_s | W_m], which makes the edge features an
+exact linear recursion that the attention model's receiver/sender tokens
+must reproduce pair-by-pair.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+
+from . import tensor as T
+from .tensor import Tensor
+from .nn import ModelConfig, ParamStore, Mlp, LinearMap
+
+
+class ExplicitEdgeGnn:
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
+        if cfg.backbone != "gnn":
+            raise ValueError(f"config backbone is {cfg.backbone!r}, expected 'gnn'")
+        self.cfg = cfg
+        self.store = ParamStore(cfg.precision, seed)
+        d, din, hid = cfg.d, cfg.d_in, cfg.mlp_hidden
+        if cfg.linear_mode:
+            # encoders: node = identity (d_in == d), edge = [W0_r | W0_s]
+            self.enc_e_w = self.store.weight("enc_e.w", (2 * din, d))
+            self.prop_e_w = [self.store.weight(f"block{l}.prop_e.w", (3 * d, d))
+                             for l in range(cfg.blocks)]
+            self.prop_v_w = [self.store.weight(f"block{l}.prop_v.w", (2 * d, d))
+                             for l in range(cfg.blocks)]
+            self.dec = LinearMap(self.store, "dec.w", d, cfg.out_dim)
+        else:
+            self.enc_v = Mlp(self.store, "enc_v", din, hid, d)
+            self.enc_e = Mlp(self.store, "enc_e", 2 * din, hid, d)
+            self.prop_e = [Mlp(self.store, f"block{l}.prop_e", 3 * d, hid, d)
+                           for l in range(cfg.blocks)]
+            self.prop_v = [Mlp(self.store, f"block{l}.prop_v", 2 * d, hid, d)
+                           for l in range(cfg.blocks)]
+            self.ln_e_gain = [self.store.ones(f"block{l}.ln_e.gain", (d,)) for l in range(cfg.blocks)]
+            self.ln_e_shift = [self.store.zeros(f"block{l}.ln_e.shift", (d,)) for l in range(cfg.blocks)]
+            self.ln_v_gain = [self.store.ones(f"block{l}.ln_v.gain", (d,)) for l in range(cfg.blocks)]
+            self.ln_v_shift = [self.store.zeros(f"block{l}.ln_v.shift", (d,)) for l in range(cfg.blocks)]
+            self.dec = Mlp(self.store, "dec", d, hid, cfg.out_dim)
+
+    def params(self) -> dict[str, Tensor]:
+        return self.store.params()
+
+    def load_params(self, values):
+        self.store.load(values)
+
+    # -- forward -----------------------------------------------------------
+
+    def encode(self, x: Tensor, recv: np.ndarray, send: np.ndarray):
+        tape = T.active_tape()
+        scope = tape.scope if tape is not None else _null_scope
+        with scope("encode_node"):
+            v = x if self.cfg.linear_mode else self.enc_v(x)
+        with scope("encode_edge"):
+            xi = T.gather_rows(x, recv)
+            xj = T.gather_rows(x, send)
+            pair_in = T.concat([xi, xj], axis=1)
+            e = T.matmul(pair_in, self.enc_e_w) if self.cfg.linear_mode else self.enc_e(pair_in)
+        return v, e
+
+    def propagate(self, v: Tensor, e: Tensor, recv: np.ndarray, send: np.ndarray,
+                  layer: int) -> tuple[Tensor, Tensor]:
+        n = v.data.shape[0]
+        tape = T.active_tape()
+        scope = tape.scope if tape is not None else _null_scope
+        with scope("edge_update"):
+            vi = T.gather_rows(v, recv)
+            vj = T.gather_rows(v, send)
+            edge_in = T.concat([vi, vj, e], axis=1)
+            if self.cfg.linear_mode:
+                e_new = T.matmul(edge_in, self.prop_e_w[layer])
+            else:
+                e_new = T.layer_norm(self.prop_e[layer](edge_in),
+                                     self.ln_e_gain[layer], self.ln_e_shift[layer])
+        with scope("node_update"):
+            agg = T.segment_sum(e_new, recv, n)
+            if self.cfg.gnn_aggregate == "mean":
+                counts = np.bincount(recv, minlength=n).astype(v.data.dtype)
+                inv = Tensor(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0).astype(v.data.dtype))
+                agg = T.scale_rows(agg, inv)
+            node_in = T.concat([v, agg], axis=1)
+            if self.cfg.linear_mode:
+                v_new = T.matmul(node_in, self.prop_v_w[layer])
+            else:
+                v_new = T.layer_norm(self.prop_v[layer](node_in),
+                                     self.ln_v_gain[layer], self.ln_v_shift[layer])
+        return v_new, e_new
+
+    def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
+                material_ids=None, record=None) -> Tensor:
+        """Predict per-particle velocities (normalized units).
+
+        `record`, if a dict, receives the node trajectory ("v", list of arrays
+        entering each layer) and edge features ("e") for oracle tests.
+        """
+        tape = T.active_tape()
+        scope = tape.scope if tape is not None else _null_scope
+        x = Tensor(np.asarray(x_np, dtype=T.DTYPES[self.cfg.precision]))
+        with scope("encode"):
+            v, e = self.encode(x, recv, send)
+        if record is not None:
+            record["v"] = [v.data.copy()]
+            record["e"] = [e.data.copy()]
+        for l in range(self.cfg.blocks):
+            with scope("propagate"):
+                v, e = self.propagate(v, e, recv, send, l)
+            if record is not None:
+                record["v"].append(v.data.copy())
+                record["e"].append(e.data.copy())
+        with scope("decode"):
+            return self.dec(v)
+
+    def predict_velocities(self, x_np, recv, send, material_ids=None) -> np.ndarray:
+        return self.forward(x_np, recv, send, material_ids).data
+
+    # -- linear-mode block views -------------------------------------------
+
+    def edge_weight_blocks(self, layer: int):
+        """Square blocks (W_r, W_s, W_m) of the layer's edge-update matrix."""
+        if not self.cfg.linear_mode:
+            raise T.ContractError("edge weight blocks exist only in linear mode")
+        d = self.cfg.d
+        w = self.prop_e_w[layer].data
+        return w[:d], w[d:2 * d], w[2 * d:]
+
+    def encoder_weight_blocks(self):
+        if not self.cfg.linear_mode:
+            raise T.ContractError("encoder weight blocks exist only in linear mode")
+        din = self.cfg.d_in
+        w = self.enc_e_w.data
+        return w[:din], w[din:]
+
+
+@contextmanager
+def _null_scope(label):
+    yield
+
+
+def expand_edge_linear(w0_r: np.ndarray, w0_s: np.ndarray,
+                       block_weights: list, x: np.ndarray, v_trajectory: list,
+                       recv: np.ndarray, send: np.ndarray) -> list:
+    """Explicit linear edge recursion (the oracle side of the implicit-edge
+    identity).
+
+    block_weights: per layer (W_r, W_s, W_m) square blocks, maps applied on
+    the right (row vectors).  v_trajectory: node features entering each layer.
+    Returns edge features per depth: element 0 is the encoded edge, element
+    l >= 1 the edge after layer l.
+    """
+    e = x[recv] @ w0_r + x[send] @ w0_s
+    out = [e]
+    for (wr, ws, wm), v in zip(block_weights, v_trajectory):
+        e = v[recv] @ wr + v[send] @ ws + e @ wm
+        out.append(e)
+    return out

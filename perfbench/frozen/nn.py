@@ -1,0 +1,117 @@
+"""Shared model plumbing: configuration, parameter registry, MLP blocks."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, asdict
+
+import numpy as np
+
+from . import tensor as T
+from .tensor import Tensor
+
+BACKBONES = ("gnn", "vanilla", "tie")
+
+
+@dataclass
+class ModelConfig:
+    backbone: str = "tie"
+    d_in: int = 7
+    d: int = 128
+    heads: int = 4
+    blocks: int = 4
+    mlp_hidden: int = 256
+    out_dim: int = 3
+    n_abstract: int = 0
+    normalized_attention: bool = True
+    abstract_bidirectional: bool = True
+    linear_mode: bool = False
+    gnn_aggregate: str = "sum"  # "mean" only for the degenerate cross-check
+    radius: float = 0.08
+    history: int = 1
+    precision: str = "f32"
+
+    def __post_init__(self):
+        if self.backbone not in BACKBONES:
+            raise ValueError(f"unknown backbone {self.backbone!r}")
+        if self.d % self.heads != 0:
+            raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
+        if self.linear_mode:
+            if self.heads != 1:
+                raise ValueError("linear_mode requires a single head")
+            if self.d_in != self.d:
+                raise ValueError("linear_mode requires d_in == d (identity encoder)")
+        if self.gnn_aggregate not in ("sum", "mean"):
+            raise ValueError(f"unknown aggregation {self.gnn_aggregate!r}")
+
+    @property
+    def d_head(self) -> int:
+        return self.d // self.heads
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def glorot(rng: np.random.Generator, shape, dtype: str) -> np.ndarray:
+    fan_in, fan_out = shape[0], shape[-1]
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(T.DTYPES[dtype])
+
+
+class ParamStore:
+    """Named trainable tensors, created deterministically from one seed."""
+
+    def __init__(self, precision: str, seed: int):
+        self.precision = precision
+        self.rng = np.random.default_rng(seed)
+        self._params: dict[str, Tensor] = {}
+
+    def weight(self, name: str, shape) -> Tensor:
+        t = Tensor(glorot(self.rng, shape, self.precision), requires_grad=True)
+        self._params[name] = t
+        return t
+
+    def zeros(self, name: str, shape) -> Tensor:
+        t = Tensor(np.zeros(shape, dtype=T.DTYPES[self.precision]), requires_grad=True)
+        self._params[name] = t
+        return t
+
+    def ones(self, name: str, shape) -> Tensor:
+        t = Tensor(np.ones(shape, dtype=T.DTYPES[self.precision]), requires_grad=True)
+        self._params[name] = t
+        return t
+
+    def params(self) -> dict[str, Tensor]:
+        return dict(self._params)
+
+    def load(self, values: dict[str, Tensor]):
+        for name, t in self._params.items():
+            if name not in values:
+                raise KeyError(f"checkpoint missing parameter {name}")
+            if tuple(values[name].data.shape) != tuple(t.data.shape):
+                raise ValueError(f"parameter {name}: shape {values[name].data.shape} "
+                                 f"!= expected {t.data.shape}")
+            t.data = values[name].data.astype(t.data.dtype).copy()
+
+
+class Mlp:
+    """Two-layer perceptron with relu, y = relu(x W1 + b1) W2 + b2."""
+
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int, d_out: int):
+        self.w1 = store.weight(f"{name}.w1", (d_in, d_hidden))
+        self.b1 = store.zeros(f"{name}.b1", (d_hidden,))
+        self.w2 = store.weight(f"{name}.w2", (d_hidden, d_out))
+        self.b2 = store.zeros(f"{name}.b2", (d_out,))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        h = T.relu(T.add(T.matmul(x, self.w1), self.b1))
+        return T.add(T.matmul(h, self.w2), self.b2)
+
+
+class LinearMap:
+    """Bias-free linear map, y = x W."""
+
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
+        self.w = store.weight(name, (d_in, d_out))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.matmul(x, self.w)

@@ -1,0 +1,213 @@
+"""Particle system state, the radius window function, fixed-radius neighbor
+search via a uniform spatial hash, velocity integration, and dataset
+normalization statistics."""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+class InputError(ValueError):
+    """Non-finite or otherwise invalid domain input."""
+
+
+@dataclass
+class ParticleState:
+    position: np.ndarray  # (3,) world units
+    velocity: np.ndarray  # (3,) world units / step
+    attributes: np.ndarray  # (d_a,) material one-hot plus extras
+
+
+@dataclass
+class SystemState:
+    positions: np.ndarray  # (N, 3)
+    velocities: np.ndarray  # (N, 3)
+    attributes: np.ndarray  # (N, d_a)
+    material_ids: np.ndarray  # (N,) ints in [0, K)
+    time_step: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[0]
+
+    def particle(self, i: int) -> ParticleState:
+        return ParticleState(self.positions[i], self.velocities[i], self.attributes[i])
+
+
+@dataclass
+class NeighborGraph:
+    receivers: np.ndarray  # (E,) int64
+    senders: np.ndarray  # (E,) int64
+    radius: float
+
+    @property
+    def n_pairs(self) -> int:
+        return self.receivers.shape[0]
+
+    def pair_set(self) -> set:
+        return set(zip(self.receivers.tolist(), self.senders.tolist()))
+
+
+def window(p_i, p_j, radius: float) -> int:
+    """Interaction indicator: 1 iff the particles are strictly closer than the radius."""
+    if radius <= 0:
+        raise InputError(f"radius must be positive, got {radius}")
+    p_i = np.asarray(p_i, dtype=np.float64)
+    p_j = np.asarray(p_j, dtype=np.float64)
+    if not (np.isfinite(p_i).all() and np.isfinite(p_j).all()):
+        raise InputError("non-finite position passed to window")
+    return int(np.linalg.norm(p_i - p_j) < radius)
+
+
+def _sort_pairs(recv: np.ndarray, send: np.ndarray):
+    order = np.lexsort((send, recv))
+    return recv[order], send[order]
+
+
+def build_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
+    """All directed pairs (i, j), i != j, with ||p_i - p_j|| < radius.
+
+    Uses a uniform spatial hash with cell size = radius; the result is
+    identical to the O(N^2) scan and sorted by (receiver, sender).
+    """
+    if radius <= 0:
+        raise InputError(f"radius must be positive, got {radius}")
+    p = state.positions
+    if not np.isfinite(p).all():
+        raise InputError("non-finite positions in build_neighbor_graph")
+    n = p.shape[0]
+    cells = np.floor(p / radius).astype(np.int64)
+    grid: dict[tuple, list] = {}
+    for i in range(n):
+        grid.setdefault(tuple(cells[i]), []).append(i)
+    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+    recv_chunks = []
+    send_chunks = []
+    for i in range(n):
+        cx, cy, cz = cells[i]
+        cand: list[int] = []
+        for dx, dy, dz in offsets:
+            cand.extend(grid.get((cx + dx, cy + dy, cz + dz), ()))
+        cand = np.asarray(cand, dtype=np.int64)
+        d = p[cand] - p[i]
+        close = cand[(np.einsum("ij,ij->i", d, d) < radius * radius) & (cand != i)]
+        if close.size:
+            recv_chunks.append(np.full(close.size, i, dtype=np.int64))
+            send_chunks.append(close)
+    if recv_chunks:
+        recv = np.concatenate(recv_chunks)
+        send = np.concatenate(send_chunks)
+        recv, send = _sort_pairs(recv, send)
+    else:
+        recv = np.empty(0, dtype=np.int64)
+        send = np.empty(0, dtype=np.int64)
+    return NeighborGraph(recv, send, radius)
+
+
+def brute_force_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
+    """O(N^2) reference scan used as the oracle for the spatial hash."""
+    if radius <= 0:
+        raise InputError(f"radius must be positive, got {radius}")
+    p = state.positions
+    diff = p[:, None, :] - p[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    mask = dist2 < radius * radius
+    np.fill_diagonal(mask, False)
+    recv, send = np.nonzero(mask)
+    recv, send = _sort_pairs(recv.astype(np.int64), send.astype(np.int64))
+    return NeighborGraph(recv, send, radius)
+
+
+def integrate_positions(p: np.ndarray, q_hat: np.ndarray, dt: float) -> np.ndarray:
+    """Advance positions one step by the predicted velocities."""
+    if p.shape != q_hat.shape:
+        raise InputError(f"shape mismatch: positions {p.shape} vs velocities {q_hat.shape}")
+    if dt <= 0:
+        raise InputError(f"dt must be positive, got {dt}")
+    return p + dt * q_hat
+
+
+STD_FLOOR = 1e-8
+
+
+@dataclass
+class NormStats:
+    """Per-channel mean/std of the raw model input channels.
+
+    Channels are ordered [position(3), velocity(3), attributes(d_a)].
+    Stats must be computed on the training split only.
+    """
+    mean: np.ndarray
+    std: np.ndarray
+
+    @property
+    def pos(self):
+        return self.mean[0:3], self.std[0:3]
+
+    @property
+    def vel(self):
+        return self.mean[3:6], self.std[3:6]
+
+    @property
+    def attr(self):
+        return self.mean[6:], self.std[6:]
+
+
+def compute_norm_stats(frames: np.ndarray, attributes: np.ndarray) -> NormStats:
+    """Stats over all training frames; `frames` is (num_samples, 6) flattened
+    position+velocity rows, `attributes` is (num_particles, d_a)."""
+    if frames.size == 0:
+        raise InputError("cannot compute normalization stats from an empty dataset")
+    pv_mean = frames.reshape(-1, 6).mean(axis=0)
+    pv_std = frames.reshape(-1, 6).std(axis=0)
+    a_mean = attributes.reshape(-1, attributes.shape[-1]).mean(axis=0)
+    a_std = attributes.reshape(-1, attributes.shape[-1]).std(axis=0)
+    mean = np.concatenate([pv_mean, a_mean])
+    std = np.concatenate([pv_std, a_std])
+    if (std < STD_FLOOR).any():
+        warnings.warn("constant input channel: std clamped to 1e-8", stacklevel=2)
+        std = np.maximum(std, STD_FLOOR)
+    return NormStats(mean.astype(np.float64), std.astype(np.float64))
+
+
+def normalize_frame(positions, velocities, stats: NormStats):
+    pm, ps = stats.pos
+    vm, vs = stats.vel
+    return (positions - pm) / ps, (velocities - vm) / vs
+
+
+def normalize_attributes(attributes, stats: NormStats):
+    am, asd = stats.attr
+    return (attributes - am) / asd
+
+
+def normalize_velocity(v, stats: NormStats):
+    vm, vs = stats.vel
+    return (v - vm) / vs
+
+
+def denormalize_velocity(v_hat, stats: NormStats):
+    vm, vs = stats.vel
+    return v_hat * vs + vm
+
+
+def assemble_inputs(position_history, velocity_history, attributes, stats: NormStats) -> np.ndarray:
+    """Build the per-particle model input: H normalized (position, velocity)
+    frames, newest first, followed by normalized attributes.
+
+    position_history / velocity_history: lists of (N, 3) arrays ordered from
+    newest (time t) to oldest (t - H + 1).
+    """
+    parts = []
+    for p, q in zip(position_history, velocity_history):
+        pn, qn = normalize_frame(p, q, stats)
+        parts.extend([pn, qn])
+    parts.append(normalize_attributes(attributes, stats))
+    return np.concatenate(parts, axis=1)
+
+
+def input_dim(history: int, d_a: int) -> int:
+    return 6 * history + d_a
