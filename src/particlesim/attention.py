@@ -6,7 +6,9 @@ per particle (touching every particle exactly once, independent of the pair
 count), then runs attention over the pair list where r_i + s_j stands in for
 the explicit edge feature.  The normalized variant rescales the score and
 value terms by the standard deviation of r_i + s_j, recovered per pair from
-per-particle statistics.
+per-particle statistics.  Each block runs all heads in one fused tape
+primitive, `tensor.implicit_edge_attention`, over a `tensor.PairIndex` built
+once per forward.
 
 The vanilla backbone is standard masked multi-head attention over state
 tokens only.  Both accept abstract particles: learnable per-material state
@@ -16,21 +18,12 @@ material.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, SIGMA_FLOOR
 from .nn import ModelConfig, ParamStore, Mlp, LinearMap
 from .particles import InputError
-
-SIGMA_FLOOR = 1e-10
-
-
-@contextmanager
-def _null_scope(label):
-    yield
 
 
 def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.ndarray,
@@ -95,10 +88,11 @@ class _AttentionBase:
             return v
         return T.concat([v, self.bank], axis=0)
 
-    def _post(self, v: Tensor, head_outs: list[Tensor], layer: int) -> Tensor:
+    def _post(self, v: Tensor, heads: Tensor, layer: int) -> Tensor:
+        """heads: (N', d) attention output, heads as column blocks."""
         if self.cfg.linear_mode:
-            return head_outs[0]
-        h = T.matmul(T.concat(head_outs, axis=1), self.w_o[layer])
+            return heads
+        h = T.matmul(heads, self.w_o[layer])
         return T.layer_norm(T.add(v, self.mlp[layer](h)),
                             self.ln_gain[layer], self.ln_shift[layer])
 
@@ -159,74 +153,51 @@ class ImplicitEdgeModel(_AttentionBase):
             s = [T.cols(scat, h * dh, (h + 1) * dh) for h in range(H)]
         return r, s
 
-    def _attend_plain(self, v, r, s, recv, send, layer, h):
-        n = v.data.shape[0]
-        dh = self.cfg.d_head
-        q = T.matmul(v, self.w_q[layer][h])
-        qr = T.reduce_sum(T.mul(q, r[h]), axis=1)  # (N',)
-        qs = T.reduce_sum(T.mul(T.gather_rows(q, recv), T.gather_rows(s[h], send)), axis=1)
-        logits = T.scale(T.add(T.gather_rows(qr, recv), qs), 1.0 / np.sqrt(dh))
-        alpha = T.segment_softmax(logits, recv, n)
-        agg = T.segment_sum(T.scale_rows(T.gather_rows(s[h], send), alpha), recv, n)
-        return T.add(r[h], agg)
-
-    def _attend_normalized(self, v, r, s, recv, send, layer, h):
-        n = v.data.shape[0]
-        dh = self.cfg.d_head
-        rh, sh = r[h], s[h]
-        q = T.matmul(v, self.w_q[layer][h])
-        mu_r = T.reduce_mean(rh, axis=1)  # (N',)
-        mu_s = T.reduce_mean(sh, axis=1)
-        r_cent = T.shift_rows(rh, T.neg(mu_r))
-        s_cent = T.shift_rows(sh, T.neg(mu_s))
-        # sigma^2 recovered from per-particle statistics plus one pair term
-        rr = T.scale(T.reduce_sum(T.square(rh), axis=1), 1.0 / dh)
-        ss = T.scale(T.reduce_sum(T.square(sh), axis=1), 1.0 / dh)
-        rs = T.scale(T.reduce_sum(
-            T.mul(T.gather_rows(rh, recv), T.gather_rows(sh, send)), axis=1), 2.0 / dh)
-        mu_pair = T.add(T.gather_rows(mu_r, recv), T.gather_rows(mu_s, send))
-        var = T.sub(T.add(T.add(T.gather_rows(rr, recv), T.gather_rows(ss, send)), rs),
-                    T.square(mu_pair))
-        sigma = T.sqrt(T.clamp_min(var, SIGMA_FLOOR))
-        qr = T.reduce_sum(T.mul(q, r_cent), axis=1)
-        qs = T.reduce_sum(T.mul(T.gather_rows(q, recv), T.gather_rows(s_cent, send)), axis=1)
-        logits = T.scale(T.div(T.add(T.gather_rows(qr, recv), qs), sigma), 1.0 / np.sqrt(dh))
-        alpha = T.segment_softmax(logits, recv, n)
-        value = T.div_rows(T.add(T.gather_rows(r_cent, recv), T.gather_rows(s_cent, send)), sigma)
-        agg = T.segment_sum(T.scale_rows(value, alpha), recv, n)
-        return T.add(T.scale_cols(agg, self.attn_gain[layer][h]), self.attn_shift[layer][h])
+    def _attend(self, v: Tensor, r: list, s: list, index: T.PairIndex, layer: int) -> Tensor:
+        cfg = self.cfg
+        rcat = _join_heads(r)
+        q = T.matmul(v, _join_heads(self.w_q[layer]))
+        agg = T.implicit_edge_attention(q, rcat, _join_heads(s), index, cfg.heads,
+                                        cfg.normalized_attention)
+        if not cfg.normalized_attention:
+            return T.add(rcat, agg)
+        return T.add(T.scale_cols(agg, _join_heads(self.attn_gain[layer], axis=0)),
+                     _join_heads(self.attn_shift[layer], axis=0))
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, record=None) -> Tensor:
         cfg = self.cfg
-        tape = T.active_tape()
-        scope = tape.scope if tape is not None else _null_scope
         n = np.asarray(x_np).shape[0]
         if cfg.n_abstract > 0:
             recv, send = self.extend_pairs(recv, send, material_ids, n)
+        index = T.PairIndex(recv, send, n + cfg.n_abstract)
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
-        with scope("encode"):
+        with T.scope("encode"):
             v = self._with_abstract(self._encode(x))
-        with scope("token_update"):
+        with T.scope("token_update"):
             r, s = self.init_tokens(v)
         if record is not None:
             record["v"] = [v.data.copy()]
             record["r"] = [[t.data.copy() for t in r]]
             record["s"] = [[t.data.copy() for t in s]]
-        attend = self._attend_normalized if cfg.normalized_attention else self._attend_plain
         for l in range(cfg.blocks):
-            with scope("token_update"):
+            with T.scope("token_update"):
                 r, s = self.update_tokens(v, r, s, l)
-            with scope("attention"):
-                head_outs = [attend(v, r, s, recv, send, l, h) for h in range(cfg.heads)]
-            with scope("post"):
-                v = self._post(v, head_outs, l)
+            with T.scope("attention"):
+                heads = self._attend(v, r, s, index, l)
+            with T.scope("post"):
+                v = self._post(v, heads, l)
             if record is not None:
                 record["v"].append(v.data.copy())
                 record["r"].append([t.data.copy() for t in r])
                 record["s"].append([t.data.copy() for t in s])
-        with scope("decode"):
+        with T.scope("decode"):
             return self._decode(v, n)
+
+
+def _join_heads(per_head: list, axis: int = 1) -> Tensor:
+    """Per-head tensors side by side as one tensor (heads as column blocks)."""
+    return per_head[0] if len(per_head) == 1 else T.concat(per_head, axis=axis)
 
 
 class VanillaTransformer(_AttentionBase):
@@ -258,22 +229,20 @@ class VanillaTransformer(_AttentionBase):
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, record=None) -> Tensor:
         cfg = self.cfg
-        tape = T.active_tape()
-        scope = tape.scope if tape is not None else _null_scope
         n = np.asarray(x_np).shape[0]
         if cfg.n_abstract > 0:
             recv, send = self.extend_pairs(recv, send, material_ids, n)
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
-        with scope("encode"):
+        with T.scope("encode"):
             v = self._with_abstract(self._encode(x))
         for l in range(cfg.blocks):
-            with scope("attention"):
-                head_outs = [self._attend(v, recv, send, l, h) for h in range(cfg.heads)]
-            with scope("post"):
-                v = self._post(v, head_outs, l)
+            with T.scope("attention"):
+                heads = _join_heads([self._attend(v, recv, send, l, h) for h in range(cfg.heads)])
+            with T.scope("post"):
+                v = self._post(v, heads, l)
             if record is not None:
                 record.setdefault("v", []).append(v.data.copy())
-        with scope("decode"):
+        with T.scope("decode"):
             return self._decode(v, n)
 
 

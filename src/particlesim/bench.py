@@ -5,7 +5,8 @@ Accounting convention: a MAC is one multiply inside a linear-algebra
 primitive.  matmul (m,k)x(k,n) costs m*k*n; elementwise mul/div/scale/square
 and row/column scaling cost one MAC per output element; layer_norm costs two
 per element (inverse-std scaling plus gain); additions, gathers, reductions,
-softmaxes, and sqrt cost zero.  The tape tallies the same convention during
+softmaxes, and sqrt cost zero; the fused implicit-edge attention counts the
+products its docstring lists.  The tape tallies the same convention during
 a real forward pass, so the analytic formulas must match the instrumented
 counts exactly.
 """
@@ -64,10 +65,12 @@ def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
     else:  # tie
         phases["encode"] = n * (din * d + d * d)
         phases["token_update"] = 2 * n * d * d + L * (4 * n * d * d + 2 * n * d * dh)
+        # query projection, then tensor.implicit_edge_attention (its
+        # docstring counts its MACs), then the normalized variant's gain
         if cfg.normalized_attention:
-            per_block = (n * d * d + 4 * n * d + 4 * n * H + 4 * e * d + 4 * e * H)
+            per_block = n * d * d + 5 * n * d + 3 * e * d + 5 * e * H
         else:
-            per_block = (n * d * d + n * d + 2 * e * d + e * H)
+            per_block = n * d * d + 2 * e * d + e * H
         phases["attention"] = L * per_block
         phases["post"] = L * (n * d * d + 2 * n * d * hid + 2 * n * d)
         phases["decode"] = n * (d * d + d * out)

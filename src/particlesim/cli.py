@@ -3,7 +3,8 @@ evaluation, verification suites, and benchmarks.
 
 One JSON config file with dotted-key overrides; every run writes a
 resolved-config snapshot next to its outputs.  Exit codes: 0 success,
-2 bad arguments, 3 verification failure, 4 training divergence, 5 I/O error.
+2 bad arguments, 3 verification failure (an oracle suite, or analytic MACs
+differing from the tape's in `bench`), 4 training divergence, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -270,6 +271,7 @@ def cmd_bench(args) -> int:
     bcfg = config["bench"]
     snapshot_config(config, args.out)
     profiles = []
+    mismatch = False
     for backbone in ("tie", "vanilla", "gnn"):
         cfg = ModelConfig(backbone=backbone, d_in=9, d=int(bcfg["d"]),
                           heads=int(bcfg["heads"]), blocks=int(bcfg["blocks"]),
@@ -280,9 +282,11 @@ def cmd_bench(args) -> int:
             print(f"{backbone:8s} N={prof.n} E={prof.e} macs={prof.measured_macs} "
                   f"wall={prof.wall_ms_mean:.2f}ms")
             if prof.analytic_macs != prof.measured_macs:
-                print(f"  WARNING: analytic {prof.analytic_macs} != measured {prof.measured_macs}")
+                print(f"{backbone} N={prof.n} E={prof.e}: analytic MACs {prof.analytic_macs} "
+                      f"!= measured {prof.measured_macs}", file=sys.stderr)
+                mismatch = True
     B.write_bench_csv(profiles, os.path.join(args.out, "bench.csv"))
-    return EXIT_OK
+    return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -11,8 +11,6 @@ must reproduce pair-by-pair.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from . import tensor as T
@@ -57,11 +55,9 @@ class ExplicitEdgeGnn:
     # -- forward -----------------------------------------------------------
 
     def encode(self, x: Tensor, recv: np.ndarray, send: np.ndarray):
-        tape = T.active_tape()
-        scope = tape.scope if tape is not None else _null_scope
-        with scope("encode_node"):
+        with T.scope("encode_node"):
             v = x if self.cfg.linear_mode else self.enc_v(x)
-        with scope("encode_edge"):
+        with T.scope("encode_edge"):
             xi = T.gather_rows(x, recv)
             xj = T.gather_rows(x, send)
             pair_in = T.concat([xi, xj], axis=1)
@@ -71,9 +67,7 @@ class ExplicitEdgeGnn:
     def propagate(self, v: Tensor, e: Tensor, recv: np.ndarray, send: np.ndarray,
                   layer: int) -> tuple[Tensor, Tensor]:
         n = v.data.shape[0]
-        tape = T.active_tape()
-        scope = tape.scope if tape is not None else _null_scope
-        with scope("edge_update"):
+        with T.scope("edge_update"):
             vi = T.gather_rows(v, recv)
             vj = T.gather_rows(v, send)
             edge_in = T.concat([vi, vj, e], axis=1)
@@ -82,7 +76,7 @@ class ExplicitEdgeGnn:
             else:
                 e_new = T.layer_norm(self.prop_e[layer](edge_in),
                                      self.ln_e_gain[layer], self.ln_e_shift[layer])
-        with scope("node_update"):
+        with T.scope("node_update"):
             agg = T.segment_sum(e_new, recv, n)
             if self.cfg.gnn_aggregate == "mean":
                 counts = np.bincount(recv, minlength=n).astype(v.data.dtype)
@@ -103,21 +97,19 @@ class ExplicitEdgeGnn:
         `record`, if a dict, receives the node trajectory ("v", list of arrays
         entering each layer) and edge features ("e") for oracle tests.
         """
-        tape = T.active_tape()
-        scope = tape.scope if tape is not None else _null_scope
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[self.cfg.precision]))
-        with scope("encode"):
+        with T.scope("encode"):
             v, e = self.encode(x, recv, send)
         if record is not None:
             record["v"] = [v.data.copy()]
             record["e"] = [e.data.copy()]
         for l in range(self.cfg.blocks):
-            with scope("propagate"):
+            with T.scope("propagate"):
                 v, e = self.propagate(v, e, recv, send, l)
             if record is not None:
                 record["v"].append(v.data.copy())
                 record["e"].append(e.data.copy())
-        with scope("decode"):
+        with T.scope("decode"):
             return self.dec(v)
 
     def predict_velocities(self, x_np, recv, send, material_ids=None) -> np.ndarray:
@@ -139,11 +131,6 @@ class ExplicitEdgeGnn:
         din = self.cfg.d_in
         w = self.enc_e_w.data
         return w[:din], w[din:]
-
-
-@contextmanager
-def _null_scope(label):
-    yield
 
 
 def expand_edge_linear(w0_r: np.ndarray, w0_s: np.ndarray,

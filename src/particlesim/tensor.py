@@ -2,7 +2,8 @@
 
 The primitive set is the minimal closure needed by the simulation models:
 matrix products, elementwise arithmetic, relu, concat/slice/gather,
-segment reductions, masked and segmented softmax, and layer norm.
+segment reductions, masked and segmented softmax, layer norm, and the fused
+implicit-edge attention over a per-graph `PairIndex`.
 Everything is numpy-backed; two precision modes (f32, f64) are supported
 and never mixed inside one graph.
 """
@@ -30,6 +31,10 @@ class ContractError(ValueError):
 
 class DegenerateRowError(ValueError):
     """softmax_masked received a row with every entry masked."""
+
+
+# Lower clamp of the pair variance in normalized implicit-edge attention.
+SIGMA_FLOOR = 1e-10
 
 
 class Tensor:
@@ -140,6 +145,20 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+@contextmanager
+def scope(label: str):
+    """Tag entries recorded inside the block with `label` on the active tape.
+
+    Without an active tape nothing is recorded and the block just runs.
+    """
+    tape = active_tape()
+    if tape is None:
+        yield
+        return
+    with tape.scope(label):
+        yield
+
+
 def _record(out: Tensor, parents: tuple, backward_fn, macs: int = 0) -> Tensor:
     out.requires_grad = any(p.requires_grad for p in parents)
     tape = active_tape()
@@ -178,6 +197,9 @@ def zero_grads(tape: Tape):
 # primitives
 # ---------------------------------------------------------------------------
 
+_SCATTER_BLOCK = 32
+
+
 def _scatter_add_rows(acc: np.ndarray, idx: np.ndarray, values: np.ndarray):
     """acc[idx[i]] += values[i] for all i, with duplicate indices summed.
 
@@ -191,9 +213,16 @@ def _scatter_add_rows(acc: np.ndarray, idx: np.ndarray, values: np.ndarray):
     if values.shape[0] > 64:
         order = np.argsort(idx, kind="stable")
         si = idx[order]
-        sv = values[order]
         starts = np.flatnonzero(np.diff(si, prepend=si[0] - 1))
-        acc[si[starts]] += np.add.reduceat(sv, starts, axis=0)
+        rows = si[starts]
+        flat = acc.reshape(acc.shape[0], -1)
+        values = values.reshape(values.shape[0], -1)
+        # reduceat along axis 0 slows down sharply on wide rows with a
+        # power-of-two stride; contiguous blocks of at most 32 columns keep it
+        # fast and sum the same elements in the same order.
+        for lo in range(0, values.shape[1], _SCATTER_BLOCK):
+            hi = lo + _SCATTER_BLOCK
+            flat[rows, lo:hi] += np.add.reduceat(values[order, lo:hi], starts, axis=0)
     else:
         np.add.at(acc, idx, values)
 
@@ -543,6 +572,227 @@ def segment_softmax(logits: Tensor, seg_ids: np.ndarray, num_segments: int) -> T
             logits.accumulate_grad(out.data * (g - dot[seg_ids]))
 
     return _record(out, (logits,), bwd)
+
+
+def _degree_buckets(starts: np.ndarray):
+    """Rows of a CSR layout grouped by padded width, the power of two at or
+    above their degree; rows of degree 0 are left out.
+
+    Yields (rows, pos, valid) with pos[a, k] = starts[rows[a]] + k and
+    valid[a, k] = k < degree.  Every row pads to less than twice its degree,
+    so one row of degree N does not widen the others.
+    """
+    deg = np.diff(starts)
+    width = np.zeros_like(deg)
+    nonempty = deg > 0
+    width[nonempty] = 1 << np.ceil(np.log2(deg[nonempty])).astype(np.int64)
+    for k in np.unique(width[nonempty]):
+        rows = np.flatnonzero(width == k)
+        cols = np.arange(k)
+        yield rows, starts[rows, None] + cols, cols < deg[rows, None]
+
+
+@dataclass
+class _RecvBucket:
+    rows: np.ndarray    # (R,) receivers
+    lo: int             # first padded slot of the bucket
+    valid: np.ndarray   # (R, K) slot holds a pair
+    senders: np.ndarray  # (R, K) sender of each slot (0 on padding)
+
+
+class PairIndex:
+    """Receiver- and sender-side layouts of one pair list, built once per graph.
+
+    Pairs are taken in receiver order (neighbor search and abstract pairs
+    already come sorted; other lists are sorted stably), which makes the
+    receiver CSR free.  Receivers are padded into tables (rows, K) per
+    power-of-two degree bucket; the slots of all buckets, row-major, form one
+    padded slot space of size `n_slots`.  The sender side holds the stable sender
+    permutation of the pairs, its CSR starts, and tables of padded slots per
+    sender bucket (padding points at slot `n_slots`).  Sums over a receiver's
+    or a sender's pairs then become batched matmuls or row sums over these
+    tables, with no sort and no unbuffered scatter per call.
+    """
+
+    def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
+        recv = np.asarray(recv, dtype=np.int64)
+        send = np.asarray(send, dtype=np.int64)
+        if recv.shape != send.shape or recv.ndim != 1:
+            raise ShapeError(f"pair index: receivers {recv.shape} vs senders {send.shape}")
+        if recv.size and (min(recv.min(), send.min()) < 0 or max(recv.max(), send.max()) >= n):
+            raise ShapeError(f"pair index: particle index outside [0, {n})")
+        if np.any(np.diff(recv) < 0):
+            order = np.argsort(recv, kind="stable")
+            recv, send = recv[order], send[order]
+        self.n, self.e = n, recv.size
+        self.recv_starts = np.concatenate(([0], np.cumsum(np.bincount(recv, minlength=n))))
+        self.send_perm = np.argsort(send, kind="stable")
+        self.send_starts = np.concatenate(([0], np.cumsum(np.bincount(send, minlength=n))))
+
+        self.recv_buckets: list[_RecvBucket] = []
+        pair_slot = np.empty(self.e, dtype=np.int64)
+        lo = 0
+        for rows, pos, valid in _degree_buckets(self.recv_starts):
+            pair_slot[pos[valid]] = lo + np.flatnonzero(valid)
+            senders = np.where(valid, send[np.where(valid, pos, 0)], 0)
+            self.recv_buckets.append(_RecvBucket(rows, lo, valid, senders))
+            lo += valid.size
+        self.n_slots = lo
+        # (senders, (R, K) padded slots of each sender's pairs)
+        self.send_buckets: list[tuple[np.ndarray, np.ndarray]] = []
+        for rows, pos, valid in _degree_buckets(self.send_starts):
+            pairs = self.send_perm[np.where(valid, pos, 0)]
+            self.send_buckets.append((rows, np.where(valid, pair_slot[pairs], lo)))
+
+
+def _by_head(a: np.ndarray, heads: int) -> np.ndarray:
+    return a.reshape(a.shape[0], heads, a.shape[1] // heads)
+
+
+def _centred(a: np.ndarray) -> np.ndarray:
+    return a - a.mean(axis=-1, keepdims=True)
+
+
+def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
+                            heads: int, normalized: bool) -> Tensor:
+    """Fused softmax-aggregate of implicit-edge attention over all heads.
+
+    q, r and s are (N', d) with heads as column blocks of width D = d/heads;
+    pair (i, j) of `index` lets r_i + s_j stand in for its edge feature,
+    which is never materialised.  Per head and receiver i:
+
+    plain:      alpha_ij = softmax_j(q_i . s_j / sqrt(D)),
+                out_i = sum_j alpha_ij s_j.
+                The logit term q_i . r_i is the same for every pair of i and
+                cancels in the softmax, so r does not enter.
+    normalized: with centred tokens r_c, s_c and
+                sigma_ij^2 = (|r_c,i|^2 + |s_c,j|^2 + 2 r_c,i . s_c,j) / D,
+                the variance of r_i + s_j over its D components (clamped
+                below at SIGMA_FLOOR),
+                alpha_ij = softmax_j((q_i . r_c,i + q_i . s_c,j) / (sigma_ij sqrt(D))),
+                out_i = r_c,i sum_j alpha_ij / sigma_ij
+                        + sum_j (alpha_ij / sigma_ij) s_c,j.
+
+    Receivers without pairs get zero.  MACs: the D-length products per
+    particle (normalized: |r_c|^2, |s_c|^2, q . r_c and the r_c term of the
+    output) and per pair (q . s, r_c . s_c, the aggregate), plus the scalar
+    products per pair and head (normalized: 2 for sigma^2, 2 for the logit,
+    1 for alpha / sigma; plain: the logit scale).
+    """
+    _check_dtype(q, r, s)
+    n, d = s.data.shape
+    if q.data.shape != (n, d) or r.data.shape != (n, d) or index.n != n:
+        raise ShapeError(f"implicit_edge_attention: q {q.data.shape}, r {r.data.shape}, "
+                         f"s {s.data.shape} over {index.n} particles")
+    if d % heads:
+        raise ShapeError(f"implicit_edge_attention: {heads} heads do not divide d={d}")
+    D = d // heads
+    dt = s.data.dtype
+    root = dt.type(np.sqrt(D))
+    qh = _by_head(q.data, heads)
+    if normalized:
+        rc = _centred(_by_head(r.data, heads))
+        sc = _centred(_by_head(s.data, heads))
+        rr = np.einsum("nhd,nhd->nh", rc, rc)
+        ss = np.einsum("nhd,nhd->nh", sc, sc)
+        qr = np.einsum("nhd,nhd->nh", qh, rc)
+    else:
+        sc = _by_head(s.data, heads)
+    out = np.zeros((n, heads, D), dtype=dt)
+    saved = []
+    for b in index.recv_buckets:
+        S = sc[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
+        mask = b.valid[:, None, :]
+        if normalized:
+            rcb = rc[b.rows]
+            dots = np.matmul(S, np.stack([qh[b.rows], rcb], axis=3))  # (R, H, K, 2)
+            var = (rr[b.rows][:, :, None] + ss[b.senders].transpose(0, 2, 1)
+                   + dt.type(2.0) * dots[..., 1]) * dt.type(1.0 / D)
+            keep = var > SIGMA_FLOOR
+            sigma = np.sqrt(np.where(keep, var, dt.type(SIGMA_FLOOR)))
+            z = (qr[b.rows][:, :, None] + dots[..., 0]) / (sigma * root)
+        else:
+            z = np.matmul(S, qh[b.rows][..., None])[..., 0] * dt.type(1.0 / root)
+        zm = np.where(mask, z, -np.inf)
+        ex = np.exp(zm - zm.max(axis=2, keepdims=True))
+        alpha = ex / ex.sum(axis=2, keepdims=True)
+        w = alpha / sigma if normalized else alpha
+        agg = np.matmul(w[:, :, None, :], S)[:, :, 0, :]
+        if normalized:
+            agg += rcb * w.sum(axis=2)[..., None]
+            saved.append((S, z, alpha, sigma, keep, w))
+        else:
+            saved.append((S, alpha))
+        out[b.rows] = agg
+    result = Tensor(out.reshape(n, d))
+    e = index.e
+    macs = (4 * n * d + 3 * e * d + 5 * e * heads) if normalized else (2 * e * d + e * heads)
+
+    def bwd(g):
+        gh = _by_head(g, heads)
+        dq = np.zeros((n, heads, D), dtype=dt)
+        dsc = np.zeros((n, heads, D), dtype=dt)
+        # per padded slot: the vector each pair sends back to its sender, and
+        # (normalized) the pair's share of d|s_c|^2
+        to_sender = np.empty((index.n_slots + 1, heads, D), dtype=dt)
+        to_sender[-1] = 0.0  # the slot that padding points at
+        if normalized:
+            drc = np.zeros((n, heads, D), dtype=dt)
+            d_ss = np.zeros((index.n_slots + 1, heads), dtype=dt)
+        for b, saved_b in zip(index.recv_buckets, saved):
+            R, K = b.valid.shape
+            gb = gh[b.rows]
+            if normalized:
+                S, z, alpha, sigma, keep, w = saved_b
+                rcb, qb = rc[b.rows], qh[b.rows]
+                ws = w.sum(axis=2)
+                dw = (np.matmul(S, gb[..., None])[..., 0]
+                      + np.einsum("rhd,rhd->rh", gb, rcb)[:, :, None])
+                da = dw / sigma
+                dz = alpha * (da - (alpha * da).sum(axis=2, keepdims=True))
+                t = dz / (sigma * root)
+                dsigma = -(dw * w + dz * z) / sigma
+                dvar = np.where(keep, dsigma / (dt.type(2.0) * sigma), dt.type(0.0))
+                dc = dvar * dt.type(2.0 / D)
+                # receiver side: sum_j t_ij s_c,j and sum_j dc_ij s_c,j
+                pair_sums = np.matmul(np.stack([t, dc], axis=2), S)  # (R, H, 2, D)
+                qr_grad = t.sum(axis=2)[..., None]
+                dq[b.rows] = qr_grad * rcb + pair_sums[:, :, 0]
+                drc[b.rows] = (gb * ws[..., None] + qr_grad * qb + pair_sums[:, :, 1]
+                               + dt.type(2.0 / D) * dvar.sum(axis=2)[..., None] * rcb)
+                coef = np.stack([w, t, dc], axis=3)  # (R, H, K, 3)
+                vecs = np.stack([gb, qb, rcb], axis=2)  # (R, H, 3, D)
+                d_ss[b.lo:b.lo + R * K] = (dvar * dt.type(1.0 / D)).transpose(0, 2, 1).reshape(
+                    R * K, heads)
+            else:
+                S, alpha = saved_b
+                dw = np.matmul(S, gb[..., None])[..., 0]
+                dz = alpha * (dw - (alpha * dw).sum(axis=2, keepdims=True))
+                t = dz * dt.type(1.0 / root)
+                dq[b.rows] = np.matmul(t[:, :, None, :], S)[:, :, 0]
+                coef = np.stack([alpha, t], axis=3)
+                vecs = np.stack([gb, qh[b.rows]], axis=2)
+            # (R, H, K, D) products written straight into the slots (R, K) of (H, D)
+            np.matmul(coef, vecs, out=to_sender[b.lo:b.lo + R * K].reshape(
+                R, K, heads, D).transpose(0, 2, 1, 3))
+        for rows, slots in index.send_buckets:
+            # one (R, H, D) gather per column keeps the temporaries small
+            acc = to_sender[slots[:, 0]]
+            for k in range(1, slots.shape[1]):
+                acc += to_sender[slots[:, k]]
+            dsc[rows] = acc
+            if normalized:
+                dsc[rows] += dt.type(2.0) * d_ss[slots].sum(axis=1)[..., None] * sc[rows]
+        if q.requires_grad:
+            q.accumulate_grad(dq.reshape(n, d))
+        if normalized:
+            if r.requires_grad:
+                r.accumulate_grad(_centred(drc).reshape(n, d))
+            dsc = _centred(dsc)
+        if s.requires_grad:
+            s.accumulate_grad(dsc.reshape(n, d))
+
+    return _record(result, (q, r, s), bwd, macs=macs)
 
 
 LAYER_NORM_EPS = 1e-5

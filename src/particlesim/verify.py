@@ -1,5 +1,6 @@
-"""Oracle suites: implicit-edge exactness, sigma recovery, gradient checks
-against central finite differences, and neighbor-graph equivalence.
+"""Oracle suites: implicit-edge exactness, sigma recovery, the fused
+implicit-edge attention against its composed form, gradient checks against
+central finite differences, and neighbor-graph equivalence.
 
 Each check returns its worst-case error so callers can assert their own
 tolerances; the CLI `verify` subcommand prints one pass/fail line per suite.
@@ -12,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tape, Tensor
 from .nn import ModelConfig
-from .attention import ImplicitEdgeModel, build_model
+from .attention import ImplicitEdgeModel, attach_abstract_pairs
 from .gnn import expand_edge_linear
 from . import particles as P
 from .bench import synthesize_pairs
@@ -59,11 +60,17 @@ def run_implicit_edge_suite(n_configs: int = 100, seed: int = 0) -> float:
 
 
 def sigma_recovered(r: np.ndarray, s: np.ndarray) -> float:
-    """Pair standard deviation recovered from per-token statistics."""
+    """Pair standard deviation recovered from per-token statistics.
+
+    Uses the centred form of `tensor.implicit_edge_attention`,
+    (|r_c|^2 + |s_c|^2 + 2 r_c . s_c) / d, in the precision of the tokens.
+    The raw-moment form E[r^2] + E[s^2] + 2 E[rs] - (mu_r + mu_s)^2 cancels
+    catastrophically in f32 once the token means are large against sigma.
+    """
     d = r.shape[0]
-    mu_r = r.mean()
-    mu_s = s.mean()
-    var = (r @ r) / d + (s @ s) / d + 2.0 * (r @ s) / d - (mu_r + mu_s) ** 2
+    rc = r - r.mean()
+    sc = s - s.mean()
+    var = (rc @ rc + sc @ sc + 2.0 * (rc @ sc)) / d
     return float(np.sqrt(max(var, 0.0)))
 
 
@@ -77,6 +84,97 @@ def run_sigma_recovery_suite(n_samples: int = 1000, dims=(2, 8, 64), seed: int =
         direct = float(np.std(r + s))
         rec = sigma_recovered(r, s)
         worst = max(worst, abs(rec - direct) / max(direct, 1e-300))
+    return worst
+
+
+def composed_attention(q: Tensor, r: Tensor, s: Tensor, recv: np.ndarray, send: np.ndarray,
+                       heads: int, normalized: bool) -> Tensor:
+    """Implicit-edge attention composed head by head from tape primitives:
+    the oracle of `tensor.implicit_edge_attention` (same arguments, with the
+    pair list in place of the index).  The plain variant keeps the q_i . r_i
+    logit term that the fused primitive drops."""
+    n, d = r.data.shape
+    dh = d // heads
+    outs = []
+    for h in range(heads):
+        qh, rh, sh = (T.cols(t, h * dh, (h + 1) * dh) for t in (q, r, s))
+        if normalized:
+            rh = T.shift_rows(rh, T.neg(T.reduce_mean(rh, axis=1)))
+            sh = T.shift_rows(sh, T.neg(T.reduce_mean(sh, axis=1)))
+            rr = T.scale(T.reduce_sum(T.square(rh), axis=1), 1.0 / dh)
+            ss = T.scale(T.reduce_sum(T.square(sh), axis=1), 1.0 / dh)
+            rs = T.scale(T.reduce_sum(
+                T.mul(T.gather_rows(rh, recv), T.gather_rows(sh, send)), axis=1), 2.0 / dh)
+            var = T.add(T.add(T.gather_rows(rr, recv), T.gather_rows(ss, send)), rs)
+            sigma = T.sqrt(T.clamp_min(var, T.SIGMA_FLOOR))
+        qr = T.reduce_sum(T.mul(qh, rh), axis=1)
+        qs = T.reduce_sum(T.mul(T.gather_rows(qh, recv), T.gather_rows(sh, send)), axis=1)
+        logits = T.add(T.gather_rows(qr, recv), qs)
+        if normalized:
+            logits = T.div(logits, sigma)
+            value = T.div_rows(T.add(T.gather_rows(rh, recv), T.gather_rows(sh, send)), sigma)
+        else:
+            value = T.gather_rows(sh, send)
+        alpha = T.segment_softmax(T.scale(logits, 1.0 / np.sqrt(dh)), recv, n)
+        outs.append(T.segment_sum(T.scale_rows(value, alpha), recv, n))
+    return T.concat(outs, axis=1)
+
+
+def _attention_case_pairs(n: int, n_abstract: int, bidirectional: bool, seed: int):
+    """A pair list with a receiver without pairs (particle 0 unless abstract
+    pairs reach it, else abstract row n + 1), receivers with a single pair,
+    and the pairs (2, 3) and (3, 2) between the rows made constant below."""
+    recv, send = synthesize_pairs(n, 3 * n, seed)
+    pairs = {(i, j) for i, j in zip(recv.tolist(), send.tolist()) if i not in (0, 1)}
+    pairs |= {(1, 4), (2, 3), (3, 2)}
+    recv, send = (np.array(c, dtype=np.int64) for c in zip(*sorted(pairs)))
+    if n_abstract == 0:
+        return recv, send, n
+    # bidirectional: every particle is of material 0, so abstract row n + 1
+    # has no pairs and particle 0 hears only its abstract row
+    ids = np.zeros(n, dtype=np.int64) if bidirectional else np.arange(n) % n_abstract
+    recv, send = attach_abstract_pairs(recv, send, ids, n, n_abstract, bidirectional)
+    return recv, send, n + n_abstract
+
+
+def fused_attention_deviation(n_abstract: int, bidirectional: bool, normalized: bool,
+                              heads: int = 2, d: int = 8, n: int = 9, seed: int = 0) -> float:
+    """Worst elementwise deviation, relative to max(1, |value|), between
+    `tensor.implicit_edge_attention` and `composed_attention` over the output
+    and the gradients of q, r and s, in f64.  Rows 2 and 3 hold constant
+    tokens, so the variance of their mutual pairs sits at SIGMA_FLOOR."""
+    recv, send, rows = _attention_case_pairs(n, n_abstract, bidirectional, seed)
+    rng = np.random.default_rng(seed + 11)
+    q, r, s = (rng.standard_normal((rows, d)) for _ in range(3))
+    r[2:4] = np.repeat(r[2:4, ::d // heads], d // heads, axis=1)
+    s[2:4] = np.repeat(s[2:4, ::d // heads], d // heads, axis=1)
+    upstream = Tensor(rng.standard_normal((rows, d)))
+    results = []
+    for fused in (True, False):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in (q, r, s)]
+        with Tape() as tape:
+            if fused:
+                out = T.implicit_edge_attention(*inputs, T.PairIndex(recv, send, rows),
+                                                heads, normalized)
+            else:
+                out = composed_attention(*inputs, recv, send, heads, normalized)
+            T.backward(T.reduce_sum(T.mul(out, upstream)), tape)
+        grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
+        results.append([out.data] + grads)
+    worst = 0.0
+    for a, b in zip(*results):
+        worst = max(worst, float((np.abs(a - b) / np.maximum(1.0, np.maximum(
+            np.abs(a), np.abs(b)))).max()))
+    return worst
+
+
+def run_fused_attention_suite(seed: int = 0) -> float:
+    worst = 0.0
+    for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)]):
+        for normalized in (True, False):
+            for heads in (1, 2):
+                worst = max(worst, fused_attention_deviation(
+                    n_abstract, bidirectional, normalized, heads=heads, seed=seed + i))
     return worst
 
 
@@ -146,6 +244,8 @@ def run_all(fast: bool = False) -> list[tuple[str, bool, str]]:
     results.append(("implicit-edge identity", dev <= 1e-10, f"max deviation {dev:.3e}"))
     err = run_sigma_recovery_suite(n_samples=300 if fast else 1000)
     results.append(("sigma recovery", err <= 1e-9, f"max relative error {err:.3e}"))
+    ferr = run_fused_attention_suite()
+    results.append(("fused attention", ferr <= 1e-10, f"max relative deviation {ferr:.3e}"))
     gerr = run_gradient_suite(blocks=1 if fast else 2, d=8 if fast else 16,
                               n=6 if fast else 8)
     results.append(("gradient check", gerr <= 1e-4, f"max relative error {gerr:.3e}"))

@@ -121,6 +121,15 @@ class TestPrimitiveGradients:
 
         finite_diff_check(build, [a])
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_implicit_edge_attention(self, normalized):
+        recv = np.array([0, 0, 0, 1, 3, 3])
+        send = np.array([1, 2, 3, 0, 0, 2])
+        index = T.PairIndex(recv, send, 4)  # receiver 2 has no pairs
+        q, r, s = leaf((4, 6), 16), leaf((4, 6), 17), leaf((4, 6), 18)
+        finite_diff_check(lambda q, r, s: scalarize(
+            T.implicit_edge_attention(q, r, s, index, 2, normalized)), [q, r, s])
+
     def test_layer_norm(self):
         x, g, s = leaf((3, 5), 17), leaf((5,), 18), leaf((5,), 19)
         finite_diff_check(lambda x, g, s: scalarize(T.layer_norm(x, g, s)), [x, g, s],

@@ -179,7 +179,25 @@ class TestPipeline:
         assert lines[0] == "backbone,n,e,macs,wall_ms_mean,wall_ms_std"
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
 
+    def test_bench_mac_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        from particlesim import bench
+        exact = bench.count_macs
+
+        def off_by_one(cfg, n, e):
+            phases = exact(cfg, n, e)
+            phases["total"] += 1
+            return phases
+
+        monkeypatch.setattr(bench, "count_macs", off_by_one)
+        code = main(["bench", "--out", str(tmp_path / "bench"),
+                     "--set", "bench.n=12", "--set", "bench.e_values=[30]",
+                     "--set", "bench.d=8", "--set", "bench.blocks=1",
+                     "--set", "bench.heads=2", "--set", "bench.trials=5"])
+        assert code == 3
+        assert "analytic MACs" in capsys.readouterr().err
+
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 5
+        assert "[PASS] fused attention" in out

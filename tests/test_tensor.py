@@ -115,6 +115,26 @@ class TestShapes:
         assert np.array_equal(T.scale_cols(m, v).data, [[2.0, 20.0], [6.0, 40.0]])
 
 
+class TestScatterAddRows:
+    def test_wide_rows_blocked(self):
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 300, size=8000)
+        values = rng.standard_normal((8000, 128)).astype(np.float32)
+        acc = np.zeros((300, 128), dtype=np.float32)
+        T._scatter_add_rows(acc, idx, values)
+
+        order = np.argsort(idx, kind="stable")
+        si = idx[order]
+        starts = np.flatnonzero(np.diff(si, prepend=si[0] - 1))
+        single = np.zeros_like(acc)
+        single[si[starts]] += np.add.reduceat(values[order], starts, axis=0)
+        assert acc.tobytes() == single.tobytes()
+
+        at = np.zeros_like(acc)
+        np.add.at(at, idx, values)
+        assert np.allclose(acc, at, atol=1e-4)
+
+
 class TestSoftmax:
     def test_masked_vector_example(self):
         logits = Tensor([1.0, 2.0, 3.0])

@@ -12,6 +12,7 @@ from particlesim.attention import (ImplicitEdgeModel, VanillaTransformer,
                                    attach_abstract_pairs, build_model, SIGMA_FLOOR)
 from particlesim.particles import InputError
 from particlesim.bench import synthesize_pairs
+from particlesim import verify as V
 from particlesim.verify import sigma_recovered
 
 
@@ -152,6 +153,34 @@ class TestNormalizedAttention:
             r, s = rng.standard_normal(d), rng.standard_normal(d)
             assert sigma_recovered(r, s) == pytest.approx(np.std(r + s), rel=1e-12)
 
+    @pytest.mark.parametrize("offset", [1.0, 100.0, 1000.0])
+    def test_sigma_f32_large_means(self, offset):
+        # |mu| / sigma = offset; the raw-moment form is 13% off at 1000 in f32.
+        # (d = 2 is left out: there r_c = -s_c happens often enough that any
+        # recovery from per-token statistics cancels, whatever the means.)
+        rng = np.random.default_rng(int(offset))
+        for d in (8, 16, 64):
+            for _ in range(100):
+                r = (offset * rng.choice([-1, 1]) + rng.standard_normal(d)).astype(np.float32)
+                s = (offset * rng.choice([-1, 1]) + rng.standard_normal(d)).astype(np.float32)
+                direct = np.std(r.astype(np.float64) + s.astype(np.float64))
+                assert abs(sigma_recovered(r, s) - direct) <= 1e-5 * direct
+
+    @pytest.mark.parametrize("offset", [1.0, 100.0, 1000.0])
+    def test_fused_sigma_f32_large_means(self, offset):
+        # one pair per receiver: each head of the output is (r_c + s_c) / sigma,
+        # whose RMS is 1 when sigma is the std of the values it divides
+        rng = np.random.default_rng(int(offset) + 1)
+        n, d, heads = 64, 16, 2
+        r, s = (offset + rng.standard_normal((n, d)) for _ in range(2))
+        r, s = r.astype(np.float32), s.astype(np.float32)
+        send = np.roll(np.arange(n), 1)
+        out = T.implicit_edge_attention(
+            T.Tensor(np.ones((n, d), np.float32)), T.Tensor(r), T.Tensor(s),
+            T.PairIndex(np.arange(n), send, n), heads, normalized=True).data
+        rms = np.sqrt((out.astype(np.float64).reshape(n, heads, -1) ** 2).mean(axis=2))
+        assert np.abs(rms - 1.0).max() <= 1e-5
+
     def test_constant_tokens_hit_clamp_and_stay_finite(self):
         cfg = ModelConfig(backbone="tie", d_in=4, d=4, heads=1, blocks=1,
                           mlp_hidden=8, normalized_attention=True, precision="f64")
@@ -215,6 +244,75 @@ class TestNormalizedAttention:
                           p["block0.ln.gain"].data, p["block0.ln.shift"].data)
         expect = np_mlp(p, "dec", v)
         assert np.allclose(out, expect, atol=1e-11)
+
+
+class TestFusedAttention:
+    def test_matches_composed_oracle(self):
+        # n_abstract in {0, 2}, unidirectional abstract pairs, a receiver
+        # without pairs, single-neighbour rows, constant tokens at the floor
+        assert V.run_fused_attention_suite() <= 1e-10
+
+    def test_unsorted_pairs_give_the_same_output(self):
+        rng = np.random.default_rng(40)
+        q, r, s = (T.Tensor(rng.standard_normal((6, 4))) for _ in range(3))
+        recv, send = synthesize_pairs(6, 14, seed=41)
+        perm = rng.permutation(recv.size)
+        sorted_out = T.implicit_edge_attention(q, r, s, T.PairIndex(recv, send, 6), 2, True)
+        shuffled = T.implicit_edge_attention(q, r, s, T.PairIndex(recv[perm], send[perm], 6),
+                                             2, True)
+        assert np.allclose(sorted_out.data, shuffled.data, atol=1e-13)
+
+    def test_tape_entries_per_forward(self):
+        # the composed attention recorded 966 entries at this shape
+        cfg = ModelConfig(backbone="tie", d_in=7, d=128, heads=4, blocks=4,
+                          mlp_hidden=256, precision="f32")
+        model = ImplicitEdgeModel(cfg, seed=0)
+        recv, send = synthesize_pairs(512, 8000, seed=0)
+        x = np.random.default_rng(42).standard_normal((512, 7))
+        with Tape() as tape:
+            model.forward(x, recv, send)
+        assert len(tape.entries) <= 966 // 3
+
+
+class TestPairIndex:
+    def test_csr_and_sender_permutation(self):
+        recv, send = synthesize_pairs(40, 300, seed=43)
+        index = T.PairIndex(recv, send, 40)
+        assert np.array_equal(index.send_perm, np.argsort(send, kind="stable"))
+        assert np.array_equal(np.diff(index.recv_starts), np.bincount(recv, minlength=40))
+        assert np.array_equal(send[index.send_perm][index.send_starts[:-1][
+            np.diff(index.send_starts) > 0]], np.flatnonzero(np.bincount(send, minlength=40)))
+
+    def test_tables_cover_every_pair_once(self):
+        recv, send = synthesize_pairs(30, 200, seed=44)
+        index = T.PairIndex(recv, send, 30)
+        got = []
+        for b in index.recv_buckets:
+            rows = np.broadcast_to(b.rows[:, None], b.valid.shape)
+            got += list(zip(rows[b.valid].tolist(), b.senders[b.valid].tolist()))
+        assert sorted(got) == sorted(zip(recv.tolist(), send.tolist()))
+        # every sender's table points at exactly the slots of its own pairs
+        slot_sender = np.full(index.n_slots, -1)
+        for b in index.recv_buckets:
+            slot_sender[b.lo:b.lo + b.valid.size] = np.where(b.valid, b.senders, -1).ravel()
+        seen = []
+        for rows, slots in index.send_buckets:
+            valid = slots < index.n_slots
+            owners = np.broadcast_to(rows[:, None], slots.shape)[valid]
+            assert np.array_equal(slot_sender[slots[valid]], owners)
+            seen.append(slots[valid])
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.flatnonzero(slot_sender >= 0))
+
+    def test_degree_n_row_does_not_widen_the_others(self):
+        n = 1024
+        base_recv, base_send = synthesize_pairs(n, 8 * n, seed=45)
+        recv, send = attach_abstract_pairs(base_recv, base_send, np.zeros(n, np.int64),
+                                           n, 1, bidirectional=True)
+        index = T.PairIndex(recv, send, n + 1)
+        e = recv.size
+        assert np.bincount(recv)[n] == n  # the abstract row hears every particle
+        assert index.n_slots <= 2 * e + n
+        assert sum(slots.size for _, slots in index.send_buckets) <= 2 * e + n
 
 
 class TestVanillaTransformer:
