@@ -103,66 +103,51 @@ class _AttentionBase:
         return attach_abstract_pairs(recv, send, material_ids, n,
                                      self.cfg.n_abstract, self.cfg.abstract_bidirectional)
 
-    def predict_velocities(self, x_np, recv, send, material_ids=None) -> np.ndarray:
-        return self.forward(x_np, recv, send, material_ids).data
-
 
 class ImplicitEdgeModel(_AttentionBase):
-    """State/receiver/sender token recursion with implicit-edge attention."""
+    """State/receiver/sender token recursion with implicit-edge attention.
+    Heads are column blocks of every per-head weight and of the (N', d)
+    tokens; the (d_head, d) memory w_m is applied with `T.head_matmul`."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         if cfg.backbone != "tie":
             raise ValueError(f"config backbone is {cfg.backbone!r}, expected 'tie'")
         super().__init__(cfg, seed)
-        d, dh, H = cfg.d, cfg.d_head, cfg.heads
-        self.w_r0 = [self.store.weight(f"init.w_r0.h{h}", (d, dh)) for h in range(H)]
-        self.w_s0 = [self.store.weight(f"init.w_s0.h{h}", (d, dh)) for h in range(H)]
-        self.w_q = [[self.store.weight(f"block{l}.w_q.h{h}", (d, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
-        self.w_r = [[self.store.weight(f"block{l}.w_r.h{h}", (d, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
-        self.w_s = [[self.store.weight(f"block{l}.w_s.h{h}", (d, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
-        self.w_m = [[self.store.weight(f"block{l}.w_m.h{h}", (dh, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
+        d, dh, H, L = cfg.d, cfg.d_head, cfg.heads, cfg.blocks
+        weight = self.store.weight
+        self.w_r0 = weight("init.w_r0", (d, dh), heads=H)
+        self.w_s0 = weight("init.w_s0", (d, dh), heads=H)
+        self.w_q = [weight(f"block{l}.w_q", (d, dh), heads=H) for l in range(L)]
+        self.w_r = [weight(f"block{l}.w_r", (d, dh), heads=H) for l in range(L)]
+        self.w_s = [weight(f"block{l}.w_s", (d, dh), heads=H) for l in range(L)]
+        self.w_m = [weight(f"block{l}.w_m", (dh, dh), heads=H) for l in range(L)]
         if not cfg.linear_mode:
-            self.w_rp = [self.store.weight(f"block{l}.w_rp", (d, d)) for l in range(cfg.blocks)]
-            self.w_sp = [self.store.weight(f"block{l}.w_sp", (d, d)) for l in range(cfg.blocks)]
+            self.w_rp = [weight(f"block{l}.w_rp", (d, d)) for l in range(L)]
+            self.w_sp = [weight(f"block{l}.w_sp", (d, d)) for l in range(L)]
         if cfg.normalized_attention:
-            self.attn_gain = [[self.store.ones(f"block{l}.attn_ln.gain.h{h}", (dh,))
-                               for h in range(H)] for l in range(cfg.blocks)]
-            self.attn_shift = [[self.store.zeros(f"block{l}.attn_ln.shift.h{h}", (dh,))
-                                for h in range(H)] for l in range(cfg.blocks)]
+            self.attn_gain = [self.store.ones(f"block{l}.attn_ln.gain", (d,)) for l in range(L)]
+            self.attn_shift = [self.store.zeros(f"block{l}.attn_ln.shift", (d,))
+                               for l in range(L)]
 
     def init_tokens(self, v0: Tensor):
-        r = [T.matmul(v0, w) for w in self.w_r0]
-        s = [T.matmul(v0, w) for w in self.w_s0]
-        return r, s
+        return T.matmul(v0, self.w_r0), T.matmul(v0, self.w_s0)
 
-    def update_tokens(self, v: Tensor, r_prev: list, s_prev: list, layer: int):
+    def update_tokens(self, v: Tensor, r_prev: Tensor, s_prev: Tensor, layer: int):
         H = self.cfg.heads
-        r = [T.add(T.matmul(v, self.w_r[layer][h]), T.matmul(r_prev[h], self.w_m[layer][h]))
-             for h in range(H)]
-        s = [T.add(T.matmul(v, self.w_s[layer][h]), T.matmul(s_prev[h], self.w_m[layer][h]))
-             for h in range(H)]
+        r = T.add(T.matmul(v, self.w_r[layer]), T.head_matmul(r_prev, self.w_m[layer], H))
+        s = T.add(T.matmul(v, self.w_s[layer]), T.head_matmul(s_prev, self.w_m[layer], H))
         if not self.cfg.linear_mode:
-            dh = self.cfg.d_head
-            rcat = T.matmul(T.concat(r, axis=1), self.w_rp[layer])
-            scat = T.matmul(T.concat(s, axis=1), self.w_sp[layer])
-            r = [T.cols(rcat, h * dh, (h + 1) * dh) for h in range(H)]
-            s = [T.cols(scat, h * dh, (h + 1) * dh) for h in range(H)]
+            r = T.matmul(r, self.w_rp[layer])
+            s = T.matmul(s, self.w_sp[layer])
         return r, s
 
-    def _attend(self, v: Tensor, r: list, s: list, index: T.PairIndex, layer: int) -> Tensor:
+    def _attend(self, v: Tensor, r: Tensor, s: Tensor, index: T.PairIndex, layer: int) -> Tensor:
         cfg = self.cfg
-        rcat = _join_heads(r)
-        q = T.matmul(v, _join_heads(self.w_q[layer]))
-        agg = T.implicit_edge_attention(q, rcat, _join_heads(s), index, cfg.heads,
-                                        cfg.normalized_attention)
+        q = T.matmul(v, self.w_q[layer])
+        agg = T.implicit_edge_attention(q, r, s, index, cfg.heads, cfg.normalized_attention)
         if not cfg.normalized_attention:
-            return T.add(rcat, agg)
-        return T.add(T.scale_cols(agg, _join_heads(self.attn_gain[layer], axis=0)),
-                     _join_heads(self.attn_shift[layer], axis=0))
+            return T.add(r, agg)
+        return T.add(T.scale_cols(agg, self.attn_gain[layer]), self.attn_shift[layer])
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, record=None) -> Tensor:
@@ -178,8 +163,8 @@ class ImplicitEdgeModel(_AttentionBase):
             r, s = self.init_tokens(v)
         if record is not None:
             record["v"] = [v.data.copy()]
-            record["r"] = [[t.data.copy() for t in r]]
-            record["s"] = [[t.data.copy() for t in s]]
+            record["r"] = [r.data.copy()]
+            record["s"] = [s.data.copy()]
         for l in range(cfg.blocks):
             with T.scope("token_update"):
                 r, s = self.update_tokens(v, r, s, l)
@@ -189,42 +174,39 @@ class ImplicitEdgeModel(_AttentionBase):
                 v = self._post(v, heads, l)
             if record is not None:
                 record["v"].append(v.data.copy())
-                record["r"].append([t.data.copy() for t in r])
-                record["s"].append([t.data.copy() for t in s])
+                record["r"].append(r.data.copy())
+                record["s"].append(s.data.copy())
         with T.scope("decode"):
             return self._decode(v, n)
 
 
-def _join_heads(per_head: list, axis: int = 1) -> Tensor:
-    """Per-head tensors side by side as one tensor (heads as column blocks)."""
-    return per_head[0] if len(per_head) == 1 else T.concat(per_head, axis=axis)
-
-
 class VanillaTransformer(_AttentionBase):
-    """Standard masked multi-head attention over state tokens only."""
+    """Standard masked multi-head attention over state tokens only; heads
+    are column blocks of w_q, w_k, w_v and are sliced after projecting."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         if cfg.backbone != "vanilla":
             raise ValueError(f"config backbone is {cfg.backbone!r}, expected 'vanilla'")
         super().__init__(cfg, seed)
-        d, dh, H = cfg.d, cfg.d_head, cfg.heads
-        self.w_q = [[self.store.weight(f"block{l}.w_q.h{h}", (d, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
-        self.w_k = [[self.store.weight(f"block{l}.w_k.h{h}", (d, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
-        self.w_v = [[self.store.weight(f"block{l}.w_v.h{h}", (d, dh)) for h in range(H)]
-                    for l in range(cfg.blocks)]
+        d, dh, H, L = cfg.d, cfg.d_head, cfg.heads, cfg.blocks
+        weight = self.store.weight
+        self.w_q = [weight(f"block{l}.w_q", (d, dh), heads=H) for l in range(L)]
+        self.w_k = [weight(f"block{l}.w_k", (d, dh), heads=H) for l in range(L)]
+        self.w_v = [weight(f"block{l}.w_v", (d, dh), heads=H) for l in range(L)]
 
-    def _attend(self, v, recv, send, layer, h):
+    def _attend(self, v, recv, send, layer):
         n = v.data.shape[0]
-        dh = self.cfg.d_head
-        q = T.matmul(v, self.w_q[layer][h])
-        k = T.matmul(v, self.w_k[layer][h])
-        val = T.matmul(v, self.w_v[layer][h])
-        logits = T.scale(T.reduce_sum(
-            T.mul(T.gather_rows(q, recv), T.gather_rows(k, send)), axis=1), 1.0 / np.sqrt(dh))
-        alpha = T.segment_softmax(logits, recv, n)
-        return T.segment_sum(T.scale_rows(T.gather_rows(val, send), alpha), recv, n)
+        dh, H = self.cfg.d_head, self.cfg.heads
+        proj = [T.matmul(v, w[layer]) for w in (self.w_q, self.w_k, self.w_v)]
+        outs = []
+        for h in range(H):
+            q, k, val = (T.cols(t, h * dh, (h + 1) * dh) for t in proj)
+            logits = T.scale(T.reduce_sum(
+                T.mul(T.gather_rows(q, recv), T.gather_rows(k, send)), axis=1),
+                1.0 / np.sqrt(dh))
+            alpha = T.segment_softmax(logits, recv, n)
+            outs.append(T.segment_sum(T.scale_rows(T.gather_rows(val, send), alpha), recv, n))
+        return T.concat(outs, axis=1)
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, record=None) -> Tensor:
@@ -237,7 +219,7 @@ class VanillaTransformer(_AttentionBase):
             v = self._with_abstract(self._encode(x))
         for l in range(cfg.blocks):
             with T.scope("attention"):
-                heads = _join_heads([self._attend(v, recv, send, l, h) for h in range(cfg.heads)])
+                heads = self._attend(v, recv, send, l)
             with T.scope("post"):
                 v = self._post(v, heads, l)
             if record is not None:

@@ -38,8 +38,8 @@ class CostProfile:
     analytic_macs: int
     measured_macs: int
     phase_macs: dict = field(default_factory=dict)
-    wall_ms_mean: float = 0.0
-    wall_ms_std: float = 0.0
+    wall_ms_median: float = 0.0
+    wall_ms_iqr: float = 0.0
 
 
 def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
@@ -92,51 +92,56 @@ def synthesize_pairs(n: int, e: int, seed: int = 0):
     return recv[order].astype(np.int64), send[order].astype(np.int64)
 
 
-def measure_macs(cfg: ModelConfig, n: int, e: int, seed: int = 0) -> dict:
-    """Instrumented forward-pass MAC tally per tape scope."""
+def _setup(cfg: ModelConfig, n: int, e: int, seed: int):
     model = build_model(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, cfg.d_in)).astype(T.DTYPES[cfg.precision])
-    recv, send = synthesize_pairs(n, e, seed)
-    with Tape() as tape:
-        model.forward(x, recv, send)
+    return model, x, *synthesize_pairs(n, e, seed)
+
+
+def _forward_phase_macs(tape: Tape) -> dict:
+    """MACs per tape scope, leaving out entries recorded outside any scope
+    (the forward records all its work inside scopes; a loss does not)."""
     phases = tape.macs_by_scope()
     phases.pop("", None)
     phases["total"] = sum(phases.values())
     return phases
 
 
+def measure_macs(cfg: ModelConfig, n: int, e: int, seed: int = 0) -> dict:
+    """Instrumented forward-pass MAC tally per tape scope."""
+    model, x, recv, send = _setup(cfg, n, e, seed)
+    with Tape() as tape:
+        model.forward(x, recv, send)
+    return _forward_phase_macs(tape)
+
+
 def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
                    warmup: int = 2, seed: int = 0) -> CostProfile:
-    """Median-of-trials wall time of one forward+backward iteration."""
+    """Median and interquartile range over trials of the wall time of one
+    forward+backward iteration; the forward MACs per phase come from the
+    last timed tape."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
-    model = build_model(cfg, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal((n, cfg.d_in)).astype(T.DTYPES[cfg.precision])
-    recv, send = synthesize_pairs(n, e, seed)
+    model, x, recv, send = _setup(cfg, n, e, seed)
     times = []
-    measured = 0
     for i in range(warmup + trials):
         t0 = time.perf_counter()
         with Tape() as tape:
             pred = model.forward(x, recv, send)
             loss = T.scale(T.reduce_sum(T.square(pred)), 1.0 / n)
             T.backward(loss, tape)
-        dt = (time.perf_counter() - t0) * 1000.0
         if i >= warmup:
-            times.append(dt)
-            measured = tape.total_macs()
+            times.append((time.perf_counter() - t0) * 1000.0)
         for p in model.params().values():
             p.grad = None
-    analytic = count_macs(cfg, n, e)
-    phases = measure_macs(cfg, n, e, seed)
+    phases = _forward_phase_macs(tape)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
     return CostProfile(
         backbone=cfg.backbone, n=n, e=e, n_abstract=cfg.n_abstract, d=cfg.d,
         blocks=cfg.blocks, heads=cfg.heads,
-        analytic_macs=analytic["total"], measured_macs=phases["total"],
-        phase_macs=phases,
-        wall_ms_mean=float(np.mean(times)), wall_ms_std=float(np.std(times)),
+        analytic_macs=count_macs(cfg, n, e)["total"], measured_macs=phases["total"],
+        phase_macs=phases, wall_ms_median=float(median), wall_ms_iqr=float(q3 - q1),
     )
 
 
@@ -144,7 +149,7 @@ def write_bench_csv(profiles: list[CostProfile], path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["backbone", "n", "e", "macs", "wall_ms_mean", "wall_ms_std"])
+        writer.writerow(["backbone", "n", "e", "macs", "wall_ms_median", "wall_ms_iqr"])
         for p in profiles:
             writer.writerow([p.backbone, p.n, p.e, p.measured_macs,
-                             f"{p.wall_ms_mean:.3f}", f"{p.wall_ms_std:.3f}"])
+                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}"])

@@ -112,9 +112,6 @@ class ExplicitEdgeGnn:
         with T.scope("decode"):
             return self.dec(v)
 
-    def predict_velocities(self, x_np, recv, send, material_ids=None) -> np.ndarray:
-        return self.forward(x_np, recv, send, material_ids).data
-
     # -- linear-mode block views -------------------------------------------
 
     def edge_weight_blocks(self, layer: int):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class ModelConfig:
     def d_head(self) -> int:
         return self.d // self.heads
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def glorot(rng: np.random.Generator, shape, dtype: str) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
@@ -65,8 +62,11 @@ class ParamStore:
         self.rng = np.random.default_rng(seed)
         self._params: dict[str, Tensor] = {}
 
-    def weight(self, name: str, shape) -> Tensor:
-        t = Tensor(glorot(self.rng, shape, self.precision), requires_grad=True)
+    def weight(self, name: str, shape, heads: int = 1) -> Tensor:
+        """Glorot-initialised weight; with heads > 1, one block of `shape` per
+        head, drawn in head order and joined as columns (block h is head h)."""
+        blocks = [glorot(self.rng, shape, self.precision) for _ in range(heads)]
+        t = Tensor(np.concatenate(blocks, axis=1), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -84,12 +84,13 @@ class ParamStore:
         return dict(self._params)
 
     def load(self, values: dict[str, Tensor]):
+        missing = [name for name in self._params if name not in values]
+        if missing:
+            raise T.CheckpointError(f"checkpoint missing parameters: {', '.join(missing)}")
         for name, t in self._params.items():
-            if name not in values:
-                raise KeyError(f"checkpoint missing parameter {name}")
             if tuple(values[name].data.shape) != tuple(t.data.shape):
-                raise ValueError(f"parameter {name}: shape {values[name].data.shape} "
-                                 f"!= expected {t.data.shape}")
+                raise T.CheckpointError(f"checkpoint parameter {name}: shape "
+                                        f"{values[name].data.shape} != expected {t.data.shape}")
             t.data = values[name].data.astype(t.data.dtype).copy()
 
 

@@ -5,20 +5,13 @@ normalization statistics."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class InputError(ValueError):
     """Non-finite or otherwise invalid domain input."""
-
-
-@dataclass
-class ParticleState:
-    position: np.ndarray  # (3,) world units
-    velocity: np.ndarray  # (3,) world units / step
-    attributes: np.ndarray  # (d_a,) material one-hot plus extras
 
 
 @dataclass
@@ -32,9 +25,6 @@ class SystemState:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    def particle(self, i: int) -> ParticleState:
-        return ParticleState(self.positions[i], self.velocities[i], self.attributes[i])
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation on an explicit tape.
 
 The primitive set is the minimal closure needed by the simulation models:
-matrix products, elementwise arithmetic, relu, concat/slice/gather,
-segment reductions, masked and segmented softmax, layer norm, and the fused
-implicit-edge attention over a per-graph `PairIndex`.
+matrix products (also per head, over column blocks), elementwise arithmetic,
+relu, concat/slice/gather, segment reductions, masked and segmented softmax,
+layer norm, and the fused implicit-edge attention over a per-graph
+`PairIndex`.
 Everything is numpy-backed; two precision modes (f32, f64) are supported
 and never mixed inside one graph.
 """
@@ -31,6 +32,10 @@ class ContractError(ValueError):
 
 class DegenerateRowError(ValueError):
     """softmax_masked received a row with every entry masked."""
+
+
+class CheckpointError(OSError):
+    """A checkpoint is malformed or does not match the model loading it."""
 
 
 # Lower clamp of the pair variance in normalized implicit-edge attention.
@@ -62,16 +67,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray):
+        # The first gradient is copied: primitives such as add and concat hand
+        # the same array to several parents.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -100,11 +102,12 @@ class Tape:
         self._scope = ""
 
     def __enter__(self):
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        assert _TAPE_STACK and _TAPE_STACK[-1] is self
+        _TAPE_STACK.pop()
         return False
 
     @contextmanager
@@ -125,20 +128,8 @@ class Tape:
             out[e.scope] = out.get(e.scope, 0) + e.macs
         return out
 
-    def clear(self):
-        self.entries.clear()
-
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(t: Tape):
-    _TAPE_STACK.append(t)
-
-
-def _pop_tape(t: Tape):
-    assert _TAPE_STACK and _TAPE_STACK[-1] is t
-    _TAPE_STACK.pop()
 
 
 def active_tape() -> Optional[Tape]:
@@ -184,13 +175,6 @@ def backward(loss: Tensor, tape: Tape):
         if g is None or not entry.out.requires_grad:
             continue
         entry.backward_fn(g)
-
-
-def zero_grads(tape: Tape):
-    for e in tape.entries:
-        e.out.grad = None
-        for p in e.parents:
-            p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +474,37 @@ def div_rows(mat: Tensor, vec: Tensor) -> Tensor:
     return _record(out, (mat, vec), bwd, macs=mat.data.size)
 
 
+def head_matmul(a: Tensor, w: Tensor, heads: int) -> Tensor:
+    """Column block h of the output is block h of `a` (n, d) times block h of
+    `w` (D, d), a (D, D) map per head, D = d / heads.  MACs: n * d * D."""
+    _check_dtype(a, w)
+    n, d = a.data.shape
+    if d % heads or w.data.shape != (d // heads, d):
+        raise ShapeError(f"head_matmul: {a.data.shape} x {w.data.shape} over {heads} heads")
+    D = d // heads
+    ah = _by_head(a.data, heads).transpose(1, 0, 2)  # (H, n, D)
+    wh = _by_head(w.data, heads).transpose(1, 0, 2)  # (H, D, D)
+    out = Tensor(_heads_as_cols(np.matmul(ah, wh)))
+
+    def bwd(g):
+        gh = _by_head(g, heads).transpose(1, 0, 2)
+        if a.requires_grad:
+            a.accumulate_grad(_heads_as_cols(np.matmul(gh, wh.transpose(0, 2, 1))))
+        if w.requires_grad:
+            w.accumulate_grad(_heads_as_cols(np.matmul(ah.transpose(0, 2, 1), gh)))
+
+    return _record(out, (a, w), bwd, macs=n * d * D)
+
+
 def cols(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[:, start:stop].copy())
 
     def bwd(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, start:stop] = g
-            a.accumulate_grad(full)
+            # heads sliced from one projection fill its gradient block by block
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[:, start:stop] += g
 
     return _record(out, (a,), bwd)
 
@@ -647,6 +654,11 @@ class PairIndex:
 
 def _by_head(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(a.shape[0], heads, a.shape[1] // heads)
+
+
+def _heads_as_cols(a: np.ndarray) -> np.ndarray:
+    """(H, m, D) -> (m, H * D), head h as column block h."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
 def _centred(a: np.ndarray) -> np.ndarray:
@@ -866,16 +878,26 @@ def save_checkpoint(params: dict, manifest_path, blob_path):
 
 
 def load_checkpoint(manifest_path, blob_path) -> dict:
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    """Read a checkpoint written by `save_checkpoint`; a malformed manifest
+    raises CheckpointError naming the missing key."""
     with open(blob_path, "rb") as f:
         blob = f.read()
-    if len(blob) != manifest["total_bytes"]:
-        raise IOError(f"checkpoint blob is {len(blob)} bytes, manifest says {manifest['total_bytes']}")
-    out = {}
-    for e in manifest["tensors"]:
-        dt = np.dtype(DTYPES[e["precision"]]).newbyteorder("<")
-        arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(e["shape"])) if e["shape"] else 1,
-                            offset=e["offset"]).reshape(e["shape"])
-        out[e["name"]] = Tensor(arr.astype(DTYPES[e["precision"]]).copy(), requires_grad=True)
-    return out
+    try:
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+        if len(blob) != manifest["total_bytes"]:
+            raise CheckpointError(f"checkpoint blob is {len(blob)} bytes, "
+                                  f"manifest says {manifest['total_bytes']}")
+        out = {}
+        for e in manifest["tensors"]:
+            dt = np.dtype(DTYPES[e["precision"]]).newbyteorder("<")
+            arr = np.frombuffer(blob, dtype=dt,
+                                count=int(np.prod(e["shape"])) if e["shape"] else 1,
+                                offset=e["offset"]).reshape(e["shape"])
+            out[e["name"]] = Tensor(arr.astype(DTYPES[e["precision"]]).copy(),
+                                    requires_grad=True)
+        return out
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"checkpoint manifest {manifest_path} is not JSON: {e}") from e
+    except KeyError as e:
+        raise CheckpointError(f"checkpoint manifest {manifest_path} lacks key {e}") from e

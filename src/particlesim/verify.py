@@ -36,14 +36,14 @@ def implicit_edge_deviation(d: int, blocks: int, n: int, seed: int) -> float:
     recv, send = synthesize_pairs(n, e_count, seed)
     record: dict = {}
     model.forward(x, recv, send, record=record)
-    block_weights = [(model.w_r[l][0].data, model.w_s[l][0].data, model.w_m[l][0].data)
+    block_weights = [(model.w_r[l].data, model.w_s[l].data, model.w_m[l].data)
                      for l in range(blocks)]
     v_traj = record["v"][:blocks]
-    edges = expand_edge_linear(model.w_r0[0].data, model.w_s0[0].data,
+    edges = expand_edge_linear(model.w_r0.data, model.w_s0.data,
                                block_weights, x, v_traj, recv, send)
     worst = 0.0
     for level in range(blocks + 1):
-        implicit = record["r"][level][0][recv] + record["s"][level][0][send]
+        implicit = record["r"][level][recv] + record["s"][level][send]
         worst = max(worst, float(np.abs(edges[level] - implicit).max()))
     return worst
 

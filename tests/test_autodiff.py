@@ -130,6 +130,10 @@ class TestPrimitiveGradients:
         finite_diff_check(lambda q, r, s: scalarize(
             T.implicit_edge_attention(q, r, s, index, 2, normalized)), [q, r, s])
 
+    def test_head_matmul(self):
+        a, w = leaf((3, 6), 19), leaf((2, 6), 20)
+        finite_diff_check(lambda a, w: scalarize(T.head_matmul(a, w, 3)), [a, w])
+
     def test_layer_norm(self):
         x, g, s = leaf((3, 5), 17), leaf((5,), 18), leaf((5,), 19)
         finite_diff_check(lambda x, g, s: scalarize(T.layer_norm(x, g, s)), [x, g, s],

@@ -3,9 +3,13 @@ instrumented tape tally, and the scaling structure must separate the
 backbones (token updates independent of pair count; explicit edge features
 linear in it)."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from particlesim import tensor as T
 from particlesim.nn import ModelConfig
 from particlesim.bench import count_macs, measure_macs, synthesize_pairs, time_iteration
 
@@ -102,8 +106,30 @@ class TestTiming:
             time_iteration(cfg_for("tie"), 10, 20, trials=2)
 
     def test_profile_fields(self):
-        prof = time_iteration(cfg_for("tie", d=16, heads=2, blocks=1), 12, 30,
-                              trials=5, warmup=1)
+        prof_cfg = cfg_for("tie", d=16, heads=2, blocks=1)
+        prof = time_iteration(prof_cfg, 12, 30, trials=5, warmup=1)
         assert prof.analytic_macs == prof.measured_macs
-        assert prof.wall_ms_mean > 0
+        assert prof.wall_ms_median > 0 and prof.wall_ms_iqr >= 0
+        assert prof.phase_macs == measure_macs(prof_cfg, 12, 30)
         assert prof.backbone == "tie" and prof.n == 12 and prof.e == 30
+
+
+class TestBenchmarkContract:
+    """The traced benchmark run wraps tape primitives by name on the tensor
+    module and each backbone's `forward` on its own class."""
+
+    @pytest.fixture(scope="class")
+    def tracing(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_primitives_exist(self, tracing):
+        missing = [name for name in tracing.PRIMITIVES if not hasattr(T, name)]
+        assert not missing
+
+    def test_forwards_defined_on_their_classes(self, tracing):
+        for name, cls in tracing.FORWARDS.items():
+            assert "forward" in cls.__dict__, name

@@ -3,10 +3,13 @@ codes (0 ok, 2 bad arguments, 3 verification failure, 5 i/o error)."""
 
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+from particlesim import tensor as T
 from particlesim.cli import main, load_config, BadConfig, build_parser
 
 
@@ -124,6 +127,35 @@ class TestExitCodes:
         assert code == 5
         capsys.readouterr()
 
+    def eval_copied_model(self, tmp_path, pipeline_dir, corrupt) -> int:
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        corrupt(model / "final.manifest.json", model / "final.blob.bin")
+        return main(["eval", "--out", str(tmp_path / "eval"),
+                     "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--model-dir", str(model), "--samples", "2"])
+
+    def test_checkpoint_with_per_head_names_is_io_error(self, tmp_path, capsys, pipeline_dir):
+        def split_heads(man, blob):  # save each per-head role one head at a time
+            per_head = {}
+            for name, t in T.load_checkpoint(man, blob).items():
+                if re.search(r"w_r0|w_s0|w_q|w_r$|w_s$|w_m|attn_ln", name):
+                    for h, part in enumerate(np.split(t.data, 2, axis=-1)):
+                        per_head[f"{name}.h{h}"] = T.Tensor(part)
+                else:
+                    per_head[name] = t
+            T.save_checkpoint(per_head, man, blob)
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, split_heads) == 5
+        assert "block0.w_q" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_manifest_is_io_error(self, tmp_path, capsys, pipeline_dir):
+        def drop_size(man, blob):
+            man.write_text('{"tensors": []}')
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, drop_size) == 5
+        assert "total_bytes" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_gen_data_artifacts(self, pipeline_dir):
@@ -176,7 +208,7 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "WARNING" not in captured.out  # analytic == measured everywhere
         lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "backbone,n,e,macs,wall_ms_mean,wall_ms_std"
+        assert lines[0] == "backbone,n,e,macs,wall_ms_median,wall_ms_iqr"
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
 
     def test_bench_mac_mismatch_fails(self, tmp_path, capsys, monkeypatch):

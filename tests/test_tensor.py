@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from particlesim import tensor as T
-from particlesim.tensor import (Tensor, Tape, ShapeError, ContractError,
+from particlesim.tensor import (Tensor, Tape, ShapeError, ContractError, CheckpointError,
                                 DegenerateRowError, save_checkpoint, load_checkpoint)
+from particlesim.nn import ParamStore
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,6 +114,18 @@ class TestShapes:
         assert np.array_equal(T.shift_rows(m, v).data, [[3.0, 4.0], [13.0, 14.0]])
         assert np.array_equal(T.div_rows(m, v).data, [[0.5, 1.0], [0.3, 0.4]])
         assert np.array_equal(T.scale_cols(m, v).data, [[2.0, 20.0], [6.0, 40.0]])
+
+    def test_head_matmul_matches_per_head_product(self):
+        rng = np.random.default_rng(3)
+        a, w = rng.standard_normal((5, 6)), rng.standard_normal((2, 6))
+        with Tape() as tape:
+            out = T.head_matmul(Tensor(a), Tensor(w), 3)
+        expect = np.concatenate([a[:, 2 * h:2 * h + 2] @ w[:, 2 * h:2 * h + 2]
+                                 for h in range(3)], axis=1)
+        assert np.array_equal(out.data, expect)
+        assert tape.total_macs() == 5 * 6 * 2
+        with pytest.raises(ShapeError):
+            T.head_matmul(Tensor(a), Tensor(w), 2)
 
 
 class TestScatterAddRows:
@@ -231,6 +244,18 @@ class TestTape:
         with pytest.raises(ContractError):
             T.backward(out, tape)
 
+    def test_first_gradients_are_distinct_copies(self):
+        # add hands the same upstream array to both parents
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        with Tape() as tape:
+            T.backward(T.reduce_sum(T.add(a, b)), tape)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.accumulate_grad(np.full((2, 2), 2.0))
+        assert np.array_equal(a.grad, np.full((2, 2), 3.0))
+        assert np.array_equal(b.grad, np.ones((2, 2)))
+        assert a.grad.dtype == b.grad.dtype == np.float64
+
     def test_no_tape_means_no_recording(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         out = T.mul(a, a)  # outside any Tape context
@@ -262,3 +287,33 @@ class TestCheckpoint:
         blob.write_bytes(blob.read_bytes()[:-4])
         with pytest.raises(IOError):
             load_checkpoint(man, blob)
+
+    def test_malformed_manifest(self, tmp_path):
+        man, blob = tmp_path / "m.json", tmp_path / "b.bin"
+        save_checkpoint({"w": Tensor(np.ones((2, 2)))}, man, blob)
+        good = man.read_text()
+        man.write_text(good[:-5])
+        with pytest.raises(CheckpointError, match="not JSON"):
+            load_checkpoint(man, blob)
+        man.write_text(good.replace('"offset"', '"start"'))
+        with pytest.raises(CheckpointError, match="offset"):
+            load_checkpoint(man, blob)
+
+
+
+class TestParamStore:
+    def test_head_blocks_are_the_per_head_draws(self):
+        joined, separate = ParamStore("f64", seed=4), ParamStore("f64", seed=4)
+        w = joined.weight("w", (5, 2), heads=3)
+        blocks = [separate.weight(f"w.h{h}", (5, 2)).data for h in range(3)]
+        assert w.data.shape == (5, 6)
+        assert np.array_equal(w.data, np.concatenate(blocks, axis=1))
+
+    def test_load_names_missing_and_misshapen_parameters(self):
+        store = ParamStore("f64", seed=0)
+        store.weight("a.w", (2, 3))
+        store.weight("b.w", (3, 3))
+        with pytest.raises(CheckpointError, match="b.w"):
+            store.load({"a.w": Tensor(np.ones((2, 3)))})
+        with pytest.raises(CheckpointError, match="a.w"):
+            store.load({"a.w": Tensor(np.ones((3, 2))), "b.w": Tensor(np.ones((3, 3)))})

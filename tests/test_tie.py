@@ -79,29 +79,47 @@ class TestTokenRecursion:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 3))
         r, s = model.init_tokens(T.Tensor(x))
-        assert np.allclose(r[0].data, x @ model.w_r0[0].data)
-        assert np.allclose(s[0].data, x @ model.w_s0[0].data)
+        assert np.allclose(r.data, x @ model.w_r0.data)
+        assert np.allclose(s.data, x @ model.w_s0.data)
 
     def test_update_without_memory(self):
         model = linear_tie(d=3, seed=3)
-        model.w_m[0][0].data[:] = 0.0
+        model.w_m[0].data[:] = 0.0
         rng = np.random.default_rng(4)
         v = T.Tensor(rng.standard_normal((4, 3)))
-        prev = [T.Tensor(rng.standard_normal((4, 3)))]
+        prev = T.Tensor(rng.standard_normal((4, 3)))
         r, s = model.update_tokens(v, prev, prev, 0)
-        assert np.allclose(r[0].data, v.data @ model.w_r[0][0].data)
-        assert np.allclose(s[0].data, v.data @ model.w_s[0][0].data)
+        assert np.allclose(r.data, v.data @ model.w_r[0].data)
+        assert np.allclose(s.data, v.data @ model.w_s[0].data)
 
     def test_update_accumulates_memory(self):
         model = linear_tie(d=3, seed=5)
         rng = np.random.default_rng(6)
         v = T.Tensor(rng.standard_normal((4, 3)))
-        rp = [T.Tensor(rng.standard_normal((4, 3)))]
-        sp = [T.Tensor(rng.standard_normal((4, 3)))]
+        rp = T.Tensor(rng.standard_normal((4, 3)))
+        sp = T.Tensor(rng.standard_normal((4, 3)))
         r, s = model.update_tokens(v, rp, sp, 0)
-        wm = model.w_m[0][0].data
-        assert np.allclose(r[0].data, v.data @ model.w_r[0][0].data + rp[0].data @ wm)
-        assert np.allclose(s[0].data, v.data @ model.w_s[0][0].data + sp[0].data @ wm)
+        wm = model.w_m[0].data
+        assert np.allclose(r.data, v.data @ model.w_r[0].data + rp.data @ wm)
+        assert np.allclose(s.data, v.data @ model.w_s[0].data + sp.data @ wm)
+
+    def test_update_applies_memory_per_head(self):
+        # head h of the memory term is column block h of the previous token
+        # times column block h of w_m, a (d_head, d_head) map
+        cfg = ModelConfig(backbone="tie", d_in=6, d=6, heads=3, blocks=1,
+                          mlp_hidden=8, precision="f64")
+        model = ImplicitEdgeModel(cfg, seed=7)
+        rng = np.random.default_rng(8)
+        v, rp, sp = (T.Tensor(rng.standard_normal((4, 6))) for _ in range(3))
+        r, s = model.update_tokens(v, rp, sp, 0)
+        p = model.params()
+        assert p["block0.w_m"].data.shape == (2, 6)
+        for name, got, prev in (("r", r, rp), ("s", s, sp)):
+            memory = np.concatenate([prev.data[:, 2 * h:2 * h + 2]
+                                     @ p["block0.w_m"].data[:, 2 * h:2 * h + 2]
+                                     for h in range(3)], axis=1)
+            expect = (v.data @ p[f"block0.w_{name}"].data + memory) @ p[f"block0.w_{name}p"].data
+            assert np.allclose(got.data, expect, atol=1e-13)
 
 
 class TestPlainAttention:
@@ -115,9 +133,9 @@ class TestPlainAttention:
         out = model.forward(x, recv, send).data
 
         # independent expansion of one plain-attention block
-        r = x @ model.w_r[0][0].data + (x @ model.w_r0[0].data) @ model.w_m[0][0].data
-        s = x @ model.w_s[0][0].data + (x @ model.w_s0[0].data) @ model.w_m[0][0].data
-        q = x @ model.w_q[0][0].data
+        r = x @ model.w_r[0].data + (x @ model.w_r0.data) @ model.w_m[0].data
+        s = x @ model.w_s[0].data + (x @ model.w_s0.data) @ model.w_m[0].data
+        q = x @ model.w_q[0].data
         logits = ((q[recv] * r[recv]).sum(1) + (q[recv] * s[send]).sum(1)) / np.sqrt(d)
         alpha = np.zeros_like(logits)
         for i in range(n):
@@ -139,7 +157,7 @@ class TestPlainAttention:
         record = {}
         model.forward(x, recv, send, record=record)
         # with one neighbor each, the attended update is exactly r_i + s_j
-        r, s = record["r"][1][0], record["s"][1][0]
+        r, s = record["r"][1], record["s"][1]
         assert np.allclose(record["v"][1], r + s[send], atol=1e-12)
 
 
@@ -205,13 +223,15 @@ class TestNormalizedAttention:
         out = model.forward(x, recv, send).data
 
         p = model.params()
+
+        def head(name, h):  # column block h of a parameter
+            return p[name].data[..., h * dh:(h + 1) * dh]
+
         v = np_mlp(p, "enc", x)
-        r0 = [v @ p[f"init.w_r0.h{h}"].data for h in range(2)]
-        s0 = [v @ p[f"init.w_s0.h{h}"].data for h in range(2)]
-        r = [v @ p[f"block0.w_r.h{h}"].data + r0[h] @ p[f"block0.w_m.h{h}"].data
-             for h in range(2)]
-        s = [v @ p[f"block0.w_s.h{h}"].data + s0[h] @ p[f"block0.w_m.h{h}"].data
-             for h in range(2)]
+        r0 = [v @ head("init.w_r0", h) for h in range(2)]
+        s0 = [v @ head("init.w_s0", h) for h in range(2)]
+        r = [v @ head("block0.w_r", h) + r0[h] @ head("block0.w_m", h) for h in range(2)]
+        s = [v @ head("block0.w_s", h) + s0[h] @ head("block0.w_m", h) for h in range(2)]
         rcat = np.concatenate(r, axis=1) @ p["block0.w_rp"].data
         scat = np.concatenate(s, axis=1) @ p["block0.w_sp"].data
         r = [rcat[:, h * dh:(h + 1) * dh] for h in range(2)]
@@ -219,7 +239,7 @@ class TestNormalizedAttention:
         heads = []
         for h in range(2):
             rh, sh = r[h], s[h]
-            q = v @ p[f"block0.w_q.h{h}"].data
+            q = v @ head("block0.w_q", h)
             mu_r, mu_s = rh.mean(1), sh.mean(1)
             rc = rh - mu_r[:, None]
             sc = sh - mu_s[:, None]
@@ -237,8 +257,8 @@ class TestNormalizedAttention:
             value = (rc[recv] + sc[send]) / sigma[:, None]
             agg = np.zeros((n, dh))
             np.add.at(agg, recv, alpha[:, None] * value)
-            heads.append(agg * p[f"block0.attn_ln.gain.h{h}"].data
-                         + p[f"block0.attn_ln.shift.h{h}"].data)
+            heads.append(agg * head("block0.attn_ln.gain", h)
+                         + head("block0.attn_ln.shift", h))
         hcat = np.concatenate(heads, axis=1) @ p["block0.w_o"].data
         v = np_layer_norm(v + np_mlp(p, "block0.mlp", hcat),
                           p["block0.ln.gain"].data, p["block0.ln.shift"].data)
@@ -263,7 +283,8 @@ class TestFusedAttention:
         assert np.allclose(sorted_out.data, shuffled.data, atol=1e-13)
 
     def test_tape_entries_per_forward(self):
-        # the composed attention recorded 966 entries at this shape
+        # the composed attention recorded 966 entries at this shape, the fused
+        # one with per-head weight lists 230
         cfg = ModelConfig(backbone="tie", d_in=7, d=128, heads=4, blocks=4,
                           mlp_hidden=256, precision="f32")
         model = ImplicitEdgeModel(cfg, seed=0)
@@ -271,7 +292,7 @@ class TestFusedAttention:
         x = np.random.default_rng(42).standard_normal((512, 7))
         with Tape() as tape:
             model.forward(x, recv, send)
-        assert len(tape.entries) <= 966 // 3
+        assert len(tape.entries) <= 100
 
 
 class TestPairIndex:
@@ -330,9 +351,10 @@ class TestVanillaTransformer:
         v = np_mlp(p, "enc", x)
         heads = []
         for h in range(2):
-            q = v @ p[f"block0.w_q.h{h}"].data
-            k = v @ p[f"block0.w_k.h{h}"].data
-            val = v @ p[f"block0.w_v.h{h}"].data
+            cols = slice(h * dh, (h + 1) * dh)  # column block h is head h
+            q = v @ p["block0.w_q"].data[:, cols]
+            k = v @ p["block0.w_k"].data[:, cols]
+            val = v @ p["block0.w_v"].data[:, cols]
             logits = (q[recv] * k[send]).sum(1) / np.sqrt(dh)
             alpha = np.zeros_like(logits)
             for i in range(n):
