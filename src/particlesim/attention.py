@@ -7,13 +7,14 @@ count), then runs attention over the pair list where r_i + s_j stands in for
 the explicit edge feature.  The normalized variant rescales the score and
 value terms by the standard deviation of r_i + s_j, recovered per pair from
 per-particle statistics.  Each block runs all heads in one fused tape
-primitive, `tensor.implicit_edge_attention`, over a `tensor.PairIndex` built
-once per forward.
+primitive over a `tensor.PairIndex` built once per forward:
+`tensor.implicit_edge_attention` (normalized) or `r + tensor.pair_attention(q,
+s, s)` (plain).
 
 The vanilla backbone is standard masked multi-head attention over state
-tokens only.  Both accept abstract particles: learnable per-material state
-tokens appended as extra rows that attend to every particle of their
-material.
+tokens only, one `tensor.pair_attention(q, k, v)` per block.  Both accept
+abstract particles: learnable per-material state tokens appended as extra
+rows that attend to every particle of their material.
 """
 
 from __future__ import annotations
@@ -80,13 +81,19 @@ class _AttentionBase:
     def load_params(self, values):
         self.store.load(values)
 
-    def _encode(self, x: Tensor) -> Tensor:
-        return x if self.cfg.linear_mode else self.enc(x)
-
-    def _with_abstract(self, v: Tensor) -> Tensor:
-        if self.cfg.n_abstract == 0:
-            return v
-        return T.concat([v, self.bank], axis=0)
+    def _encode(self, x_np: np.ndarray, recv, send, material_ids):
+        """(v, index, n): the state tokens with the abstract rows appended,
+        and the pair index with the abstract pairs attached."""
+        cfg = self.cfg
+        n = np.asarray(x_np).shape[0]
+        if cfg.n_abstract > 0:
+            recv, send = self.extend_pairs(recv, send, material_ids, n)
+        x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
+        with T.scope("encode"):
+            v = x if cfg.linear_mode else self.enc(x)
+            if cfg.n_abstract > 0:
+                v = T.concat([v, self.bank], axis=0)
+        return v, T.PairIndex(recv, send, n + cfg.n_abstract), n
 
     def _post(self, v: Tensor, heads: Tensor, layer: int) -> Tensor:
         """heads: (N', d) attention output, heads as column blocks."""
@@ -142,23 +149,16 @@ class ImplicitEdgeModel(_AttentionBase):
         return r, s
 
     def _attend(self, v: Tensor, r: Tensor, s: Tensor, index: T.PairIndex, layer: int) -> Tensor:
-        cfg = self.cfg
         q = T.matmul(v, self.w_q[layer])
-        agg = T.implicit_edge_attention(q, r, s, index, cfg.heads, cfg.normalized_attention)
-        if not cfg.normalized_attention:
-            return T.add(r, agg)
+        if not self.cfg.normalized_attention:
+            return T.add(r, T.pair_attention(q, s, s, index, self.cfg.heads))
+        agg = T.implicit_edge_attention(q, r, s, index, self.cfg.heads)
         return T.add(T.scale_cols(agg, self.attn_gain[layer]), self.attn_shift[layer])
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, record=None) -> Tensor:
         cfg = self.cfg
-        n = np.asarray(x_np).shape[0]
-        if cfg.n_abstract > 0:
-            recv, send = self.extend_pairs(recv, send, material_ids, n)
-        index = T.PairIndex(recv, send, n + cfg.n_abstract)
-        x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
-        with T.scope("encode"):
-            v = self._with_abstract(self._encode(x))
+        v, index, n = self._encode(x_np, recv, send, material_ids)
         with T.scope("token_update"):
             r, s = self.init_tokens(v)
         if record is not None:
@@ -182,7 +182,8 @@ class ImplicitEdgeModel(_AttentionBase):
 
 class VanillaTransformer(_AttentionBase):
     """Standard masked multi-head attention over state tokens only; heads
-    are column blocks of w_q, w_k, w_v and are sliced after projecting."""
+    are column blocks of w_q, w_k and w_v, attended in one
+    `T.pair_attention` per block."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         if cfg.backbone != "vanilla":
@@ -194,32 +195,17 @@ class VanillaTransformer(_AttentionBase):
         self.w_k = [weight(f"block{l}.w_k", (d, dh), heads=H) for l in range(L)]
         self.w_v = [weight(f"block{l}.w_v", (d, dh), heads=H) for l in range(L)]
 
-    def _attend(self, v, recv, send, layer):
-        n = v.data.shape[0]
-        dh, H = self.cfg.d_head, self.cfg.heads
-        proj = [T.matmul(v, w[layer]) for w in (self.w_q, self.w_k, self.w_v)]
-        outs = []
-        for h in range(H):
-            q, k, val = (T.cols(t, h * dh, (h + 1) * dh) for t in proj)
-            logits = T.scale(T.reduce_sum(
-                T.mul(T.gather_rows(q, recv), T.gather_rows(k, send)), axis=1),
-                1.0 / np.sqrt(dh))
-            alpha = T.segment_softmax(logits, recv, n)
-            outs.append(T.segment_sum(T.scale_rows(T.gather_rows(val, send), alpha), recv, n))
-        return T.concat(outs, axis=1)
+    def _attend(self, v: Tensor, index: T.PairIndex, layer: int) -> Tensor:
+        q, k, val = (T.matmul(v, w[layer]) for w in (self.w_q, self.w_k, self.w_v))
+        return T.pair_attention(q, k, val, index, self.cfg.heads)
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, record=None) -> Tensor:
         cfg = self.cfg
-        n = np.asarray(x_np).shape[0]
-        if cfg.n_abstract > 0:
-            recv, send = self.extend_pairs(recv, send, material_ids, n)
-        x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
-        with T.scope("encode"):
-            v = self._with_abstract(self._encode(x))
+        v, index, n = self._encode(x_np, recv, send, material_ids)
         for l in range(cfg.blocks):
             with T.scope("attention"):
-                heads = self._attend(v, recv, send, l)
+                heads = self._attend(v, index, l)
             with T.scope("post"):
                 v = self._post(v, heads, l)
             if record is not None:

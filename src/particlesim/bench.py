@@ -5,8 +5,9 @@ Accounting convention: a MAC is one multiply inside a linear-algebra
 primitive.  matmul (m,k)x(k,n) costs m*k*n; elementwise mul/div/scale/square
 and row/column scaling cost one MAC per output element; layer_norm costs two
 per element (inverse-std scaling plus gain); additions, gathers, reductions,
-softmaxes, and sqrt cost zero; the fused implicit-edge attention counts the
-products its docstring lists.  The tape tallies the same convention during
+softmaxes, and sqrt cost zero; the fused attention kernels
+(`pair_attention`, `implicit_edge_attention`) count the products their
+docstrings list.  The tape tallies the same convention during
 a real forward pass, so the analytic formulas must match the instrumented
 counts exactly.
 """
@@ -59,14 +60,15 @@ def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
         phases["decode"] = n * (d * hid + hid * out)
     elif cfg.backbone == "vanilla":
         phases["encode"] = n * (din * d + d * d)
+        # three projections, then tensor.pair_attention
         phases["attention"] = L * (3 * n * d * d + 2 * e * d + e * H)
         phases["post"] = L * (n * d * d + 2 * n * d * hid + 2 * n * d)
         phases["decode"] = n * (d * d + d * out)
     else:  # tie
         phases["encode"] = n * (din * d + d * d)
         phases["token_update"] = 2 * n * d * d + L * (4 * n * d * d + 2 * n * d * dh)
-        # query projection, then tensor.implicit_edge_attention (its
-        # docstring counts its MACs), then the normalized variant's gain
+        # query projection, then tensor.implicit_edge_attention and its gain
+        # (normalized) or tensor.pair_attention (plain)
         if cfg.normalized_attention:
             per_block = n * d * d + 5 * n * d + 3 * e * d + 5 * e * H
         else:

@@ -165,16 +165,6 @@ def snapshot_config(config: dict, out_dir):
         json.dump(config, f, indent=2)
 
 
-def _world_spec(dscfg: dict) -> WorldSpec:
-    fields = {k: v for k, v in dscfg.items() if k in _WORLD_FIELDS}
-    if "counts" in fields:
-        fields["counts"] = tuple(fields["counts"])
-    for key in ("gravity", "box_lo", "box_hi"):
-        if key in fields:
-            fields[key] = tuple(fields[key])
-    return WorldSpec(**fields)
-
-
 def _model_config(mcfg: dict, ds: RolloutDataset) -> ModelConfig:
     cfg = dict(mcfg)
     history = int(cfg.get("history", 1))
@@ -190,7 +180,7 @@ def _model_config(mcfg: dict, ds: RolloutDataset) -> ModelConfig:
 def cmd_gen_data(args) -> int:
     config = load_config(args)
     dscfg = config["dataset"]
-    spec = _world_spec(dscfg)
+    spec = WorldSpec(**{k: v for k, v in dscfg.items() if k in _WORLD_FIELDS})
     ds = generate_dataset(spec, int(dscfg["train_rollouts"]), int(dscfg["valid_rollouts"]),
                           int(dscfg["n_frames"]), seed=int(dscfg.get("seed", 0)))
     snapshot_config(config, args.out)
@@ -199,13 +189,9 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(path) -> RolloutDataset:
-    return read_dataset(path)
-
-
 def cmd_train(args) -> int:
     config = load_config(args)
-    ds = _load_dataset(args.data)
+    ds = read_dataset(args.data)
     model_cfg = _model_config(config["model"], ds)
     model = build_model(model_cfg, seed=int(config["train"].get("seed", 0)))
     train_cfg = TrainConfig(**config["train"])
@@ -221,6 +207,7 @@ def cmd_train(args) -> int:
 def _restore_model(model_dir, ds: RolloutDataset):
     with open(os.path.join(model_dir, "config.json")) as f:
         config = json.load(f)
+    _validate(config)
     model_cfg = _model_config(config["model"], ds)
     model = build_model(model_cfg, seed=int(config["train"].get("seed", 0)))
     params = T.load_checkpoint(os.path.join(model_dir, "final.manifest.json"),
@@ -230,7 +217,7 @@ def _restore_model(model_dir, ds: RolloutDataset):
 
 
 def cmd_eval(args) -> int:
-    ds = _load_dataset(args.data)
+    ds = read_dataset(args.data)
     model, config = _restore_model(args.model_dir, ds)
     stats = dataset_norm_stats(ds)
     snapshot_config(config, args.out)
@@ -247,7 +234,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    ds = _load_dataset(args.data)
+    ds = read_dataset(args.data)
     model, config = _restore_model(args.model_dir, ds)
     stats = dataset_norm_stats(ds)
     snapshot_config(config, args.out)

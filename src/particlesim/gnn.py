@@ -78,10 +78,6 @@ class ExplicitEdgeGnn:
                                      self.ln_e_gain[layer], self.ln_e_shift[layer])
         with T.scope("node_update"):
             agg = T.segment_sum(e_new, recv, n)
-            if self.cfg.gnn_aggregate == "mean":
-                counts = np.bincount(recv, minlength=n).astype(v.data.dtype)
-                inv = Tensor(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0).astype(v.data.dtype))
-                agg = T.scale_rows(agg, inv)
             node_in = T.concat([v, agg], axis=1)
             if self.cfg.linear_mode:
                 v_new = T.matmul(node_in, self.prop_v_w[layer])

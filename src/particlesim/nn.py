@@ -25,7 +25,6 @@ class ModelConfig:
     normalized_attention: bool = True
     abstract_bidirectional: bool = True
     linear_mode: bool = False
-    gnn_aggregate: str = "sum"  # "mean" only for the degenerate cross-check
     radius: float = 0.08
     history: int = 1
     precision: str = "f32"
@@ -33,6 +32,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}")
+        for name in ("d", "heads", "history"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
         if self.linear_mode:
@@ -40,8 +42,6 @@ class ModelConfig:
                 raise ValueError("linear_mode requires a single head")
             if self.d_in != self.d:
                 raise ValueError("linear_mode requires d_in == d (identity encoder)")
-        if self.gnn_aggregate not in ("sum", "mean"):
-            raise ValueError(f"unknown aggregation {self.gnn_aggregate!r}")
 
     @property
     def d_head(self) -> int:

@@ -3,8 +3,8 @@
 The primitive set is the minimal closure needed by the simulation models:
 matrix products (also per head, over column blocks), elementwise arithmetic,
 relu, concat/slice/gather, segment reductions, masked and segmented softmax,
-layer norm, and the fused implicit-edge attention over a per-graph
-`PairIndex`.
+layer norm, and two fused attention kernels over a per-graph `PairIndex`:
+dot-product `pair_attention` and normalized `implicit_edge_attention`.
 Everything is numpy-backed; two precision modes (f32, f64) are supported
 and never mixed inside one graph.
 """
@@ -665,146 +665,203 @@ def _centred(a: np.ndarray) -> np.ndarray:
     return a - a.mean(axis=-1, keepdims=True)
 
 
-def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
-                            heads: int, normalized: bool) -> Tensor:
-    """Fused softmax-aggregate of implicit-edge attention over all heads.
-
-    q, r and s are (N', d) with heads as column blocks of width D = d/heads;
-    pair (i, j) of `index` lets r_i + s_j stand in for its edge feature,
-    which is never materialised.  Per head and receiver i:
-
-    plain:      alpha_ij = softmax_j(q_i . s_j / sqrt(D)),
-                out_i = sum_j alpha_ij s_j.
-                The logit term q_i . r_i is the same for every pair of i and
-                cancels in the softmax, so r does not enter.
-    normalized: with centred tokens r_c, s_c and
-                sigma_ij^2 = (|r_c,i|^2 + |s_c,j|^2 + 2 r_c,i . s_c,j) / D,
-                the variance of r_i + s_j over its D components (clamped
-                below at SIGMA_FLOOR),
-                alpha_ij = softmax_j((q_i . r_c,i + q_i . s_c,j) / (sigma_ij sqrt(D))),
-                out_i = r_c,i sum_j alpha_ij / sigma_ij
-                        + sum_j (alpha_ij / sigma_ij) s_c,j.
-
-    Receivers without pairs get zero.  MACs: the D-length products per
-    particle (normalized: |r_c|^2, |s_c|^2, q . r_c and the r_c term of the
-    output) and per pair (q . s, r_c . s_c, the aggregate), plus the scalar
-    products per pair and head (normalized: 2 for sigma^2, 2 for the logit,
-    1 for alpha / sigma; plain: the logit scale).
-    """
-    _check_dtype(q, r, s)
-    n, d = s.data.shape
-    if q.data.shape != (n, d) or r.data.shape != (n, d) or index.n != n:
-        raise ShapeError(f"implicit_edge_attention: q {q.data.shape}, r {r.data.shape}, "
-                         f"s {s.data.shape} over {index.n} particles")
+def _head_width(name: str, index: PairIndex, heads: int, *operands: Tensor) -> int:
+    """Head width D of (N', d) operands over the N' rows of `index`."""
+    _check_dtype(*operands)
+    shapes = [t.data.shape for t in operands]
+    d = shapes[0][-1]
+    if any(shape != (index.n, d) for shape in shapes):
+        raise ShapeError(f"{name}: operands {shapes} over {index.n} particles")
     if d % heads:
-        raise ShapeError(f"implicit_edge_attention: {heads} heads do not divide d={d}")
-    D = d // heads
-    dt = s.data.dtype
-    root = dt.type(np.sqrt(D))
-    qh = _by_head(q.data, heads)
-    if normalized:
-        rc = _centred(_by_head(r.data, heads))
-        sc = _centred(_by_head(s.data, heads))
-        rr = np.einsum("nhd,nhd->nh", rc, rc)
-        ss = np.einsum("nhd,nhd->nh", sc, sc)
-        qr = np.einsum("nhd,nhd->nh", qh, rc)
-    else:
-        sc = _by_head(s.data, heads)
+        raise ShapeError(f"{name}: {heads} heads do not divide d={d}")
+    return d // heads
+
+
+def _slot_softmax(z: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Softmax over the pair slots (axis 2) of (R, H, K) logits; padding gets 0."""
+    zm = np.where(valid[:, None, :], z, -np.inf)
+    ex = np.exp(zm - zm.max(axis=2, keepdims=True))
+    return ex / ex.sum(axis=2, keepdims=True)
+
+
+def _slot_buffer(index: PairIndex, heads: int, D: int, dt) -> np.ndarray:
+    """One (H, D) vector per padded slot, plus the zero slot padding points at."""
+    buf = np.empty((index.n_slots + 1, heads, D), dtype=dt)
+    buf[-1] = 0.0
+    return buf
+
+
+def _bucket_slots(buf: np.ndarray, b: _RecvBucket) -> np.ndarray:
+    """(R, H, K, D) view of a bucket's slots in a slot buffer."""
+    R, K = b.valid.shape
+    return buf[b.lo:b.lo + R * K].reshape(R, K, *buf.shape[1:]).transpose(0, 2, 1, 3)
+
+
+def _sender_sums(index: PairIndex, buf: np.ndarray) -> np.ndarray:
+    """Per sender, the sum of the slot-buffer vectors of its pairs."""
+    out = np.zeros((index.n,) + buf.shape[1:], dtype=buf.dtype)
+    for rows, slots in index.send_buckets:
+        # one (R, H, D) gather per column keeps the temporaries small
+        acc = buf[slots[:, 0]]
+        for k in range(1, slots.shape[1]):
+            acc += buf[slots[:, k]]
+        out[rows] = acc
+    return out
+
+
+def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int) -> Tensor:
+    """Fused softmax-aggregate of dot-product attention over all heads.
+
+    q, k and v are (N', d) with heads as column blocks of width D = d/heads.
+    Per head and receiver i, over the pairs (i, j) of `index`:
+
+        alpha_ij = softmax_j(q_i . k_j / sqrt(D)),   out_i = sum_j alpha_ij v_j.
+
+    Receivers without pairs get zero.  When `k is v`, one gather and one
+    sender slot buffer serve both roles.  MACs: the two D-length products
+    per pair (q . k and the aggregate) and the logit scale per pair and head.
+    """
+    D = _head_width("pair_attention", index, heads, q, k, v)
+    shared = k is v
+    n, d = q.data.shape
+    dt = q.data.dtype
+    inv_root = dt.type(1.0 / dt.type(np.sqrt(D)))
+    qh, kh = _by_head(q.data, heads), _by_head(k.data, heads)
+    vh = kh if shared else _by_head(v.data, heads)
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
     for b in index.recv_buckets:
-        S = sc[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
-        mask = b.valid[:, None, :]
-        if normalized:
-            rcb = rc[b.rows]
-            dots = np.matmul(S, np.stack([qh[b.rows], rcb], axis=3))  # (R, H, K, 2)
-            var = (rr[b.rows][:, :, None] + ss[b.senders].transpose(0, 2, 1)
-                   + dt.type(2.0) * dots[..., 1]) * dt.type(1.0 / D)
-            keep = var > SIGMA_FLOOR
-            sigma = np.sqrt(np.where(keep, var, dt.type(SIGMA_FLOOR)))
-            z = (qr[b.rows][:, :, None] + dots[..., 0]) / (sigma * root)
-        else:
-            z = np.matmul(S, qh[b.rows][..., None])[..., 0] * dt.type(1.0 / root)
-        zm = np.where(mask, z, -np.inf)
-        ex = np.exp(zm - zm.max(axis=2, keepdims=True))
-        alpha = ex / ex.sum(axis=2, keepdims=True)
-        w = alpha / sigma if normalized else alpha
-        agg = np.matmul(w[:, :, None, :], S)[:, :, 0, :]
-        if normalized:
-            agg += rcb * w.sum(axis=2)[..., None]
-            saved.append((S, z, alpha, sigma, keep, w))
-        else:
-            saved.append((S, alpha))
-        out[b.rows] = agg
+        kb = kh[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
+        vb = kb if shared else vh[b.senders].transpose(0, 2, 1, 3)
+        alpha = _slot_softmax(np.matmul(kb, qh[b.rows][..., None])[..., 0] * inv_root, b.valid)
+        out[b.rows] = np.matmul(alpha[:, :, None, :], vb)[:, :, 0, :]
+        saved.append((kb, vb, alpha))
     result = Tensor(out.reshape(n, d))
-    e = index.e
-    macs = (4 * n * d + 3 * e * d + 5 * e * heads) if normalized else (2 * e * d + e * heads)
 
     def bwd(g):
         gh = _by_head(g, heads)
         dq = np.zeros((n, heads, D), dtype=dt)
-        dsc = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: the vector each pair sends back to its sender, and
-        # (normalized) the pair's share of d|s_c|^2
-        to_sender = np.empty((index.n_slots + 1, heads, D), dtype=dt)
-        to_sender[-1] = 0.0  # the slot that padding points at
-        if normalized:
-            drc = np.zeros((n, heads, D), dtype=dt)
-            d_ss = np.zeros((index.n_slots + 1, heads), dtype=dt)
-        for b, saved_b in zip(index.recv_buckets, saved):
-            R, K = b.valid.shape
-            gb = gh[b.rows]
-            if normalized:
-                S, z, alpha, sigma, keep, w = saved_b
-                rcb, qb = rc[b.rows], qh[b.rows]
-                ws = w.sum(axis=2)
-                dw = (np.matmul(S, gb[..., None])[..., 0]
-                      + np.einsum("rhd,rhd->rh", gb, rcb)[:, :, None])
-                da = dw / sigma
-                dz = alpha * (da - (alpha * da).sum(axis=2, keepdims=True))
-                t = dz / (sigma * root)
-                dsigma = -(dw * w + dz * z) / sigma
-                dvar = np.where(keep, dsigma / (dt.type(2.0) * sigma), dt.type(0.0))
-                dc = dvar * dt.type(2.0 / D)
-                # receiver side: sum_j t_ij s_c,j and sum_j dc_ij s_c,j
-                pair_sums = np.matmul(np.stack([t, dc], axis=2), S)  # (R, H, 2, D)
-                qr_grad = t.sum(axis=2)[..., None]
-                dq[b.rows] = qr_grad * rcb + pair_sums[:, :, 0]
-                drc[b.rows] = (gb * ws[..., None] + qr_grad * qb + pair_sums[:, :, 1]
-                               + dt.type(2.0 / D) * dvar.sum(axis=2)[..., None] * rcb)
-                coef = np.stack([w, t, dc], axis=3)  # (R, H, K, 3)
-                vecs = np.stack([gb, qb, rcb], axis=2)  # (R, H, 3, D)
-                d_ss[b.lo:b.lo + R * K] = (dvar * dt.type(1.0 / D)).transpose(0, 2, 1).reshape(
-                    R * K, heads)
+        # per padded slot: the vector each pair sends back to its sender
+        to_k = _slot_buffer(index, heads, D, dt)
+        to_v = to_k if shared else _slot_buffer(index, heads, D, dt)
+        for b, (kb, vb, alpha) in zip(index.recv_buckets, saved):
+            gb, qb = gh[b.rows], qh[b.rows]
+            dw = np.matmul(vb, gb[..., None])[..., 0]
+            t = alpha * (dw - (alpha * dw).sum(axis=2, keepdims=True)) * inv_root
+            dq[b.rows] = np.matmul(t[:, :, None, :], kb)[:, :, 0]
+            if shared:  # alpha_ij g_i + t_ij q_i in one product
+                np.matmul(np.stack([alpha, t], axis=3), np.stack([gb, qb], axis=2),
+                          out=_bucket_slots(to_k, b))
             else:
-                S, alpha = saved_b
-                dw = np.matmul(S, gb[..., None])[..., 0]
-                dz = alpha * (dw - (alpha * dw).sum(axis=2, keepdims=True))
-                t = dz * dt.type(1.0 / root)
-                dq[b.rows] = np.matmul(t[:, :, None, :], S)[:, :, 0]
-                coef = np.stack([alpha, t], axis=3)
-                vecs = np.stack([gb, qh[b.rows]], axis=2)
-            # (R, H, K, D) products written straight into the slots (R, K) of (H, D)
-            np.matmul(coef, vecs, out=to_sender[b.lo:b.lo + R * K].reshape(
-                R, K, heads, D).transpose(0, 2, 1, 3))
-        for rows, slots in index.send_buckets:
-            # one (R, H, D) gather per column keeps the temporaries small
-            acc = to_sender[slots[:, 0]]
-            for k in range(1, slots.shape[1]):
-                acc += to_sender[slots[:, k]]
-            dsc[rows] = acc
-            if normalized:
-                dsc[rows] += dt.type(2.0) * d_ss[slots].sum(axis=1)[..., None] * sc[rows]
+                np.matmul(t[..., None], qb[:, :, None, :], out=_bucket_slots(to_k, b))
+                np.matmul(alpha[..., None], gb[:, :, None, :], out=_bucket_slots(to_v, b))
         if q.requires_grad:
             q.accumulate_grad(dq.reshape(n, d))
-        if normalized:
-            if r.requires_grad:
-                r.accumulate_grad(_centred(drc).reshape(n, d))
-            dsc = _centred(dsc)
-        if s.requires_grad:
-            s.accumulate_grad(dsc.reshape(n, d))
+        if k.requires_grad:
+            k.accumulate_grad(_sender_sums(index, to_k).reshape(n, d))
+        if not shared and v.requires_grad:
+            v.accumulate_grad(_sender_sums(index, to_v).reshape(n, d))
 
-    return _record(result, (q, r, s), bwd, macs=macs)
+    return _record(result, (q, k, v), bwd, macs=2 * index.e * d + index.e * heads)
+
+
+def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
+                            heads: int) -> Tensor:
+    """Fused normalized implicit-edge attention over all heads.
+
+    q, r and s are (N', d) with heads as column blocks of width D = d/heads;
+    pair (i, j) of `index` lets r_i + s_j stand in for its edge feature,
+    which is never materialised.  Per head and receiver i, with centred
+    tokens r_c, s_c and
+
+        sigma_ij^2 = (|r_c,i|^2 + |s_c,j|^2 + 2 r_c,i . s_c,j) / D,
+
+    the variance of r_i + s_j over its D components (clamped below at
+    SIGMA_FLOOR):
+
+        alpha_ij = softmax_j((q_i . r_c,i + q_i . s_c,j) / (sigma_ij sqrt(D))),
+        out_i = r_c,i sum_j alpha_ij / sigma_ij + sum_j (alpha_ij / sigma_ij) s_c,j.
+
+    The plain variant is `r + pair_attention(q, s, s)`: its logit term
+    q_i . r_i is the same for every pair of i and cancels in the softmax.
+    Receivers without pairs get zero.  MACs: the D-length products per
+    particle (|r_c|^2, |s_c|^2, q . r_c and the r_c term of the output) and
+    per pair (q . s, r_c . s_c, the aggregate), plus the scalar products per
+    pair and head (2 for sigma^2, 2 for the logit, 1 for alpha / sigma).
+    """
+    D = _head_width("implicit_edge_attention", index, heads, q, r, s)
+    n, d = s.data.shape
+    dt = s.data.dtype
+    root = dt.type(np.sqrt(D))
+    qh = _by_head(q.data, heads)
+    rc = _centred(_by_head(r.data, heads))
+    sc = _centred(_by_head(s.data, heads))
+    rr = np.einsum("nhd,nhd->nh", rc, rc)
+    ss = np.einsum("nhd,nhd->nh", sc, sc)
+    qr = np.einsum("nhd,nhd->nh", qh, rc)
+    out = np.zeros((n, heads, D), dtype=dt)
+    saved = []
+    for b in index.recv_buckets:
+        S = sc[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
+        rcb = rc[b.rows]
+        dots = np.matmul(S, np.stack([qh[b.rows], rcb], axis=3))  # (R, H, K, 2)
+        var = (rr[b.rows][:, :, None] + ss[b.senders].transpose(0, 2, 1)
+               + dt.type(2.0) * dots[..., 1]) * dt.type(1.0 / D)
+        keep = var > SIGMA_FLOOR
+        sigma = np.sqrt(np.where(keep, var, dt.type(SIGMA_FLOOR)))
+        z = (qr[b.rows][:, :, None] + dots[..., 0]) / (sigma * root)
+        alpha = _slot_softmax(z, b.valid)
+        w = alpha / sigma
+        agg = np.matmul(w[:, :, None, :], S)[:, :, 0, :]
+        agg += rcb * w.sum(axis=2)[..., None]
+        saved.append((S, z, alpha, sigma, keep, w))
+        out[b.rows] = agg
+    result = Tensor(out.reshape(n, d))
+
+    def bwd(g):
+        gh = _by_head(g, heads)
+        dq = np.zeros((n, heads, D), dtype=dt)
+        drc = np.zeros((n, heads, D), dtype=dt)
+        # per padded slot: the vector each pair sends back to its sender, and
+        # the pair's share of d|s_c|^2
+        to_sender = _slot_buffer(index, heads, D, dt)
+        d_ss = np.zeros((index.n_slots + 1, heads), dtype=dt)
+        for b, (S, z, alpha, sigma, keep, w) in zip(index.recv_buckets, saved):
+            R, K = b.valid.shape
+            gb = gh[b.rows]
+            rcb, qb = rc[b.rows], qh[b.rows]
+            ws = w.sum(axis=2)
+            dw = (np.matmul(S, gb[..., None])[..., 0]
+                  + np.einsum("rhd,rhd->rh", gb, rcb)[:, :, None])
+            da = dw / sigma
+            dz = alpha * (da - (alpha * da).sum(axis=2, keepdims=True))
+            t = dz / (sigma * root)
+            dsigma = -(dw * w + dz * z) / sigma
+            dvar = np.where(keep, dsigma / (dt.type(2.0) * sigma), dt.type(0.0))
+            dc = dvar * dt.type(2.0 / D)
+            # receiver side: sum_j t_ij s_c,j and sum_j dc_ij s_c,j
+            pair_sums = np.matmul(np.stack([t, dc], axis=2), S)  # (R, H, 2, D)
+            qr_grad = t.sum(axis=2)[..., None]
+            dq[b.rows] = qr_grad * rcb + pair_sums[:, :, 0]
+            drc[b.rows] = (gb * ws[..., None] + qr_grad * qb + pair_sums[:, :, 1]
+                           + dt.type(2.0 / D) * dvar.sum(axis=2)[..., None] * rcb)
+            d_ss[b.lo:b.lo + R * K] = (dvar * dt.type(1.0 / D)).transpose(0, 2, 1).reshape(
+                R * K, heads)
+            # (R, H, K, D) products written straight into the slots (R, K) of (H, D)
+            np.matmul(np.stack([w, t, dc], axis=3), np.stack([gb, qb, rcb], axis=2),
+                      out=_bucket_slots(to_sender, b))
+        dsc = _sender_sums(index, to_sender)
+        for rows, slots in index.send_buckets:
+            dsc[rows] += dt.type(2.0) * d_ss[slots].sum(axis=1)[..., None] * sc[rows]
+        if q.requires_grad:
+            q.accumulate_grad(dq.reshape(n, d))
+        if r.requires_grad:
+            r.accumulate_grad(_centred(drc).reshape(n, d))
+        if s.requires_grad:
+            s.accumulate_grad(_centred(dsc).reshape(n, d))
+
+    e = index.e
+    return _record(result, (q, r, s), bwd, macs=4 * n * d + 3 * e * d + 5 * e * heads)
 
 
 LAYER_NORM_EPS = 1e-5

@@ -1,6 +1,7 @@
 """Oracle suites: implicit-edge exactness, sigma recovery, the fused
-implicit-edge attention against its composed form, gradient checks against
-central finite differences, and neighbor-graph equivalence.
+implicit-edge and pair attention kernels against their composed forms,
+gradient checks against central finite differences, and neighbor-graph
+equivalence.
 
 Each check returns its worst-case error so callers can assert their own
 tolerances; the CLI `verify` subcommand prints one pass/fail line per suite.
@@ -88,35 +89,46 @@ def run_sigma_recovery_suite(n_samples: int = 1000, dims=(2, 8, 64), seed: int =
 
 
 def composed_attention(q: Tensor, r: Tensor, s: Tensor, recv: np.ndarray, send: np.ndarray,
-                       heads: int, normalized: bool) -> Tensor:
-    """Implicit-edge attention composed head by head from tape primitives:
-    the oracle of `tensor.implicit_edge_attention` (same arguments, with the
-    pair list in place of the index).  The plain variant keeps the q_i . r_i
-    logit term that the fused primitive drops."""
+                       heads: int) -> Tensor:
+    """Normalized implicit-edge attention composed head by head from tape
+    primitives: the oracle of `tensor.implicit_edge_attention` (same
+    arguments, with the pair list in place of the index)."""
     n, d = r.data.shape
     dh = d // heads
     outs = []
     for h in range(heads):
         qh, rh, sh = (T.cols(t, h * dh, (h + 1) * dh) for t in (q, r, s))
-        if normalized:
-            rh = T.shift_rows(rh, T.neg(T.reduce_mean(rh, axis=1)))
-            sh = T.shift_rows(sh, T.neg(T.reduce_mean(sh, axis=1)))
-            rr = T.scale(T.reduce_sum(T.square(rh), axis=1), 1.0 / dh)
-            ss = T.scale(T.reduce_sum(T.square(sh), axis=1), 1.0 / dh)
-            rs = T.scale(T.reduce_sum(
-                T.mul(T.gather_rows(rh, recv), T.gather_rows(sh, send)), axis=1), 2.0 / dh)
-            var = T.add(T.add(T.gather_rows(rr, recv), T.gather_rows(ss, send)), rs)
-            sigma = T.sqrt(T.clamp_min(var, T.SIGMA_FLOOR))
+        rh = T.shift_rows(rh, T.neg(T.reduce_mean(rh, axis=1)))
+        sh = T.shift_rows(sh, T.neg(T.reduce_mean(sh, axis=1)))
+        rr = T.scale(T.reduce_sum(T.square(rh), axis=1), 1.0 / dh)
+        ss = T.scale(T.reduce_sum(T.square(sh), axis=1), 1.0 / dh)
+        rs = T.scale(T.reduce_sum(
+            T.mul(T.gather_rows(rh, recv), T.gather_rows(sh, send)), axis=1), 2.0 / dh)
+        var = T.add(T.add(T.gather_rows(rr, recv), T.gather_rows(ss, send)), rs)
+        sigma = T.sqrt(T.clamp_min(var, T.SIGMA_FLOOR))
         qr = T.reduce_sum(T.mul(qh, rh), axis=1)
         qs = T.reduce_sum(T.mul(T.gather_rows(qh, recv), T.gather_rows(sh, send)), axis=1)
-        logits = T.add(T.gather_rows(qr, recv), qs)
-        if normalized:
-            logits = T.div(logits, sigma)
-            value = T.div_rows(T.add(T.gather_rows(rh, recv), T.gather_rows(sh, send)), sigma)
-        else:
-            value = T.gather_rows(sh, send)
+        logits = T.div(T.add(T.gather_rows(qr, recv), qs), sigma)
+        value = T.div_rows(T.add(T.gather_rows(rh, recv), T.gather_rows(sh, send)), sigma)
         alpha = T.segment_softmax(T.scale(logits, 1.0 / np.sqrt(dh)), recv, n)
         outs.append(T.segment_sum(T.scale_rows(value, alpha), recv, n))
+    return T.concat(outs, axis=1)
+
+
+def composed_pair_attention(q: Tensor, k: Tensor, v: Tensor, recv: np.ndarray,
+                            send: np.ndarray, heads: int) -> Tensor:
+    """Dot-product attention over a pair list composed head by head from tape
+    primitives: the oracle of `tensor.pair_attention` (same arguments, with
+    the pair list in place of the index)."""
+    n, d = q.data.shape
+    dh = d // heads
+    outs = []
+    for h in range(heads):
+        qh, kh, vh = (T.cols(t, h * dh, (h + 1) * dh) for t in (q, k, v))
+        logits = T.scale(T.reduce_sum(
+            T.mul(T.gather_rows(qh, recv), T.gather_rows(kh, send)), axis=1), 1.0 / np.sqrt(dh))
+        alpha = T.segment_softmax(logits, recv, n)
+        outs.append(T.segment_sum(T.scale_rows(T.gather_rows(vh, send), alpha), recv, n))
     return T.concat(outs, axis=1)
 
 
@@ -137,44 +149,50 @@ def _attention_case_pairs(n: int, n_abstract: int, bidirectional: bool, seed: in
     return recv, send, n + n_abstract
 
 
-def fused_attention_deviation(n_abstract: int, bidirectional: bool, normalized: bool,
-                              heads: int = 2, d: int = 8, n: int = 9, seed: int = 0) -> float:
-    """Worst elementwise deviation, relative to max(1, |value|), between
-    `tensor.implicit_edge_attention` and `composed_attention` over the output
-    and the gradients of q, r and s, in f64.  Rows 2 and 3 hold constant
-    tokens, so the variance of their mutual pairs sits at SIGMA_FLOOR."""
+def attention_deviation(kernel: str, n_abstract: int, bidirectional: bool,
+                        heads: int = 2, d: int = 8, n: int = 9, seed: int = 0) -> float:
+    """Worst elementwise deviation, relative to max(1, |value|), between a
+    fused attention kernel and its composed oracle over the output and the
+    gradients of the inputs (q, a, b), in f64.  `kernel` is "implicit edge"
+    (r = a, s = b), "pair" (k = a, v = b) or "shared pair" (k = v = b, one
+    tensor).  Rows 2 and 3 of a and b hold constant tokens, so the variance
+    of their mutual implicit-edge pairs sits at SIGMA_FLOOR."""
     recv, send, rows = _attention_case_pairs(n, n_abstract, bidirectional, seed)
     rng = np.random.default_rng(seed + 11)
-    q, r, s = (rng.standard_normal((rows, d)) for _ in range(3))
-    r[2:4] = np.repeat(r[2:4, ::d // heads], d // heads, axis=1)
-    s[2:4] = np.repeat(s[2:4, ::d // heads], d // heads, axis=1)
+    q, a, b = (rng.standard_normal((rows, d)) for _ in range(3))
+    a[2:4] = np.repeat(a[2:4, ::d // heads], d // heads, axis=1)
+    b[2:4] = np.repeat(b[2:4, ::d // heads], d // heads, axis=1)
     upstream = Tensor(rng.standard_normal((rows, d)))
+    kernel_fn, oracle = ((T.implicit_edge_attention, composed_attention)
+                         if kernel == "implicit edge" else (T.pair_attention, composed_pair_attention))
     results = []
     for fused in (True, False):
-        inputs = [Tensor(a.copy(), requires_grad=True) for a in (q, r, s)]
+        inputs = [Tensor(x.copy(), requires_grad=True) for x in (q, a, b)]
+        tq, ta, tb = inputs
+        if kernel == "shared pair":
+            ta = tb
         with Tape() as tape:
-            if fused:
-                out = T.implicit_edge_attention(*inputs, T.PairIndex(recv, send, rows),
-                                                heads, normalized)
-            else:
-                out = composed_attention(*inputs, recv, send, heads, normalized)
+            out = (kernel_fn(tq, ta, tb, T.PairIndex(recv, send, rows), heads) if fused
+                   else oracle(tq, ta, tb, recv, send, heads))
             T.backward(T.reduce_sum(T.mul(out, upstream)), tape)
         grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
         results.append([out.data] + grads)
     worst = 0.0
-    for a, b in zip(*results):
-        worst = max(worst, float((np.abs(a - b) / np.maximum(1.0, np.maximum(
-            np.abs(a), np.abs(b)))).max()))
+    for x, y in zip(*results):
+        worst = max(worst, float((np.abs(x - y) / np.maximum(1.0, np.maximum(
+            np.abs(x), np.abs(y)))).max()))
     return worst
 
 
-def run_fused_attention_suite(seed: int = 0) -> float:
+def run_attention_suite(kernels, seed: int = 0) -> float:
+    """Worst `attention_deviation` of `kernels` over no abstract rows,
+    bidirectional and unidirectional abstract pairs, and 1 and 2 heads."""
     worst = 0.0
     for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)]):
-        for normalized in (True, False):
+        for kernel in kernels:
             for heads in (1, 2):
-                worst = max(worst, fused_attention_deviation(
-                    n_abstract, bidirectional, normalized, heads=heads, seed=seed + i))
+                worst = max(worst, attention_deviation(
+                    kernel, n_abstract, bidirectional, heads=heads, seed=seed + i))
     return worst
 
 
@@ -244,8 +262,10 @@ def run_all(fast: bool = False) -> list[tuple[str, bool, str]]:
     results.append(("implicit-edge identity", dev <= 1e-10, f"max deviation {dev:.3e}"))
     err = run_sigma_recovery_suite(n_samples=300 if fast else 1000)
     results.append(("sigma recovery", err <= 1e-9, f"max relative error {err:.3e}"))
-    ferr = run_fused_attention_suite()
+    ferr = run_attention_suite(["implicit edge"])
     results.append(("fused attention", ferr <= 1e-10, f"max relative deviation {ferr:.3e}"))
+    perr = run_attention_suite(["pair", "shared pair"])
+    results.append(("pair attention", perr <= 1e-10, f"max relative deviation {perr:.3e}"))
     gerr = run_gradient_suite(blocks=1 if fast else 2, d=8 if fast else 16,
                               n=6 if fast else 8)
     results.append(("gradient check", gerr <= 1e-4, f"max relative error {gerr:.3e}"))

@@ -59,6 +59,8 @@ class WorldSpec:
     spacing: float = 0.055
 
     def __post_init__(self):
+        for name in ("counts", "gravity", "box_lo", "box_hi"):  # JSON gives lists
+            setattr(self, name, tuple(getattr(self, name)))
         if self.kind not in WORLD_KINDS:
             raise InputError(f"unknown world kind {self.kind!r}")
         if any(c < 1 for c in self.counts):
@@ -352,11 +354,7 @@ def read_dataset(path) -> RolloutDataset:
     missing = required - meta.keys()
     if missing:
         raise MetadataError(f"{meta_path} missing keys: {sorted(missing)}")
-    spec_dict = dict(meta["world_spec"])
-    for key in ("counts", "gravity", "box_lo", "box_hi"):
-        if key in spec_dict:
-            spec_dict[key] = tuple(spec_dict[key])
-    spec = WorldSpec(**spec_dict)
+    spec = WorldSpec(**meta["world_spec"])
     ds = RolloutDataset(meta["name"], spec, int(meta["n_frames"]),
                         np.asarray(meta["material_ids"], dtype=np.int64))
     for split in ("train", "valid"):

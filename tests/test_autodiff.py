@@ -121,14 +121,23 @@ class TestPrimitiveGradients:
 
         finite_diff_check(build, [a])
 
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_implicit_edge_attention(self, normalized):
-        recv = np.array([0, 0, 0, 1, 3, 3])
-        send = np.array([1, 2, 3, 0, 0, 2])
-        index = T.PairIndex(recv, send, 4)  # receiver 2 has no pairs
+    PAIRS = T.PairIndex(np.array([0, 0, 0, 1, 3, 3]), np.array([1, 2, 3, 0, 0, 2]),
+                        4)  # receiver 2 has no pairs
+
+    def test_implicit_edge_attention(self):
         q, r, s = leaf((4, 6), 16), leaf((4, 6), 17), leaf((4, 6), 18)
         finite_diff_check(lambda q, r, s: scalarize(
-            T.implicit_edge_attention(q, r, s, index, 2, normalized)), [q, r, s])
+            T.implicit_edge_attention(q, r, s, self.PAIRS, 2)), [q, r, s])
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_pair_attention(self, shared):
+        q, k, v = leaf((4, 6), 16), leaf((4, 6), 17), leaf((4, 6), 18)
+        if shared:  # k is v: one gather and one slot buffer serve both roles
+            finite_diff_check(lambda q, s: scalarize(
+                T.pair_attention(q, s, s, self.PAIRS, 2)), [q, v])
+        else:
+            finite_diff_check(lambda q, k, v: scalarize(
+                T.pair_attention(q, k, v, self.PAIRS, 2)), [q, k, v])
 
     def test_head_matmul(self):
         a, w = leaf((3, 6), 19), leaf((2, 6), 20)

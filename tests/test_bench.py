@@ -59,6 +59,13 @@ class TestAnalyticEqualsInstrumented:
         for phase, macs in analytic.items():
             assert measured.get(phase, 0) == macs, f"phase {phase}"
 
+    def test_vanilla_per_phase(self):
+        cfg = cfg_for("vanilla")
+        analytic = count_macs(cfg, 30, 120)
+        measured = measure_macs(cfg, 30, 120)
+        for phase, macs in analytic.items():
+            assert measured.get(phase, 0) == macs, f"phase {phase}"
+
     def test_gnn_per_phase(self):
         cfg = cfg_for("gnn")
         analytic = count_macs(cfg, 30, 120)

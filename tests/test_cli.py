@@ -104,6 +104,28 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("override", ["model.heads=0", "model.d=0", "model.history=0"])
+    def test_non_positive_model_size_is_bad_args(self, tmp_path, capsys, pipeline_dir,
+                                                  override):
+        code = main(["train", "--out", str(tmp_path / "m"),
+                     "--data", str(pipeline_dir / "data" / "dataset"), "--set", override])
+        assert code == 2
+        assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+    def test_unknown_key_in_saved_model_config_is_bad_args(self, tmp_path, capsys,
+                                                            pipeline_dir):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        config = json.loads((model / "config.json").read_text())
+        config["model"]["zzz"] = 1
+        (model / "config.json").write_text(json.dumps(config))
+        for command in ("eval", "rollout"):
+            code = main([command, "--out", str(tmp_path / command),
+                         "--data", str(pipeline_dir / "data" / "dataset"),
+                         "--model-dir", str(model)])
+            assert code == 2
+            assert "zzz" in capsys.readouterr().err
+
     def test_unknown_config_key_is_bad_args(self, capsys):
         assert main(["gen-data", "--out", "x", "--set", "model.zzz=1"]) == 2
         capsys.readouterr()
@@ -231,5 +253,6 @@ class TestPipeline:
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 6
         assert "[PASS] fused attention" in out
+        assert "[PASS] pair attention" in out

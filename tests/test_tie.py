@@ -195,7 +195,7 @@ class TestNormalizedAttention:
         send = np.roll(np.arange(n), 1)
         out = T.implicit_edge_attention(
             T.Tensor(np.ones((n, d), np.float32)), T.Tensor(r), T.Tensor(s),
-            T.PairIndex(np.arange(n), send, n), heads, normalized=True).data
+            T.PairIndex(np.arange(n), send, n), heads).data
         rms = np.sqrt((out.astype(np.float64).reshape(n, heads, -1) ** 2).mean(axis=2))
         assert np.abs(rms - 1.0).max() <= 1e-5
 
@@ -269,18 +269,32 @@ class TestNormalizedAttention:
 class TestFusedAttention:
     def test_matches_composed_oracle(self):
         # n_abstract in {0, 2}, unidirectional abstract pairs, a receiver
-        # without pairs, single-neighbour rows, constant tokens at the floor
-        assert V.run_fused_attention_suite() <= 1e-10
+        # without pairs, single-neighbour rows, constant tokens at the floor;
+        # pair attention with distinct k and v, and with k = v = s
+        assert V.run_attention_suite(["implicit edge"]) <= 1e-10
+        assert V.run_attention_suite(["pair", "shared pair"]) <= 1e-10
 
     def test_unsorted_pairs_give_the_same_output(self):
         rng = np.random.default_rng(40)
-        q, r, s = (T.Tensor(rng.standard_normal((6, 4))) for _ in range(3))
+        q, a, b = (T.Tensor(rng.standard_normal((6, 4))) for _ in range(3))
         recv, send = synthesize_pairs(6, 14, seed=41)
         perm = rng.permutation(recv.size)
-        sorted_out = T.implicit_edge_attention(q, r, s, T.PairIndex(recv, send, 6), 2, True)
-        shuffled = T.implicit_edge_attention(q, r, s, T.PairIndex(recv[perm], send[perm], 6),
-                                             2, True)
-        assert np.allclose(sorted_out.data, shuffled.data, atol=1e-13)
+        for kernel in (T.implicit_edge_attention, T.pair_attention):
+            sorted_out = kernel(q, a, b, T.PairIndex(recv, send, 6), 2)
+            shuffled = kernel(q, a, b, T.PairIndex(recv[perm], send[perm], 6), 2)
+            assert np.allclose(sorted_out.data, shuffled.data, atol=1e-13), kernel.__name__
+
+    def test_shape_errors(self):
+        index = T.PairIndex(np.array([0, 1]), np.array([1, 0]), 3)
+        q = T.Tensor(np.ones((3, 4)))
+        with pytest.raises(T.ShapeError):  # k rows
+            T.pair_attention(q, T.Tensor(np.ones((2, 4))), q, index, 2)
+        with pytest.raises(T.ShapeError):  # v width
+            T.pair_attention(q, q, T.Tensor(np.ones((3, 6))), index, 2)
+        with pytest.raises(T.ShapeError):  # 3 heads do not divide d=4
+            T.pair_attention(q, q, q, index, 3)
+        with pytest.raises(T.ShapeError):  # 3 rows over an index of 4
+            T.implicit_edge_attention(q, q, q, T.PairIndex(np.array([0]), np.array([3]), 4), 2)
 
     def test_tape_entries_per_forward(self):
         # the composed attention recorded 966 entries at this shape, the fused
@@ -369,6 +383,19 @@ class TestVanillaTransformer:
                           p["block0.ln.gain"].data, p["block0.ln.shift"].data)
         expect = np_mlp(p, "dec", v)
         assert np.allclose(out, expect, atol=1e-11)
+
+
+    def test_tape_entries_per_forward(self):
+        # three projections and one fused pair attention per block; the
+        # per-head gathers, segment softmax and segment sums recorded 250
+        cfg = ModelConfig(backbone="vanilla", d_in=7, d=128, heads=4, blocks=4,
+                          mlp_hidden=256, precision="f32")
+        model = VanillaTransformer(cfg, seed=0)
+        recv, send = synthesize_pairs(512, 8000, seed=0)
+        x = np.random.default_rng(42).standard_normal((512, 7))
+        with Tape() as tape:
+            model.forward(x, recv, send)
+        assert len(tape.entries) <= 60
 
 
 class TestEquivariance:

@@ -146,6 +146,14 @@ class TestWorldSpec:
         assert spec.material_ids().tolist() == [0, 0, 0, 1, 1]
         assert spec.n == 5 and spec.k == 2
 
+    def test_json_lists_become_tuples(self):
+        spec = WorldSpec(counts=[3, 2], gravity=[0.0, -1.0, 0.0], box_lo=[0, 0, 0],
+                         box_hi=[1, 1, 1])
+        assert spec == WorldSpec(counts=(3, 2), gravity=(0.0, -1.0, 0.0),
+                                 box_lo=(0, 0, 0), box_hi=(1, 1, 1))
+        assert all(isinstance(getattr(spec, k), tuple)
+                   for k in ("counts", "gravity", "box_lo", "box_hi"))
+
     def test_one_hot(self):
         got = one_hot_attributes(np.array([0, 1, 1]), 2)
         assert np.array_equal(got, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
