@@ -5,7 +5,7 @@ evaluation, and cost-model tooling around them."""
 from .tensor import (Tensor, Tape, backward, ShapeError, ContractError,
                      DegenerateRowError, save_checkpoint, load_checkpoint)
 from .particles import (SystemState, NeighborGraph, NormStats, InputError,
-                        window, build_neighbor_graph, brute_force_neighbor_graph,
+                        build_neighbor_graph, brute_force_neighbor_graph,
                         integrate_positions, compute_norm_stats, assemble_inputs)
 from .worlds import (WorldSpec, RolloutDataset, WORLD_KINDS, BlowUpError,
                      MetadataError, TruncationError, ChecksumError,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "Tape", "backward", "ShapeError", "ContractError", "DegenerateRowError",
     "save_checkpoint", "load_checkpoint",
-    "SystemState", "NeighborGraph", "NormStats", "InputError", "window",
+    "SystemState", "NeighborGraph", "NormStats", "InputError",
     "build_neighbor_graph", "brute_force_neighbor_graph", "integrate_positions",
     "compute_norm_stats", "assemble_inputs",
     "WorldSpec", "RolloutDataset", "WORLD_KINDS", "BlowUpError", "MetadataError",

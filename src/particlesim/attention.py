@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, SIGMA_FLOOR
-from .nn import ModelConfig, ParamStore, Mlp, LinearMap
+from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp, LinearMap
 from .particles import InputError
 
 
@@ -64,10 +64,10 @@ class _AttentionBase:
         self.store = ParamStore(cfg.precision, seed)
         d, din, hid = cfg.d, cfg.d_in, cfg.mlp_hidden
         if cfg.linear_mode:
-            self.dec = LinearMap(self.store, "dec.w", d, cfg.out_dim)
+            self.dec = LinearMap(self.store, "dec.w", d, OUT_DIM)
         else:
             self.enc = Mlp(self.store, "enc", din, d, d)
-            self.dec = Mlp(self.store, "dec", d, d, cfg.out_dim)
+            self.dec = Mlp(self.store, "dec", d, d, OUT_DIM)
             self.w_o = [self.store.weight(f"block{l}.w_o", (d, d)) for l in range(cfg.blocks)]
             self.mlp = [Mlp(self.store, f"block{l}.mlp", d, hid, d) for l in range(cfg.blocks)]
             self.ln_gain = [self.store.ones(f"block{l}.ln.gain", (d,)) for l in range(cfg.blocks)]

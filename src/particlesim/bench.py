@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tape, Tensor
-from .nn import ModelConfig
+from .nn import OUT_DIM, ModelConfig
 from .attention import build_model
 
 
@@ -50,7 +50,7 @@ def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
     after any abstract extension.
     """
     d, dh, H, L, hid, din, out = (cfg.d, cfg.d_head, cfg.heads, cfg.blocks,
-                                  cfg.mlp_hidden, cfg.d_in, cfg.out_dim)
+                                  cfg.mlp_hidden, cfg.d_in, OUT_DIM)
     phases: dict[str, int] = {}
     if cfg.backbone == "gnn":
         phases["encode_node"] = n * (din * hid + hid * d)

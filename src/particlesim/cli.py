@@ -18,11 +18,12 @@ import sys
 import numpy as np
 
 from .nn import ModelConfig, BACKBONES
+from . import particles as P
 from .worlds import (WorldSpec, RolloutDataset, generate_dataset, write_dataset,
                      read_dataset, MetadataError, TruncationError, ChecksumError)
 from .attention import build_model
 from .training import (TrainConfig, fit, one_step_eval, constant_velocity_eval,
-                       rollout, dataset_norm_stats, DivergenceError)
+                       rollout, DivergenceError)
 from . import tensor as T
 from . import bench as B
 from . import verify as V
@@ -75,7 +76,8 @@ DEFAULT_CONFIG = {
 
 _DATASET_EXTRA = {"counts", "train_rollouts", "valid_rollouts", "seed", "n_frames"}
 _WORLD_FIELDS = {f.name for f in dataclasses.fields(WorldSpec)}
-_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
+# d_in is derived from the dataset (`_model_config`), so a config may not set it
+_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)} - {"d_in"}
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
@@ -126,6 +128,7 @@ def _parse_override(text: str):
 
 
 def load_config(args) -> dict:
+    """Defaults, then --config, then --set, then train's dedicated flags."""
     config = DEFAULT_CONFIG
     if args.config:
         try:
@@ -139,7 +142,6 @@ def load_config(args) -> dict:
     for text in args.set or []:
         section, key, value = _parse_override(text)
         config = _deep_merge(config, {section: {key: value}})
-    # dedicated flags override last
     flag_map = {
         "seed": ("train", "seed"),
         "precision": ("model", "precision"),
@@ -166,10 +168,7 @@ def snapshot_config(config: dict, out_dir):
 
 
 def _model_config(mcfg: dict, ds: RolloutDataset) -> ModelConfig:
-    cfg = dict(mcfg)
-    history = int(cfg.get("history", 1))
-    cfg["d_in"] = 6 * history + ds.d_a
-    model_cfg = ModelConfig(**cfg)
+    model_cfg = ModelConfig(**mcfg, d_in=P.input_dim(int(mcfg.get("history", 1)), ds.d_a))
     if model_cfg.n_abstract not in (0, ds.spec.k):
         raise BadConfig(f"n_abstract must be 0 or the material count {ds.spec.k}")
     if model_cfg.n_abstract and model_cfg.backbone == "gnn":
@@ -213,13 +212,12 @@ def _restore_model(model_dir, ds: RolloutDataset):
     params = T.load_checkpoint(os.path.join(model_dir, "final.manifest.json"),
                                os.path.join(model_dir, "final.blob.bin"))
     model.load_params(params)
-    return model, config
+    return model, config, P.load_norm_stats(os.path.join(model_dir, "norm_stats.json"))
 
 
 def cmd_eval(args) -> int:
     ds = read_dataset(args.data)
-    model, config = _restore_model(args.model_dir, ds)
-    stats = dataset_norm_stats(ds)
+    model, config, stats = _restore_model(args.model_dir, ds)
     snapshot_config(config, args.out)
     report = one_step_eval(model, ds, stats, max_samples=args.samples, seed=0)
     baseline = constant_velocity_eval(ds, history=model.cfg.history,
@@ -235,8 +233,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     ds = read_dataset(args.data)
-    model, config = _restore_model(args.model_dir, ds)
-    stats = dataset_norm_stats(ds)
+    model, config, stats = _restore_model(args.model_dir, ds)
     snapshot_config(config, args.out)
     n_steps = args.steps or (ds.n_frames - model.cfg.history)
     reports = []
@@ -286,58 +283,50 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares exactly the options its cmd_* reads."""
     parser = argparse.ArgumentParser(prog="particlesim",
                                      description="learned particle simulation engine")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--config": dict(help="JSON config file"),
+        "--set": dict(action="append", metavar="SECTION.KEY=VALUE", help="config override"),
+        "--out": dict(required=True, help="output directory"),
+        "--data": dict(required=True, help="dataset directory"),
+        "--model-dir": dict(required=True, help="output directory of a train run"),
+    }
 
-    def common(p, out=True):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="config override")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--precision", choices=["f32", "f64"])
-        p.add_argument("--backbone", choices=list(BACKBONES))
-        p.add_argument("--normalized-attention", dest="normalized_attention",
-                       choices=["on", "off"])
-        p.add_argument("--abstract-particles", dest="abstract_particles", type=int)
-        p.add_argument("--radius", type=float)
-        p.add_argument("--history", type=int)
+    def command(name, func, help_text, *options):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for option in options:
+            p.add_argument(option, **shared[option])
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
+    command("gen-data", cmd_gen_data, "generate a synthetic dataset", "--config", "--set", "--out")
 
-    p = sub.add_parser("train", help="train a model")
-    common(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(func=cmd_train)
+    p = command("train", cmd_train, "train a model", "--config", "--set", "--out", "--data")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--precision", choices=list(T.DTYPES))
+    p.add_argument("--backbone", choices=list(BACKBONES))
+    p.add_argument("--normalized-attention", dest="normalized_attention",
+                   choices=["on", "off"])
+    p.add_argument("--abstract-particles", dest="abstract_particles", type=int)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--history", type=int)
 
-    p = sub.add_parser("eval", help="one-step evaluation of a trained model")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model-dir", required=True)
+    p = command("eval", cmd_eval, "one-step evaluation of a trained model",
+                "--out", "--data", "--model-dir")
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("rollout", help="recursive rollout evaluation")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model-dir", required=True)
+    p = command("rollout", cmd_rollout, "recursive rollout evaluation",
+                "--out", "--data", "--model-dir")
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--count", type=int, default=5)
-    p.set_defaults(func=cmd_rollout)
 
-    p = sub.add_parser("bench", help="cost model and timing benchmark")
-    common(p)
-    p.set_defaults(func=cmd_bench)
+    command("bench", cmd_bench, "cost model and timing benchmark", "--config", "--set", "--out")
 
-    p = sub.add_parser("verify", help="run the oracle verification suites")
-    common(p, out=False)
+    p = command("verify", cmd_verify, "run the oracle verification suites")
     p.add_argument("--fast", action="store_true", help="reduced suite sizes")
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .nn import ModelConfig, ParamStore, Mlp, LinearMap
+from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp, LinearMap
 
 
 class ExplicitEdgeGnn:
@@ -32,7 +32,7 @@ class ExplicitEdgeGnn:
                              for l in range(cfg.blocks)]
             self.prop_v_w = [self.store.weight(f"block{l}.prop_v.w", (2 * d, d))
                              for l in range(cfg.blocks)]
-            self.dec = LinearMap(self.store, "dec.w", d, cfg.out_dim)
+            self.dec = LinearMap(self.store, "dec.w", d, OUT_DIM)
         else:
             self.enc_v = Mlp(self.store, "enc_v", din, hid, d)
             self.enc_e = Mlp(self.store, "enc_e", 2 * din, hid, d)
@@ -44,7 +44,7 @@ class ExplicitEdgeGnn:
             self.ln_e_shift = [self.store.zeros(f"block{l}.ln_e.shift", (d,)) for l in range(cfg.blocks)]
             self.ln_v_gain = [self.store.ones(f"block{l}.ln_v.gain", (d,)) for l in range(cfg.blocks)]
             self.ln_v_shift = [self.store.zeros(f"block{l}.ln_v.shift", (d,)) for l in range(cfg.blocks)]
-            self.dec = Mlp(self.store, "dec", d, hid, cfg.out_dim)
+            self.dec = Mlp(self.store, "dec", d, hid, OUT_DIM)
 
     def params(self) -> dict[str, Tensor]:
         return self.store.params()

@@ -10,6 +10,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 BACKBONES = ("gnn", "vanilla", "tie")
+OUT_DIM = 3  # the decoder predicts one velocity per particle
 
 
 @dataclass
@@ -20,7 +21,6 @@ class ModelConfig:
     heads: int = 4
     blocks: int = 4
     mlp_hidden: int = 256
-    out_dim: int = 3
     n_abstract: int = 0
     normalized_attention: bool = True
     abstract_bidirectional: bool = True
@@ -32,7 +32,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}")
-        for name in ("d", "heads", "history"):
+        if self.precision not in T.DTYPES:
+            raise ValueError(f"precision must be one of {', '.join(T.DTYPES)}, "
+                             f"got {self.precision!r}")
+        for name in ("d", "heads", "blocks", "history"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.heads != 0:

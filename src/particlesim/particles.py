@@ -1,9 +1,9 @@
-"""Particle system state, the radius window function, fixed-radius neighbor
-search via a uniform spatial hash, velocity integration, and dataset
-normalization statistics."""
+"""Particle system state, fixed-radius neighbor search via a uniform spatial
+hash, velocity integration, and dataset normalization statistics."""
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -41,23 +41,12 @@ class NeighborGraph:
         return set(zip(self.receivers.tolist(), self.senders.tolist()))
 
 
-def window(p_i, p_j, radius: float) -> int:
-    """Interaction indicator: 1 iff the particles are strictly closer than the radius."""
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
-    p_i = np.asarray(p_i, dtype=np.float64)
-    p_j = np.asarray(p_j, dtype=np.float64)
-    if not (np.isfinite(p_i).all() and np.isfinite(p_j).all()):
-        raise InputError("non-finite position passed to window")
-    return int(np.linalg.norm(p_i - p_j) < radius)
-
-
 def _sort_pairs(recv: np.ndarray, send: np.ndarray):
     order = np.lexsort((send, recv))
     return recv[order], send[order]
 
 
-def build_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
+def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
     """All directed pairs (i, j), i != j, with ||p_i - p_j|| < radius.
 
     Uses a uniform spatial hash with cell size = radius; the result is
@@ -65,11 +54,10 @@ def build_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
     """
     if radius <= 0:
         raise InputError(f"radius must be positive, got {radius}")
-    p = state.positions
-    if not np.isfinite(p).all():
+    if not np.isfinite(positions).all():
         raise InputError("non-finite positions in build_neighbor_graph")
-    n = p.shape[0]
-    cells = np.floor(p / radius).astype(np.int64)
+    n = positions.shape[0]
+    cells = np.floor(positions / radius).astype(np.int64)
     grid: dict[tuple, list] = {}
     for i in range(n):
         grid.setdefault(tuple(cells[i]), []).append(i)
@@ -82,7 +70,7 @@ def build_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
         for dx, dy, dz in offsets:
             cand.extend(grid.get((cx + dx, cy + dy, cz + dz), ()))
         cand = np.asarray(cand, dtype=np.int64)
-        d = p[cand] - p[i]
+        d = positions[cand] - positions[i]
         close = cand[(np.einsum("ij,ij->i", d, d) < radius * radius) & (cand != i)]
         if close.size:
             recv_chunks.append(np.full(close.size, i, dtype=np.int64))
@@ -97,12 +85,11 @@ def build_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
     return NeighborGraph(recv, send, radius)
 
 
-def brute_force_neighbor_graph(state: SystemState, radius: float) -> NeighborGraph:
+def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
     """O(N^2) reference scan used as the oracle for the spatial hash."""
     if radius <= 0:
         raise InputError(f"radius must be positive, got {radius}")
-    p = state.positions
-    diff = p[:, None, :] - p[None, :, :]
+    diff = positions[:, None, :] - positions[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     mask = dist2 < radius * radius
     np.fill_diagonal(mask, False)
@@ -161,6 +148,22 @@ def compute_norm_stats(frames: np.ndarray, attributes: np.ndarray) -> NormStats:
         warnings.warn("constant input channel: std clamped to 1e-8", stacklevel=2)
         std = np.maximum(std, STD_FLOOR)
     return NormStats(mean.astype(np.float64), std.astype(np.float64))
+
+
+def save_norm_stats(stats: NormStats, path):
+    with open(path, "w") as f:
+        json.dump({"mean": stats.mean.tolist(), "std": stats.std.tolist()}, f)
+
+
+def load_norm_stats(path) -> NormStats:
+    """Stats written by save_norm_stats, bit-exact; a malformed file raises OSError."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+        return NormStats(np.asarray(raw["mean"], dtype=np.float64),
+                         np.asarray(raw["std"], dtype=np.float64))
+    except (ValueError, KeyError, TypeError) as e:
+        raise OSError(f"malformed normalization stats {path}: {e}") from e
 
 
 def normalize_frame(positions, velocities, stats: NormStats):

@@ -147,8 +147,7 @@ def make_sample(ds: RolloutDataset, frames: np.ndarray, t: int, history: int,
     ph = [frames[t - i, :, 0:3].astype(np.float64) for i in range(history)]
     qh = [frames[t - i, :, 3:6].astype(np.float64) for i in range(history)]
     x = P.assemble_inputs(ph, qh, ds.attributes, stats)
-    state = P.SystemState(ph[0], qh[0], ds.attributes, ds.material_ids, t)
-    graph = P.build_neighbor_graph(state, radius)
+    graph = P.build_neighbor_graph(ph[0], radius)
     target = P.normalize_velocity(frames[t + 1, :, 3:6].astype(np.float64), stats)
     return x, graph, target
 
@@ -168,9 +167,13 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
 
     Deterministic given (seed, config, dataset).  On a non-finite loss the
     last good parameters are checkpointed (if out_dir is set) and a
-    DivergenceError is raised.
+    DivergenceError is raised.  With out_dir, the training NormStats go to
+    norm_stats.json first, so every checkpoint of the run has them.
     """
     stats = dataset_norm_stats(ds)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        P.save_norm_stats(stats, os.path.join(out_dir, "norm_stats.json"))
     rng = np.random.default_rng(cfg.seed)
     train_trans = _transitions(ds, "train", model.cfg.history)
     valid_trans = _transitions(ds, "valid", model.cfg.history)
@@ -228,7 +231,6 @@ def dict_to_tensors(arrays: dict) -> dict:
 
 
 def _save_model(params: dict, out_dir, tag: str):
-    os.makedirs(out_dir, exist_ok=True)
     T.save_checkpoint(params, os.path.join(out_dir, f"{tag}.manifest.json"),
                       os.path.join(out_dir, f"{tag}.blob.bin"))
 
@@ -315,8 +317,7 @@ def rollout(model, ds: RolloutDataset, stats: P.NormStats, rollout_idx: int,
     for step in range(n_steps):
         t = H - 1 + step
         x = P.assemble_inputs(ph, qh, ds.attributes, stats)
-        state = P.SystemState(ph[0], qh[0], ds.attributes, ds.material_ids, t)
-        graph = P.build_neighbor_graph(state, model.cfg.radius)
+        graph = P.build_neighbor_graph(ph[0], model.cfg.radius)
         q_hat = P.denormalize_velocity(
             model.forward(x, graph.receivers, graph.senders, ds.material_ids).data, stats)
         if not np.isfinite(q_hat).all():

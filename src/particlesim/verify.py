@@ -245,10 +245,8 @@ def run_neighbor_suite(n_configs: int = 50, max_n: int = 1024, seed: int = 0) ->
         n = int(rng.integers(2, max_n + 1))
         p = rng.uniform(0.0, 1.0, size=(n, 3))
         radius = float(rng.uniform(0.02, np.sqrt(3.0)))
-        state = P.SystemState(p, np.zeros_like(p), np.zeros((n, 1)),
-                              np.zeros(n, dtype=np.int64))
-        fast = P.build_neighbor_graph(state, radius)
-        slow = P.brute_force_neighbor_graph(state, radius)
+        fast = P.build_neighbor_graph(p, radius)
+        slow = P.brute_force_neighbor_graph(p, radius)
         if not (np.array_equal(fast.receivers, slow.receivers)
                 and np.array_equal(fast.senders, slow.senders)):
             return False

@@ -1,16 +1,21 @@
 """Command-line interface: subcommand pipeline, config overrides, and exit
 codes (0 ok, 2 bad arguments, 3 verification failure, 5 i/o error)."""
 
+import argparse
 import json
 import os
 import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from particlesim import tensor as T
-from particlesim.cli import main, load_config, BadConfig, build_parser
+from particlesim.cli import main, load_config, BadConfig, build_parser, _restore_model
+from particlesim.training import dataset_norm_stats, one_step_eval
+from particlesim.worlds import read_dataset
 
 
 SMALL_DATA = [
@@ -31,6 +36,25 @@ SMALL_TRAIN = [
     "--set", "train.batch_size=2",
     "--set", "train.valid_samples=2",
 ]
+
+
+# the options each subcommand's cmd_* reads, and no others
+OPTIONS = {
+    "gen-data": {"--config", "--set", "--out"},
+    "train": {"--config", "--set", "--out", "--data", "--seed", "--precision", "--backbone",
+              "--normalized-attention", "--abstract-particles", "--radius", "--history"},
+    "eval": {"--out", "--data", "--model-dir", "--samples"},
+    "rollout": {"--out", "--data", "--model-dir", "--steps", "--count"},
+    "bench": {"--config", "--set", "--out"},
+    "verify": {"--fast"},
+}
+
+
+def readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("particlesim ")]
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +111,21 @@ class TestConfig:
         with pytest.raises(BadConfig):
             load_config(args)
 
+    def test_each_subcommand_declares_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                           for s in a.option_strings}
+                    for name, p in sub.choices.items()}
+        assert declared == OPTIONS
+        assert sum(len(v) for v in declared.values()) == 27
+
+    def test_readme_commands_parse(self):
+        commands = readme_cli_commands()
+        assert {argv[0] for argv in commands} == set(OPTIONS)
+        for argv in commands:
+            build_parser().parse_args(argv)
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_bad_args(self, capsys):
@@ -104,13 +143,36 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("override", ["model.heads=0", "model.d=0", "model.history=0"])
+    @pytest.mark.parametrize("override", ["model.heads=0", "model.d=0", "model.history=0",
+                                          "model.blocks=0"])
     def test_non_positive_model_size_is_bad_args(self, tmp_path, capsys, pipeline_dir,
                                                   override):
         code = main(["train", "--out", str(tmp_path / "m"),
                      "--data", str(pipeline_dir / "data" / "dataset"), "--set", override])
         assert code == 2
         assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+    def test_unknown_precision_is_bad_args(self, tmp_path, capsys, pipeline_dir):
+        code = main(["train", "--out", str(tmp_path / "m"),
+                     "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--set", "model.precision=f16"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "precision" in err and "f32" in err and "f64" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["gen-data", "--out", "x", "--seed", "3"], "--seed"),
+        (["eval", "--out", "x", "--data", "d", "--model-dir", "m", "--precision", "f64"],
+         "--precision"),
+        (["rollout", "--out", "x", "--data", "d", "--model-dir", "m", "--set", "model.d=8"],
+         "--set"),
+        (["bench", "--out", "x", "--backbone", "gnn"], "--backbone"),
+        (["verify", "--radius", "0.2"], "--radius"),
+        (["train", "--out", "x", "--data", "d", "--set", "model.d_in=9"], "d_in"),
+    ], ids=["gen-data", "eval", "rollout", "bench", "verify", "train"])
+    def test_value_the_command_would_drop_is_bad_args(self, capsys, argv, named):
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_key_in_saved_model_config_is_bad_args(self, tmp_path, capsys,
                                                             pipeline_dir):
@@ -178,6 +240,13 @@ class TestExitCodes:
         assert self.eval_copied_model(tmp_path, pipeline_dir, drop_size) == 5
         assert "total_bytes" in capsys.readouterr().err
 
+    def test_model_dir_without_norm_stats_is_io_error(self, tmp_path, capsys, pipeline_dir):
+        def drop_stats(man, blob):
+            os.remove(man.parent / "norm_stats.json")
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, drop_stats) == 5
+        assert "norm_stats.json" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_gen_data_artifacts(self, pipeline_dir):
@@ -192,6 +261,7 @@ class TestPipeline:
         assert (model / "config.json").exists()
         assert (model / "history.csv").exists()
         assert (model / "final.manifest.json").exists()
+        assert (model / "norm_stats.json").exists()
         lines = (model / "history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,valid_loss,lr"
         assert len(lines) == 2  # header + 1 epoch
@@ -207,6 +277,21 @@ class TestPipeline:
         report = json.loads((out / "report.json").read_text())
         assert np.isfinite(report["one_step"]["m3se_mean"])
         assert np.isfinite(report["constant_velocity_baseline"]["m3se_mean"])
+
+    def test_eval_normalizes_with_the_training_stats(self, tmp_path, pipeline_dir, capsys):
+        other = tmp_path / "other"
+        assert main(["gen-data", "--out", str(other), "--set", "dataset.seed=1"]
+                    + SMALL_DATA) == 0
+        out = tmp_path / "eval"
+        assert main(["eval", "--out", str(out), "--data", str(other / "dataset"),
+                     "--model-dir", str(pipeline_dir / "model"), "--samples", "4"]) == 0
+        capsys.readouterr()
+        ds = read_dataset(other / "dataset")
+        model = _restore_model(pipeline_dir / "model", ds)[0]
+        train_stats = dataset_norm_stats(read_dataset(pipeline_dir / "data" / "dataset"))
+        expected = one_step_eval(model, ds, train_stats, max_samples=4, seed=0).to_json()
+        report = json.loads((out / "report.json").read_text())
+        assert report["one_step"] == json.loads(json.dumps(expected))
 
     def test_rollout(self, pipeline_dir, capsys):
         out = pipeline_dir / "rollout"

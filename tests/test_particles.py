@@ -1,5 +1,4 @@
-"""Interaction window, neighbor search (spatial hash vs brute force), and
-input normalization."""
+"""Neighbor search (spatial hash vs brute force) and input normalization."""
 
 import warnings
 
@@ -8,62 +7,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from particlesim import particles as P
-from particlesim.particles import (SystemState, InputError, window,
-                                   build_neighbor_graph, brute_force_neighbor_graph)
-
-
-def make_state(positions):
-    positions = np.asarray(positions, dtype=np.float64)
-    n = positions.shape[0]
-    return SystemState(positions, np.zeros_like(positions), np.zeros((n, 1)),
-                       np.zeros(n, dtype=np.int64))
-
-
-class TestWindow:
-    def test_inside_and_outside(self):
-        assert window([0, 0, 0], [0.05, 0, 0], 0.08) == 1
-        assert window([0, 0, 0], [0.1, 0, 0], 0.08) == 0
-
-    def test_boundary_is_strict(self):
-        assert window([0, 0, 0], [0.08, 0, 0], 0.08) == 0
-
-    def test_self_distance(self):
-        assert window([1, 2, 3], [1, 2, 3], 0.01) == 1
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InputError):
-            window([0, 0, 0], [1, 0, 0], 0.0)
-        with pytest.raises(InputError):
-            window([np.nan, 0, 0], [1, 0, 0], 0.1)
+from particlesim.particles import (InputError, build_neighbor_graph,
+                                   brute_force_neighbor_graph)
 
 
 class TestNeighborGraph:
     def test_collinear_chain(self):
-        state = make_state([[0.0, 0, 0], [0.05, 0, 0], [0.10, 0, 0]])
-        g = build_neighbor_graph(state, 0.08)
+        p = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.10, 0, 0]])
+        g = build_neighbor_graph(p, 0.08)
         assert g.pair_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("search", [build_neighbor_graph, brute_force_neighbor_graph],
+                             ids=["hash", "brute_force"])
+    def test_boundary_is_strict(self, search):
+        # exactly one radius apart: no pair
+        assert search(np.array([[0.0, 0, 0], [0.08, 0, 0]]), 0.08).n_pairs == 0
 
     def test_sorted_by_receiver_then_sender(self):
         rng = np.random.default_rng(0)
-        state = make_state(rng.uniform(0, 0.3, size=(40, 3)))
-        g = build_neighbor_graph(state, 0.1)
+        g = build_neighbor_graph(rng.uniform(0, 0.3, size=(40, 3)), 0.1)
         keys = list(zip(g.receivers.tolist(), g.senders.tolist()))
         assert keys == sorted(keys)
 
     def test_no_self_pairs_and_symmetry(self):
         rng = np.random.default_rng(1)
-        state = make_state(rng.uniform(0, 0.5, size=(60, 3)))
-        g = build_neighbor_graph(state, 0.15)
+        g = build_neighbor_graph(rng.uniform(0, 0.5, size=(60, 3)), 0.15)
         pairs = g.pair_set()
         assert all(i != j for i, j in pairs)
         assert all((j, i) in pairs for i, j in pairs)
 
     def test_matches_brute_force_256(self):
         rng = np.random.default_rng(2)
-        state = make_state(rng.uniform(0, 1, size=(256, 3)))
+        p = rng.uniform(0, 1, size=(256, 3))
         for radius in (0.05, 0.12, 0.3):
-            fast = build_neighbor_graph(state, radius)
-            slow = brute_force_neighbor_graph(state, radius)
+            fast = build_neighbor_graph(p, radius)
+            slow = brute_force_neighbor_graph(p, radius)
             assert np.array_equal(fast.receivers, slow.receivers)
             assert np.array_equal(fast.senders, slow.senders)
 
@@ -72,9 +50,9 @@ class TestNeighborGraph:
            radius=st.floats(0.02, 0.8))
     def test_matches_brute_force_property(self, n, seed, radius):
         rng = np.random.default_rng(seed)
-        state = make_state(rng.uniform(0, 1, size=(n, 3)))
-        fast = build_neighbor_graph(state, radius)
-        slow = brute_force_neighbor_graph(state, radius)
+        p = rng.uniform(0, 1, size=(n, 3))
+        fast = build_neighbor_graph(p, radius)
+        slow = brute_force_neighbor_graph(p, radius)
         assert fast.pair_set() == slow.pair_set()
 
     @settings(max_examples=15, deadline=None)
@@ -83,25 +61,22 @@ class TestNeighborGraph:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 0.4, size=(30, 3))
         perm = rng.permutation(30)
-        g = build_neighbor_graph(make_state(pos), 0.1)
-        gp = build_neighbor_graph(make_state(pos[perm]), 0.1)
+        g = build_neighbor_graph(pos, 0.1)
+        gp = build_neighbor_graph(pos[perm], 0.1)
         inv = np.argsort(perm)
         expected = {(inv[i], inv[j]) for i, j in g.pair_set()}
         assert gp.pair_set() == expected
 
     def test_empty_graph(self):
-        state = make_state([[0.0, 0, 0], [10.0, 0, 0]])
-        g = build_neighbor_graph(state, 0.1)
+        g = build_neighbor_graph(np.array([[0.0, 0, 0], [10.0, 0, 0]]), 0.1)
         assert g.n_pairs == 0
         assert g.receivers.dtype == np.int64
 
     def test_invalid_inputs(self):
-        state = make_state([[0.0, 0, 0]])
         with pytest.raises(InputError):
-            build_neighbor_graph(state, -1.0)
-        bad = make_state([[np.inf, 0, 0], [0, 0, 0]])
+            build_neighbor_graph(np.zeros((1, 3)), -1.0)
         with pytest.raises(InputError):
-            build_neighbor_graph(bad, 0.1)
+            build_neighbor_graph(np.array([[np.inf, 0, 0], [0, 0, 0]]), 0.1)
 
 
 class TestIntegration:
@@ -169,6 +144,13 @@ class TestNormalization:
         assert np.allclose(x[:, 6:9], pn1)
         assert np.allclose(x[:, 9:12], qn1)
         assert np.allclose(x[:, 12:], P.normalize_attributes(attrs, stats))
+
+    def test_malformed_norm_stats_file_raises_os_error(self, tmp_path):
+        path = tmp_path / "norm_stats.json"
+        for text in ("not json", '{"mean": [0.0]}'):
+            path.write_text(text)
+            with pytest.raises(OSError, match="norm_stats.json"):
+                P.load_norm_stats(path)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):

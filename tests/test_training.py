@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from particlesim import tensor as T
+from particlesim import particles as P
 from particlesim.tensor import Tensor, Tape
 from particlesim.nn import ModelConfig
 from particlesim.attention import build_model
@@ -191,6 +192,13 @@ class TestFit:
         assert (tmp_path / "final.manifest.json").exists()
         assert (tmp_path / "final.blob.bin").exists()
 
+    def test_norm_stats_file_round_trips_bit_exactly(self, shared_dataset, tmp_path):
+        model = build_model(tiny_config(), seed=0)
+        _, stats = fit(model, shared_dataset, TrainConfig(epochs=0), out_dir=tmp_path)
+        loaded = P.load_norm_stats(tmp_path / "norm_stats.json")
+        assert loaded.mean.tobytes() == stats.mean.tobytes()
+        assert loaded.std.tobytes() == stats.std.tobytes()
+
     def test_divergence_raises_and_saves_last_good(self, shared_dataset, tmp_path):
         class ExplodingModel:
             def __init__(self, inner):
@@ -213,6 +221,7 @@ class TestFit:
         with pytest.raises(DivergenceError):
             fit(model, shared_dataset, cfg, out_dir=tmp_path)
         assert (tmp_path / "last_good.manifest.json").exists()
+        assert (tmp_path / "norm_stats.json").exists()
 
 
 class TestEvaluation:
