@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .nn import ModelConfig, BACKBONES
+from .nn import ModelConfig, BACKBONES, check_field_types
 from . import particles as P
 from .worlds import (WorldSpec, RolloutDataset, generate_dataset, write_dataset,
                      read_dataset, MetadataError, TruncationError, ChecksumError)
@@ -168,7 +168,8 @@ def snapshot_config(config: dict, out_dir):
 
 
 def _model_config(mcfg: dict, ds: RolloutDataset) -> ModelConfig:
-    model_cfg = ModelConfig(**mcfg, d_in=P.input_dim(int(mcfg.get("history", 1)), ds.d_a))
+    check_field_types(ModelConfig, mcfg)  # before history enters d_in
+    model_cfg = ModelConfig(**mcfg, d_in=P.input_dim(mcfg.get("history", 1), ds.d_a))
     if model_cfg.n_abstract not in (0, ds.spec.k):
         raise BadConfig(f"n_abstract must be 0 or the material count {ds.spec.k}")
     if model_cfg.n_abstract and model_cfg.backbone == "gnn":
@@ -192,8 +193,8 @@ def cmd_train(args) -> int:
     config = load_config(args)
     ds = read_dataset(args.data)
     model_cfg = _model_config(config["model"], ds)
-    model = build_model(model_cfg, seed=int(config["train"].get("seed", 0)))
     train_cfg = TrainConfig(**config["train"])
+    model = build_model(model_cfg, seed=train_cfg.seed)
     snapshot_config(config, args.out)
     history, _stats = fit(model, ds, train_cfg, out_dir=args.out)
     if history:

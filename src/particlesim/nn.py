@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +13,19 @@ from .tensor import Tensor
 
 BACKBONES = ("gnn", "vanilla", "tie")
 OUT_DIM = 3  # the decoder predicts one velocity per particle
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def check_field_types(cls, values: dict) -> None:
+    """Raise ValueError naming the first key of `values` whose value does not
+    fit the annotation of the dataclass field of that name (config files and
+    --set overrides arrive as untyped JSON).  A bool is not a number here."""
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        kind = _FIELD_TYPES.get(annotations.get(name))
+        if kind and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
+            raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
 
 
 @dataclass
@@ -30,6 +45,7 @@ class ModelConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        check_field_types(ModelConfig, vars(self))
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}")
         if self.precision not in T.DTYPES:

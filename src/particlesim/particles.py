@@ -1,5 +1,5 @@
-"""Particle system state, fixed-radius neighbor search via a uniform spatial
-hash, velocity integration, and dataset normalization statistics."""
+"""Particle system state, fixed-radius neighbor search by a sorted cell list,
+velocity integration, and dataset normalization statistics."""
 
 from __future__ import annotations
 
@@ -46,49 +46,58 @@ def _sort_pairs(recv: np.ndarray, send: np.ndarray):
     return recv[order], send[order]
 
 
-def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
-    """All directed pairs (i, j), i != j, with ||p_i - p_j|| < radius.
-
-    Uses a uniform spatial hash with cell size = radius; the result is
-    identical to the O(N^2) scan and sorted by (receiver, sender).
-    """
+def _check_search_inputs(positions: np.ndarray, radius: float):
     if radius <= 0:
         raise InputError(f"radius must be positive, got {radius}")
     if not np.isfinite(positions).all():
-        raise InputError("non-finite positions in build_neighbor_graph")
+        raise InputError("non-finite positions in neighbor search")
+
+
+# (dx, dy) of the 9 cell columns around a cell; each column spans dz = -1..1
+_COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
+
+
+def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
+    """All directed pairs (i, j), i != j, with ||p_i - p_j|| < radius.
+
+    A sorted cell list with cell size = radius.  Particles are sorted by cell
+    key; the 27 cells around a particle are 9 runs of consecutive keys, found
+    by `searchsorted`; the candidates in them are filtered by distance.  On
+    each axis the cell index c = floor(p / radius) is replaced by its rank
+    among the distinct values of {c - 1, c, c + 1}: adjacent cells keep ranks
+    one apart, and every rank is below 3N, so the int64 key is exact however
+    far apart the particles are (for N up to about 700k).  The result equals
+    `brute_force_neighbor_graph` element for element: int64 arrays sorted by
+    (receiver, sender).
+    """
+    _check_search_inputs(positions, radius)
     n = positions.shape[0]
-    cells = np.floor(positions / radius).astype(np.int64)
-    grid: dict[tuple, list] = {}
-    for i in range(n):
-        grid.setdefault(tuple(cells[i]), []).append(i)
-    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    recv_chunks = []
-    send_chunks = []
-    for i in range(n):
-        cx, cy, cz = cells[i]
-        cand: list[int] = []
-        for dx, dy, dz in offsets:
-            cand.extend(grid.get((cx + dx, cy + dy, cz + dz), ()))
-        cand = np.asarray(cand, dtype=np.int64)
-        d = positions[cand] - positions[i]
-        close = cand[(np.einsum("ij,ij->i", d, d) < radius * radius) & (cand != i)]
-        if close.size:
-            recv_chunks.append(np.full(close.size, i, dtype=np.int64))
-            send_chunks.append(close)
-    if recv_chunks:
-        recv = np.concatenate(recv_chunks)
-        send = np.concatenate(send_chunks)
-        recv, send = _sort_pairs(recv, send)
-    else:
-        recv = np.empty(0, dtype=np.int64)
-        send = np.empty(0, dtype=np.int64)
+    cells = np.floor(positions / radius)
+    ranks, sizes = [], []
+    for c in cells.T:
+        axis = np.unique(np.concatenate([c - 1, c, c + 1]))
+        ranks.append(np.searchsorted(axis, c))
+        sizes.append(axis.size)
+    strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
+    keys = np.stack(ranks, axis=1) @ strides
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    # row k: the keys of column k around each particle, in key order (sorted)
+    column_keys = (_COLUMNS @ strides[:2])[:, None] + sorted_keys
+    first = np.searchsorted(sorted_keys, column_keys - 1, "left").ravel()
+    count = np.searchsorted(sorted_keys, column_keys + 1, "right").ravel() - first
+    ends = np.cumsum(count)
+    recv = order[np.repeat(np.tile(np.arange(n), len(_COLUMNS)), count)]
+    send = order[np.arange(ends[-1] if n else 0) + np.repeat(first - ends + count, count)]
+    d = positions[recv] - positions[send]
+    close = (np.einsum("ij,ij->i", d, d) < radius * radius) & (recv != send)
+    recv, send = _sort_pairs(recv[close], send[close])
     return NeighborGraph(recv, send, radius)
 
 
 def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
-    """O(N^2) reference scan used as the oracle for the spatial hash."""
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
+    """O(N^2) reference scan used as the oracle for the cell list."""
+    _check_search_inputs(positions, radius)
     diff = positions[:, None, :] - positions[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     mask = dist2 < radius * radius

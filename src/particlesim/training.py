@@ -13,6 +13,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, Tape
 from . import particles as P
+from .nn import check_field_types
 from .worlds import RolloutDataset, write_rollout_file
 
 
@@ -97,6 +98,7 @@ class TrainConfig:
     improvement_tol: float = 1e-6
 
     def __post_init__(self):
+        check_field_types(TrainConfig, vars(self))
         if self.lr <= 0 or not (0 < self.lr_decay < 1) or self.patience <= 0:
             raise ValueError("invalid training hyperparameters")
         if self.batch_size <= 0 or self.epochs < 0:

@@ -239,12 +239,30 @@ def run_gradient_suite(blocks: int = 2, heads: int = 2, d: int = 16, n: int = 8,
     return gradient_check(model, x, recv, send, material_ids, target)
 
 
-def run_neighbor_suite(n_configs: int = 50, max_n: int = 1024, seed: int = 0) -> bool:
+def _neighbor_edge_cases(seed: int = 0) -> list[tuple[np.ndarray, float]]:
+    """(positions, radius) cases that uniform draws in the unit cube miss."""
     rng = np.random.default_rng(seed)
+    cluster = rng.uniform(0.0, 1.0, size=(64, 3))
+    outliers = np.array([[1e11, 0.0, 0.0], [1e11, 0.05, 0.0], [-1e11, 1e11, -1e11]])
+    return [
+        (rng.uniform(-7.0, -5.0, size=(96, 3)) + [0.0, 3.0, -40.0], 0.3),  # negative, off-origin
+        (np.repeat(cluster[:16], 4, axis=0), 0.2),  # coincident particles
+        (rng.integers(-6, 7, size=(96, 3)) * 0.05, 0.1),  # on cell faces, pairs at exactly r
+        (np.concatenate([cluster, outliers]), 0.1),  # 1e12 radii apart: int64 key range
+        (np.empty((0, 3)), 0.1),
+        (cluster[:1], 0.1),
+    ]
+
+
+def run_neighbor_suite(n_configs: int = 50, max_n: int = 1024, seed: int = 0) -> bool:
+    """The cell list equals the O(N^2) scan, order included, on random
+    configurations and on `_neighbor_edge_cases`."""
+    rng = np.random.default_rng(seed)
+    cases = _neighbor_edge_cases(seed)
     for _ in range(n_configs):
         n = int(rng.integers(2, max_n + 1))
-        p = rng.uniform(0.0, 1.0, size=(n, 3))
-        radius = float(rng.uniform(0.02, np.sqrt(3.0)))
+        cases.append((rng.uniform(0.0, 1.0, size=(n, 3)), float(rng.uniform(0.02, np.sqrt(3.0)))))
+    for p, radius in cases:
         fast = P.build_neighbor_graph(p, radius)
         slow = P.brute_force_neighbor_graph(p, radius)
         if not (np.array_equal(fast.receivers, slow.receivers)
@@ -268,5 +286,5 @@ def run_all(fast: bool = False) -> list[tuple[str, bool, str]]:
                               n=6 if fast else 8)
     results.append(("gradient check", gerr <= 1e-4, f"max relative error {gerr:.3e}"))
     ok = run_neighbor_suite(n_configs=10 if fast else 50, max_n=256 if fast else 1024)
-    results.append(("neighbor-graph equivalence", ok, "pair sets equal" if ok else "mismatch"))
+    results.append(("neighbor-graph equivalence", ok, "pair arrays equal" if ok else "mismatch"))
     return results

@@ -59,8 +59,8 @@ def test_4_material_metric():
 
 
 def test_5_neighbor_search_equivalence():
-    """Spatial hash equals the O(N^2) scan on 50 random configurations up to
-    N=1024."""
+    """The sorted cell list equals the O(N^2) scan, order included, on 50
+    random configurations up to N=1024 and on the suite's edge cases."""
     ok = V.run_neighbor_suite(n_configs=50, max_n=1024, seed=0)
     print(f"\n[5] neighbor-graph equivalence over 50 configs: {ok}")
     assert ok

@@ -160,6 +160,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "precision" in err and "f32" in err and "f64" in err
 
+    @pytest.mark.parametrize("override", ['model.d="abc"', 'model.radius="x"',
+                                          'model.history="x"', "model.history=1.5",
+                                          "model.normalized_attention=1", 'train.lr="x"',
+                                          "train.seed=true", "train.epochs=2.5"])
+    def test_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, pipeline_dir,
+                                                  override):
+        code = main(["train", "--out", str(tmp_path / "m"),
+                     "--data", str(pipeline_dir / "data" / "dataset"), "--set", override])
+        assert code == 2
+        assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, named", [
         (["gen-data", "--out", "x", "--seed", "3"], "--seed"),
         (["eval", "--out", "x", "--data", "d", "--model-dir", "m", "--precision", "f64"],

@@ -1,4 +1,4 @@
-"""Neighbor search (spatial hash vs brute force) and input normalization."""
+"""Neighbor search (sorted cell list vs brute force) and input normalization."""
 
 import warnings
 
@@ -11,14 +11,26 @@ from particlesim.particles import (InputError, build_neighbor_graph,
                                    brute_force_neighbor_graph)
 
 
+SEARCHES = [build_neighbor_graph, brute_force_neighbor_graph]
+SEARCH_IDS = ["cell_list", "brute_force"]
+
+
+def assert_same_graph(p, radius):
+    fast = build_neighbor_graph(p, radius)
+    slow = brute_force_neighbor_graph(p, radius)
+    assert fast.receivers.dtype == fast.senders.dtype == np.int64
+    assert np.array_equal(fast.receivers, slow.receivers)
+    assert np.array_equal(fast.senders, slow.senders)
+    return fast
+
+
 class TestNeighborGraph:
     def test_collinear_chain(self):
         p = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.10, 0, 0]])
         g = build_neighbor_graph(p, 0.08)
         assert g.pair_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
-    @pytest.mark.parametrize("search", [build_neighbor_graph, brute_force_neighbor_graph],
-                             ids=["hash", "brute_force"])
+    @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
     def test_boundary_is_strict(self, search):
         # exactly one radius apart: no pair
         assert search(np.array([[0.0, 0, 0], [0.08, 0, 0]]), 0.08).n_pairs == 0
@@ -40,20 +52,50 @@ class TestNeighborGraph:
         rng = np.random.default_rng(2)
         p = rng.uniform(0, 1, size=(256, 3))
         for radius in (0.05, 0.12, 0.3):
-            fast = build_neighbor_graph(p, radius)
-            slow = brute_force_neighbor_graph(p, radius)
-            assert np.array_equal(fast.receivers, slow.receivers)
-            assert np.array_equal(fast.senders, slow.senders)
+            assert_same_graph(p, radius)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 80), seed=st.integers(0, 10**6),
            radius=st.floats(0.02, 0.8))
     def test_matches_brute_force_property(self, n, seed, radius):
         rng = np.random.default_rng(seed)
-        p = rng.uniform(0, 1, size=(n, 3))
-        fast = build_neighbor_graph(p, radius)
-        slow = brute_force_neighbor_graph(p, radius)
-        assert fast.pair_set() == slow.pair_set()
+        assert_same_graph(rng.uniform(0, 1, size=(n, 3)), radius)
+
+    def test_negative_off_origin_coordinates(self):
+        rng = np.random.default_rng(8)
+        p = rng.uniform(-0.6, 0.6, size=(120, 3)) + [-35.0, 0.0, 12.5]
+        assert (p[:, 0] < 0).all() and (p[:, 1] < 0).any()
+        assert assert_same_graph(p, 0.15).n_pairs > 0
+
+    def test_coincident_particles(self):
+        p = np.repeat(np.array([[0.2, 0.2, 0.2], [0.25, 0.2, 0.2], [0.9, 0.9, 0.9]]), 3, axis=0)
+        g = assert_same_graph(p, 0.1)
+        # each of the first six sees the other five; the last three see each other
+        assert g.n_pairs == 6 * 5 + 3 * 2
+
+    @pytest.mark.parametrize("radius", [0.1, 0.25])
+    def test_particles_on_cell_faces(self, radius):
+        # coordinates k * radius / 2: every other one is an integer multiple
+        # of the radius, and axis neighbours two steps apart are exactly r away
+        rng = np.random.default_rng(9)
+        p = rng.integers(-5, 6, size=(150, 3)) * (radius / 2)
+        assert assert_same_graph(p, radius).n_pairs > 0
+
+    def test_far_outliers_do_not_overflow_the_key(self):
+        # cells 1e12 apart on every axis: a raw cx*Dy*Dz key exceeds int64;
+        # the last two sit at cell 1e19, past any int64 cell index
+        rng = np.random.default_rng(10)
+        outliers = np.array([[1e11, 1e11, -1e11], [1e11, 1e11 + 0.05, -1e11],
+                             [-1e11, -1e11, 1e11], [1e18, 0.0, 0.0], [1e18, 0.0, 0.0]])
+        p = np.concatenate([rng.uniform(0, 0.5, size=(40, 3)), outliers])
+        g = assert_same_graph(p, 0.1)
+        assert {(40, 41), (41, 40), (43, 44), (44, 43)} <= g.pair_set()
+        assert not any(42 in pair for pair in g.pair_set())
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_systems_have_no_pairs(self, n):
+        g = assert_same_graph(np.full((n, 3), 0.5), 0.1)
+        assert g.n_pairs == 0
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -72,11 +114,15 @@ class TestNeighborGraph:
         assert g.n_pairs == 0
         assert g.receivers.dtype == np.int64
 
-    def test_invalid_inputs(self):
+    @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+    def test_invalid_inputs(self, search):
         with pytest.raises(InputError):
-            build_neighbor_graph(np.zeros((1, 3)), -1.0)
+            search(np.zeros((1, 3)), -1.0)
         with pytest.raises(InputError):
-            build_neighbor_graph(np.array([[np.inf, 0, 0], [0, 0, 0]]), 0.1)
+            search(np.zeros((1, 3)), 0.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(InputError):
+                search(np.array([[bad, 0, 0], [0, 0, 0]]), 0.1)
 
 
 class TestIntegration:

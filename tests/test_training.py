@@ -271,8 +271,37 @@ class TestEvaluation:
         expect = start + shared_dataset.spec.dt * frames[0, :, 3:6].astype(np.float64)
         assert np.allclose(frames[0, :, 0:3], expect, atol=1e-6)
 
+    def test_rollout_is_unchanged_by_the_brute_force_search(self, monkeypatch):
+        # the rollout searches through the module attribute; swapping in the
+        # O(N^2) scan must leave every frame and per-step M3SE byte-identical
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ds = generate_dataset(WorldSpec(kind="box_splash", counts=(200,)), 1, 1, 5, seed=3)
+        model = build_model(tiny_config(), seed=0)
+        stats = dataset_norm_stats(ds)
+        frames, rep = rollout(model, ds, stats, 0, 4)
+        pair_counts = []
+
+        def brute_force(positions, radius):
+            graph = P.brute_force_neighbor_graph(positions, radius)
+            pair_counts.append(graph.n_pairs)
+            return graph
+
+        monkeypatch.setattr(P, "build_neighbor_graph", brute_force)
+        oracle_frames, oracle_rep = rollout(model, ds, stats, 0, 4)
+        assert len(pair_counts) == 4 and min(pair_counts) > 0
+        assert frames.tobytes() == oracle_frames.tobytes()
+        assert np.array(rep.per_step).tobytes() == np.array(oracle_rep.per_step).tobytes()
+
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("kw", [{"lr": "x"}, {"epochs": 2.5}, {"seed": True},
+                                    {"improvement_tol": None}])
+    def test_wrong_type_names_the_key(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            TrainConfig(**kw)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=-1.0)
