@@ -107,8 +107,7 @@ class _AttentionBase:
         return self.dec(T.rows(v, 0, n) if v.data.shape[0] != n else v)
 
     def extend_pairs(self, recv, send, material_ids, n):
-        return attach_abstract_pairs(recv, send, material_ids, n,
-                                     self.cfg.n_abstract, self.cfg.abstract_bidirectional)
+        return attach_abstract_pairs(recv, send, material_ids, n, self.cfg.n_abstract)
 
 
 class ImplicitEdgeModel(_AttentionBase):
@@ -200,7 +199,7 @@ class VanillaTransformer(_AttentionBase):
         return T.pair_attention(q, k, val, index, self.cfg.heads)
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
-                material_ids=None, record=None) -> Tensor:
+                material_ids=None) -> Tensor:
         cfg = self.cfg
         v, index, n = self._encode(x_np, recv, send, material_ids)
         for l in range(cfg.blocks):
@@ -208,8 +207,6 @@ class VanillaTransformer(_AttentionBase):
                 heads = self._attend(v, index, l)
             with T.scope("post"):
                 v = self._post(v, heads, l)
-            if record is not None:
-                record.setdefault("v", []).append(v.data.copy())
         with T.scope("decode"):
             return self._decode(v, n)
 

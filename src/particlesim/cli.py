@@ -74,7 +74,11 @@ DEFAULT_CONFIG = {
     },
 }
 
-_DATASET_EXTRA = {"counts", "train_rollouts", "valid_rollouts", "seed", "n_frames"}
+# value types of the dataset keys that are not WorldSpec fields, and of the bench keys
+_DATASET_EXTRA = {"train_rollouts": "int", "valid_rollouts": "int", "seed": "int",
+                  "n_frames": "int"}
+_BENCH_TYPES = {"n": "int", "e_values": "tuple[int, ...]", "d": "int", "blocks": "int",
+                "heads": "int", "trials": "int"}
 _WORLD_FIELDS = {f.name for f in dataclasses.fields(WorldSpec)}
 # d_in is derived from the dataset (`_model_config`), so a config may not set it
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)} - {"d_in"}
@@ -100,7 +104,7 @@ def _validate(config: dict):
         if key not in DEFAULT_CONFIG:
             raise BadConfig(f"unknown config section {key!r}")
     for key in config.get("dataset", {}):
-        if key not in _WORLD_FIELDS | _DATASET_EXTRA:
+        if key not in _WORLD_FIELDS | _DATASET_EXTRA.keys():
             raise BadConfig(f"unknown dataset key {key!r}")
     for key in config.get("model", {}):
         if key not in _MODEL_FIELDS:
@@ -109,8 +113,10 @@ def _validate(config: dict):
         if key not in _TRAIN_FIELDS:
             raise BadConfig(f"unknown train key {key!r}")
     for key in config.get("bench", {}):
-        if key not in DEFAULT_CONFIG["bench"]:
+        if key not in _BENCH_TYPES:
             raise BadConfig(f"unknown bench key {key!r}")
+    check_field_types(_DATASET_EXTRA, config.get("dataset", {}))
+    check_field_types(_BENCH_TYPES, config.get("bench", {}))
 
 
 def _parse_override(text: str):
@@ -181,8 +187,8 @@ def cmd_gen_data(args) -> int:
     config = load_config(args)
     dscfg = config["dataset"]
     spec = WorldSpec(**{k: v for k, v in dscfg.items() if k in _WORLD_FIELDS})
-    ds = generate_dataset(spec, int(dscfg["train_rollouts"]), int(dscfg["valid_rollouts"]),
-                          int(dscfg["n_frames"]), seed=int(dscfg.get("seed", 0)))
+    ds = generate_dataset(spec, dscfg["train_rollouts"], dscfg["valid_rollouts"],
+                          dscfg["n_frames"], seed=dscfg.get("seed", 0))
     snapshot_config(config, args.out)
     write_dataset(ds, os.path.join(args.out, "dataset"))
     print(f"wrote {len(ds.train)} train / {len(ds.valid)} valid rollouts to {args.out}/dataset")
@@ -258,11 +264,10 @@ def cmd_bench(args) -> int:
     profiles = []
     mismatch = False
     for backbone in ("tie", "vanilla", "gnn"):
-        cfg = ModelConfig(backbone=backbone, d_in=9, d=int(bcfg["d"]),
-                          heads=int(bcfg["heads"]), blocks=int(bcfg["blocks"]),
-                          normalized_attention=True, precision="f32")
+        cfg = ModelConfig(backbone=backbone, d_in=9, d=bcfg["d"], heads=bcfg["heads"],
+                          blocks=bcfg["blocks"], normalized_attention=True, precision="f32")
         for e in bcfg["e_values"]:
-            prof = B.time_iteration(cfg, int(bcfg["n"]), int(e), trials=int(bcfg["trials"]))
+            prof = B.time_iteration(cfg, bcfg["n"], e, trials=bcfg["trials"])
             profiles.append(prof)
             print(f"{backbone:8s} N={prof.n} E={prof.e} macs={prof.measured_macs} "
                   f"wall={prof.wall_ms_median:.2f}ms")

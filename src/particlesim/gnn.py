@@ -1,12 +1,12 @@
-"""Explicit-edge message-passing baseline and the linear edge recursion used
-as the exactness oracle for the implicit-edge attention model.
+"""Explicit-edge message-passing baseline, and the linear edge recursion
+that the implicit-edge identity oracle checks the attention model against.
 
 Each round updates edges from (receiver node, sender node, previous edge),
-then nodes from the sum of their incoming edges.  In linear mode every map
-is a single bias-free matrix and the edge-update weight is partitioned into
-three square blocks [W_r | W_s | W_m], which makes the edge features an
-exact linear recursion that the attention model's receiver/sender tokens
-must reproduce pair-by-pair.
+then nodes from the sum of their incoming edges.  With bias-free linear maps
+and the edge-update weight partitioned into three square blocks
+[W_r | W_s | W_m], the edge features follow an exact linear recursion,
+`expand_edge_linear`; the attention model's receiver/sender tokens must
+reproduce it pair by pair (`verify.implicit_edge_deviation`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp, LinearMap
+from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp
 
 
 class ExplicitEdgeGnn:
@@ -25,26 +25,17 @@ class ExplicitEdgeGnn:
         self.cfg = cfg
         self.store = ParamStore(cfg.precision, seed)
         d, din, hid = cfg.d, cfg.d_in, cfg.mlp_hidden
-        if cfg.linear_mode:
-            # encoders: node = identity (d_in == d), edge = [W0_r | W0_s]
-            self.enc_e_w = self.store.weight("enc_e.w", (2 * din, d))
-            self.prop_e_w = [self.store.weight(f"block{l}.prop_e.w", (3 * d, d))
-                             for l in range(cfg.blocks)]
-            self.prop_v_w = [self.store.weight(f"block{l}.prop_v.w", (2 * d, d))
-                             for l in range(cfg.blocks)]
-            self.dec = LinearMap(self.store, "dec.w", d, OUT_DIM)
-        else:
-            self.enc_v = Mlp(self.store, "enc_v", din, hid, d)
-            self.enc_e = Mlp(self.store, "enc_e", 2 * din, hid, d)
-            self.prop_e = [Mlp(self.store, f"block{l}.prop_e", 3 * d, hid, d)
-                           for l in range(cfg.blocks)]
-            self.prop_v = [Mlp(self.store, f"block{l}.prop_v", 2 * d, hid, d)
-                           for l in range(cfg.blocks)]
-            self.ln_e_gain = [self.store.ones(f"block{l}.ln_e.gain", (d,)) for l in range(cfg.blocks)]
-            self.ln_e_shift = [self.store.zeros(f"block{l}.ln_e.shift", (d,)) for l in range(cfg.blocks)]
-            self.ln_v_gain = [self.store.ones(f"block{l}.ln_v.gain", (d,)) for l in range(cfg.blocks)]
-            self.ln_v_shift = [self.store.zeros(f"block{l}.ln_v.shift", (d,)) for l in range(cfg.blocks)]
-            self.dec = Mlp(self.store, "dec", d, hid, OUT_DIM)
+        self.enc_v = Mlp(self.store, "enc_v", din, hid, d)
+        self.enc_e = Mlp(self.store, "enc_e", 2 * din, hid, d)
+        self.prop_e = [Mlp(self.store, f"block{l}.prop_e", 3 * d, hid, d)
+                       for l in range(cfg.blocks)]
+        self.prop_v = [Mlp(self.store, f"block{l}.prop_v", 2 * d, hid, d)
+                       for l in range(cfg.blocks)]
+        self.ln_e_gain = [self.store.ones(f"block{l}.ln_e.gain", (d,)) for l in range(cfg.blocks)]
+        self.ln_e_shift = [self.store.zeros(f"block{l}.ln_e.shift", (d,)) for l in range(cfg.blocks)]
+        self.ln_v_gain = [self.store.ones(f"block{l}.ln_v.gain", (d,)) for l in range(cfg.blocks)]
+        self.ln_v_shift = [self.store.zeros(f"block{l}.ln_v.shift", (d,)) for l in range(cfg.blocks)]
+        self.dec = Mlp(self.store, "dec", d, hid, OUT_DIM)
 
     def params(self) -> dict[str, Tensor]:
         return self.store.params()
@@ -56,12 +47,11 @@ class ExplicitEdgeGnn:
 
     def encode(self, x: Tensor, recv: np.ndarray, send: np.ndarray):
         with T.scope("encode_node"):
-            v = x if self.cfg.linear_mode else self.enc_v(x)
+            v = self.enc_v(x)
         with T.scope("encode_edge"):
             xi = T.gather_rows(x, recv)
             xj = T.gather_rows(x, send)
-            pair_in = T.concat([xi, xj], axis=1)
-            e = T.matmul(pair_in, self.enc_e_w) if self.cfg.linear_mode else self.enc_e(pair_in)
+            e = self.enc_e(T.concat([xi, xj], axis=1))
         return v, e
 
     def propagate(self, v: Tensor, e: Tensor, recv: np.ndarray, send: np.ndarray,
@@ -71,59 +61,26 @@ class ExplicitEdgeGnn:
             vi = T.gather_rows(v, recv)
             vj = T.gather_rows(v, send)
             edge_in = T.concat([vi, vj, e], axis=1)
-            if self.cfg.linear_mode:
-                e_new = T.matmul(edge_in, self.prop_e_w[layer])
-            else:
-                e_new = T.layer_norm(self.prop_e[layer](edge_in),
-                                     self.ln_e_gain[layer], self.ln_e_shift[layer])
+            e_new = T.layer_norm(self.prop_e[layer](edge_in),
+                                 self.ln_e_gain[layer], self.ln_e_shift[layer])
         with T.scope("node_update"):
             agg = T.segment_sum(e_new, recv, n)
             node_in = T.concat([v, agg], axis=1)
-            if self.cfg.linear_mode:
-                v_new = T.matmul(node_in, self.prop_v_w[layer])
-            else:
-                v_new = T.layer_norm(self.prop_v[layer](node_in),
-                                     self.ln_v_gain[layer], self.ln_v_shift[layer])
+            v_new = T.layer_norm(self.prop_v[layer](node_in),
+                                 self.ln_v_gain[layer], self.ln_v_shift[layer])
         return v_new, e_new
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
-                material_ids=None, record=None) -> Tensor:
-        """Predict per-particle velocities (normalized units).
-
-        `record`, if a dict, receives the node trajectory ("v", list of arrays
-        entering each layer) and edge features ("e") for oracle tests.
-        """
+                material_ids=None) -> Tensor:
+        """Predict per-particle velocities (normalized units)."""
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[self.cfg.precision]))
         with T.scope("encode"):
             v, e = self.encode(x, recv, send)
-        if record is not None:
-            record["v"] = [v.data.copy()]
-            record["e"] = [e.data.copy()]
         for l in range(self.cfg.blocks):
             with T.scope("propagate"):
                 v, e = self.propagate(v, e, recv, send, l)
-            if record is not None:
-                record["v"].append(v.data.copy())
-                record["e"].append(e.data.copy())
         with T.scope("decode"):
             return self.dec(v)
-
-    # -- linear-mode block views -------------------------------------------
-
-    def edge_weight_blocks(self, layer: int):
-        """Square blocks (W_r, W_s, W_m) of the layer's edge-update matrix."""
-        if not self.cfg.linear_mode:
-            raise T.ContractError("edge weight blocks exist only in linear mode")
-        d = self.cfg.d
-        w = self.prop_e_w[layer].data
-        return w[:d], w[d:2 * d], w[2 * d:]
-
-    def encoder_weight_blocks(self):
-        if not self.cfg.linear_mode:
-            raise T.ContractError("encoder weight blocks exist only in linear mode")
-        din = self.cfg.d_in
-        w = self.enc_e_w.data
-        return w[:din], w[din:]
 
 
 def expand_edge_linear(w0_r: np.ndarray, w0_s: np.ndarray,

@@ -17,15 +17,25 @@ OUT_DIM = 3  # the decoder predicts one velocity per particle
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
-def check_field_types(cls, values: dict) -> None:
+def _fits(value, annotation: str) -> bool:
+    if annotation.startswith("tuple["):  # tuple[<item>, ...]; JSON gives lists
+        item = annotation[len("tuple["):-len(", ...]")]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    kind = _FIELD_TYPES[annotation]
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def check_field_types(fields, values: dict) -> None:
     """Raise ValueError naming the first key of `values` whose value does not
-    fit the annotation of the dataclass field of that name (config files and
-    --set overrides arrive as untyped JSON).  A bool is not a number here."""
-    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    fit its annotation (config files and --set overrides arrive as untyped
+    JSON).  `fields` is a dataclass or a {name: annotation} map; keys it does
+    not name are skipped.  Annotations are int, float, bool, str or
+    tuple[<one of those>, ...].  A bool is not a number here."""
+    if not isinstance(fields, dict):
+        fields = {f.name: f.type for f in dataclasses.fields(fields)}
     for name, value in values.items():
-        kind = _FIELD_TYPES.get(annotations.get(name))
-        if kind and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
-            raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
+        if name in fields and not _fits(value, fields[name]):
+            raise ValueError(f"{name} must be {fields[name]}, got {value!r}")
 
 
 @dataclass
@@ -38,7 +48,6 @@ class ModelConfig:
     mlp_hidden: int = 256
     n_abstract: int = 0
     normalized_attention: bool = True
-    abstract_bidirectional: bool = True
     linear_mode: bool = False
     radius: float = 0.08
     history: int = 1
@@ -57,6 +66,8 @@ class ModelConfig:
         if self.d % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
         if self.linear_mode:
+            if self.backbone != "tie":
+                raise ValueError(f"linear_mode requires the tie backbone, got {self.backbone!r}")
             if self.heads != 1:
                 raise ValueError("linear_mode requires a single head")
             if self.d_in != self.d:

@@ -717,22 +717,19 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
 
         alpha_ij = softmax_j(q_i . k_j / sqrt(D)),   out_i = sum_j alpha_ij v_j.
 
-    Receivers without pairs get zero.  When `k is v`, one gather and one
-    sender slot buffer serve both roles.  MACs: the two D-length products
-    per pair (q . k and the aggregate) and the logit scale per pair and head.
+    Receivers without pairs get zero.  MACs: the two D-length products per
+    pair (q . k and the aggregate) and the logit scale per pair and head.
     """
     D = _head_width("pair_attention", index, heads, q, k, v)
-    shared = k is v
     n, d = q.data.shape
     dt = q.data.dtype
     inv_root = dt.type(1.0 / dt.type(np.sqrt(D)))
-    qh, kh = _by_head(q.data, heads), _by_head(k.data, heads)
-    vh = kh if shared else _by_head(v.data, heads)
+    qh, kh, vh = (_by_head(t.data, heads) for t in (q, k, v))
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
     for b in index.recv_buckets:
         kb = kh[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
-        vb = kb if shared else vh[b.senders].transpose(0, 2, 1, 3)
+        vb = vh[b.senders].transpose(0, 2, 1, 3)
         alpha = _slot_softmax(np.matmul(kb, qh[b.rows][..., None])[..., 0] * inv_root, b.valid)
         out[b.rows] = np.matmul(alpha[:, :, None, :], vb)[:, :, 0, :]
         saved.append((kb, vb, alpha))
@@ -741,25 +738,21 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     def bwd(g):
         gh = _by_head(g, heads)
         dq = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: the vector each pair sends back to its sender
+        # per padded slot: the vectors each pair sends back to its sender
         to_k = _slot_buffer(index, heads, D, dt)
-        to_v = to_k if shared else _slot_buffer(index, heads, D, dt)
+        to_v = _slot_buffer(index, heads, D, dt)
         for b, (kb, vb, alpha) in zip(index.recv_buckets, saved):
             gb, qb = gh[b.rows], qh[b.rows]
             dw = np.matmul(vb, gb[..., None])[..., 0]
             t = alpha * (dw - (alpha * dw).sum(axis=2, keepdims=True)) * inv_root
             dq[b.rows] = np.matmul(t[:, :, None, :], kb)[:, :, 0]
-            if shared:  # alpha_ij g_i + t_ij q_i in one product
-                np.matmul(np.stack([alpha, t], axis=3), np.stack([gb, qb], axis=2),
-                          out=_bucket_slots(to_k, b))
-            else:
-                np.matmul(t[..., None], qb[:, :, None, :], out=_bucket_slots(to_k, b))
-                np.matmul(alpha[..., None], gb[:, :, None, :], out=_bucket_slots(to_v, b))
+            np.matmul(t[..., None], qb[:, :, None, :], out=_bucket_slots(to_k, b))
+            np.matmul(alpha[..., None], gb[:, :, None, :], out=_bucket_slots(to_v, b))
         if q.requires_grad:
             q.accumulate_grad(dq.reshape(n, d))
         if k.requires_grad:
             k.accumulate_grad(_sender_sums(index, to_k).reshape(n, d))
-        if not shared and v.requires_grad:
+        if v.requires_grad:
             v.accumulate_grad(_sender_sums(index, to_v).reshape(n, d))
 
     return _record(result, (q, k, v), bwd, macs=2 * index.e * d + index.e * heads)

@@ -46,10 +46,7 @@ def m3se(pred: np.ndarray, target: np.ndarray, material_ids: np.ndarray) -> floa
     ks = np.unique(material_ids)
     total = 0.0
     for k in ks:
-        sel = material_ids == k
-        if not sel.any():
-            raise T.ContractError(f"material class {k} is empty")
-        total += per_particle[sel].mean()
+        total += per_particle[material_ids == k].mean()
     return float(total / len(ks))
 
 
@@ -95,7 +92,6 @@ class TrainConfig:
     steps_per_epoch: int = 100
     valid_samples: int = 64
     seed: int = 0
-    improvement_tol: float = 1e-6
 
     def __post_init__(self):
         check_field_types(TrainConfig, vars(self))
@@ -134,12 +130,15 @@ def dataset_norm_stats(ds: RolloutDataset) -> P.NormStats:
     return P.compute_norm_stats(frames, ds.attributes)
 
 
-def _transitions(ds: RolloutDataset, split: str, history: int):
-    rollouts = getattr(ds, split)
-    out = []
-    for ri, frames in enumerate(rollouts):
-        for t in range(history - 1, frames.shape[0] - 1):
-            out.append((ri, t))
+def _transitions(ds: RolloutDataset, split: str, history: int, limit=None, seed: int = 0):
+    """(rollout, t) of every transition of a split that has `history` frames;
+    with `limit`, a sorted random subset of at most that many, drawn from
+    `seed`."""
+    out = [(ri, t) for ri, frames in enumerate(getattr(ds, split))
+           for t in range(history - 1, frames.shape[0] - 1)]
+    if limit is not None and len(out) > limit:
+        pick = np.random.default_rng(seed).choice(len(out), size=limit, replace=False)
+        out = [out[i] for i in sorted(pick)]
     return out
 
 
@@ -154,7 +153,7 @@ def make_sample(ds: RolloutDataset, frames: np.ndarray, t: int, history: int,
     return x, graph, target
 
 
-def evaluate_loss(model, ds: RolloutDataset, stats, trans, cfg: TrainConfig) -> float:
+def evaluate_loss(model, ds: RolloutDataset, stats, trans) -> float:
     total = 0.0
     for ri, t in trans:
         x, graph, target = make_sample(ds, ds.valid[ri], t, model.cfg.history, stats,
@@ -178,12 +177,8 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
         P.save_norm_stats(stats, os.path.join(out_dir, "norm_stats.json"))
     rng = np.random.default_rng(cfg.seed)
     train_trans = _transitions(ds, "train", model.cfg.history)
-    valid_trans = _transitions(ds, "valid", model.cfg.history)
-    vrng = np.random.default_rng(cfg.seed + 1)
-    if len(valid_trans) > cfg.valid_samples:
-        pick = vrng.choice(len(valid_trans), size=cfg.valid_samples, replace=False)
-        valid_trans = [valid_trans[i] for i in sorted(pick)]
-    sched = PlateauScheduler(cfg.lr, cfg.lr_decay, cfg.patience, cfg.improvement_tol)
+    valid_trans = _transitions(ds, "valid", model.cfg.history, cfg.valid_samples, cfg.seed + 1)
+    sched = PlateauScheduler(cfg.lr, cfg.lr_decay, cfg.patience)
     optim = Adam(model.params(), cfg.lr)
     history = []
     last_good = {k: t.data.copy() for k, t in model.params().items()}
@@ -213,7 +208,7 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
             optim.step()
             optim.lr = sched.lr
         last_good = {k: t.data.copy() for k, t in model.params().items()}
-        valid_loss = evaluate_loss(model, ds, stats, valid_trans, cfg) if valid_trans else np.nan
+        valid_loss = evaluate_loss(model, ds, stats, valid_trans) if valid_trans else np.nan
         lr_next = sched.update(valid_loss)
         optim.lr = lr_next
         history.append({
@@ -261,11 +256,7 @@ class EvalReport:
 def one_step_eval(model, ds: RolloutDataset, stats: P.NormStats,
                   max_samples: int = 200, seed: int = 0) -> EvalReport:
     """M3SE of single-step predictions on the validation split (world units)."""
-    trans = _transitions(ds, "valid", model.cfg.history)
-    rng = np.random.default_rng(seed)
-    if len(trans) > max_samples:
-        pick = rng.choice(len(trans), size=max_samples, replace=False)
-        trans = [trans[i] for i in sorted(pick)]
+    trans = _transitions(ds, "valid", model.cfg.history, max_samples, seed)
     scores = []
     per_mat: dict[int, list] = {}
     for ri, t in trans:
@@ -288,11 +279,7 @@ def one_step_eval(model, ds: RolloutDataset, stats: P.NormStats,
 def constant_velocity_eval(ds: RolloutDataset, history: int = 1,
                            max_samples: int = 200, seed: int = 0) -> EvalReport:
     """Baseline that predicts the next velocity equals the current one."""
-    trans = _transitions(ds, "valid", history)
-    rng = np.random.default_rng(seed)
-    if len(trans) > max_samples:
-        pick = rng.choice(len(trans), size=max_samples, replace=False)
-        trans = [trans[i] for i in sorted(pick)]
+    trans = _transitions(ds, "valid", history, max_samples, seed)
     scores = []
     for ri, t in trans:
         frames = ds.valid[ri]

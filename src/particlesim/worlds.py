@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .nn import check_field_types
 from .particles import SystemState, InputError
 
 WORLD_KINDS = ("drop_merge", "box_splash", "grip_block", "box_wash")
@@ -41,15 +42,15 @@ class ChecksumError(IOError):
 @dataclass
 class WorldSpec:
     kind: str = "box_splash"
-    counts: tuple = (64,)  # particles per material
+    counts: tuple[int, ...] = (64,)  # particles per material
     dt: float = 0.005
-    gravity: tuple = (0.0, -9.8, 0.0)
+    gravity: tuple[float, ...] = (0.0, -9.8, 0.0)
     stiffness: float = 300.0
     damping: float = 4.0
     rest_length: float = 0.06
     force_radius: float = 0.09
-    box_lo: tuple = (0.0, 0.0, 0.0)
-    box_hi: tuple = (1.0, 1.0, 1.0)
+    box_lo: tuple[float, ...] = (0.0, 0.0, 0.0)
+    box_hi: tuple[float, ...] = (1.0, 1.0, 1.0)
     restitution: float = 0.4
     wall_amplitude: float = 0.15   # box_splash: x-min wall oscillation
     wall_period: float = 1.0
@@ -59,6 +60,7 @@ class WorldSpec:
     spacing: float = 0.055
 
     def __post_init__(self):
+        check_field_types(WorldSpec, vars(self))
         for name in ("counts", "gravity", "box_lo", "box_hi"):  # JSON gives lists
             setattr(self, name, tuple(getattr(self, name)))
         if self.kind not in WORLD_KINDS:
@@ -354,7 +356,10 @@ def read_dataset(path) -> RolloutDataset:
     missing = required - meta.keys()
     if missing:
         raise MetadataError(f"{meta_path} missing keys: {sorted(missing)}")
-    spec = WorldSpec(**meta["world_spec"])
+    try:
+        spec = WorldSpec(**meta["world_spec"])
+    except (TypeError, ValueError) as e:
+        raise MetadataError(f"{meta_path}: bad world_spec: {e}") from e
     ds = RolloutDataset(meta["name"], spec, int(meta["n_frames"]),
                         np.asarray(meta["material_ids"], dtype=np.int64))
     for split in ("train", "valid"):

@@ -132,7 +132,7 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
     def test_pair_attention(self, shared):
         q, k, v = leaf((4, 6), 16), leaf((4, 6), 17), leaf((4, 6), 18)
-        if shared:  # k is v: one gather and one slot buffer serve both roles
+        if shared:  # one tensor as k and v (plain TIE): it takes both roles' gradients
             finite_diff_check(lambda q, s: scalarize(
                 T.pair_attention(q, s, s, self.PAIRS, 2)), [q, v])
         else:

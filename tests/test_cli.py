@@ -171,6 +171,42 @@ class TestExitCodes:
         assert code == 2
         assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ['dataset.counts="ab"', 'dataset.stiffness="x"',
+                                          'dataset.gravity=[0,"x",0]', "dataset.counts=[2.5]",
+                                          "dataset.n_frames=2.5", 'dataset.train_rollouts="x"'])
+    def test_dataset_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):
+        assert main(["gen-data", "--out", str(tmp_path), "--set", override]) == 2
+        assert f"{override.split('.')[1].split('=')[0]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ['bench.d="x"', 'bench.e_values=["x"]'])
+    def test_bench_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):
+        assert main(["bench", "--out", str(tmp_path), "--set", override]) == 2
+        assert f"{override.split('.')[1].split('=')[0]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("stiffness", "x"), ("counts", "ab"), ("zzz", 1)])
+    def test_bad_world_spec_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir,
+                                                   key, value):
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline_dir / "data" / "dataset", bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["world_spec"][key] = value
+        (bad / "meta.json").write_text(json.dumps(meta))
+        code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "world_spec" in err and key in err
+
+    @pytest.mark.parametrize("backbone", ["gnn", "vanilla"])
+    def test_linear_mode_without_tie_is_bad_args(self, tmp_path, capsys, pipeline_dir,
+                                                 backbone):
+        # one head and d = d_in (7 on this dataset): linear mode would be valid on tie
+        code = main(["train", "--out", str(tmp_path / "m"),
+                     "--data", str(pipeline_dir / "data" / "dataset"), "--backbone", backbone,
+                     "--set", "model.linear_mode=true", "--set", "model.d=7",
+                     "--set", "model.heads=1"] + SMALL_TRAIN)
+        assert code == 2
+        assert "linear_mode requires the tie backbone" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, named", [
         (["gen-data", "--out", "x", "--seed", "3"], "--seed"),
         (["eval", "--out", "x", "--data", "d", "--model-dir", "m", "--precision", "f64"],

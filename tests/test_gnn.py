@@ -1,11 +1,11 @@
 """Explicit-edge message-passing baseline: layer-by-layer numpy oracle,
-linear-mode block structure, and equivariance."""
+equivariance, and the linear edge recursion of the identity oracle."""
 
 import numpy as np
 import pytest
 
 from particlesim import tensor as T
-from particlesim.tensor import Tape, ContractError
+from particlesim.tensor import Tape
 from particlesim.nn import ModelConfig
 from particlesim.gnn import ExplicitEdgeGnn, expand_edge_linear
 from particlesim.bench import synthesize_pairs
@@ -27,11 +27,6 @@ def np_layer_norm(x, gain, shift, eps=1e-5):
     return gain * (x - mu) / np.sqrt(var + eps) + shift
 
 
-def linear_cfg(d=6, blocks=2):
-    return ModelConfig(backbone="gnn", d_in=d, d=d, heads=1, blocks=blocks,
-                       linear_mode=True, precision="f64")
-
-
 def practice_cfg(**kw):
     kw.setdefault("backbone", "gnn")
     kw.setdefault("d_in", 5)
@@ -41,58 +36,6 @@ def practice_cfg(**kw):
     kw.setdefault("mlp_hidden", 12)
     kw.setdefault("precision", "f64")
     return ModelConfig(**kw)
-
-
-class TestLinearMode:
-    def test_encoded_edge_is_block_linear(self):
-        cfg = linear_cfg()
-        model = ExplicitEdgeGnn(cfg, seed=0)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, cfg.d_in))
-        recv, send = synthesize_pairs(5, 8, seed=2)
-        record = {}
-        model.forward(x, recv, send, record=record)
-        w0_r, w0_s = model.encoder_weight_blocks()
-        expect = x[recv] @ w0_r + x[send] @ w0_s
-        assert np.allclose(record["e"][0], expect, atol=1e-13)
-
-    def test_edge_recursion_matches_expansion(self):
-        cfg = linear_cfg(d=4, blocks=3)
-        model = ExplicitEdgeGnn(cfg, seed=3)
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((6, cfg.d_in))
-        recv, send = synthesize_pairs(6, 12, seed=5)
-        record = {}
-        model.forward(x, recv, send, record=record)
-        w0_r, w0_s = model.encoder_weight_blocks()
-        blocks = [model.edge_weight_blocks(l) for l in range(cfg.blocks)]
-        edges = expand_edge_linear(w0_r, w0_s, blocks, x, record["v"][:cfg.blocks],
-                                   recv, send)
-        for level in range(cfg.blocks + 1):
-            assert np.allclose(edges[level], record["e"][level], atol=1e-12)
-
-    def test_memoryless_when_wm_zero(self):
-        cfg = linear_cfg(d=4, blocks=1)
-        model = ExplicitEdgeGnn(cfg, seed=6)
-        d = cfg.d
-        model.prop_e_w[0].data[2 * d:] = 0.0  # kill the W_m block
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, cfg.d_in))
-        recv, send = synthesize_pairs(4, 6, seed=8)
-        rec_a, rec_b = {}, {}
-        model.forward(x, recv, send, record=rec_a)
-        # perturbing the edge encoder must not change post-layer edges
-        model.enc_e_w.data += 1.0
-        model.forward(x, recv, send, record=rec_b)
-        assert not np.allclose(rec_a["e"][0], rec_b["e"][0])
-        assert np.allclose(rec_a["e"][1], rec_b["e"][1], atol=1e-12)
-
-    def test_expansion_blocks_unavailable_in_practice_mode(self):
-        model = ExplicitEdgeGnn(practice_cfg(), seed=0)
-        with pytest.raises(ContractError):
-            model.edge_weight_blocks(0)
-        with pytest.raises(ContractError):
-            model.encoder_weight_blocks()
 
 
 class TestPracticeMode:

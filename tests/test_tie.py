@@ -482,6 +482,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(backbone="tie", d_in=8, d=8, heads=2, linear_mode=True)
 
+    @pytest.mark.parametrize("backbone", ["gnn", "vanilla"])
+    def test_linear_mode_is_tie_only(self, backbone):
+        with pytest.raises(ValueError, match="linear_mode requires the tie backbone"):
+            ModelConfig(backbone=backbone, d_in=8, d=8, heads=1, linear_mode=True)
+
     def test_backbone_mismatch(self):
         with pytest.raises(ValueError):
             VanillaTransformer(ModelConfig(backbone="tie", d=8, heads=2), seed=0)

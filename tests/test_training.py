@@ -297,7 +297,7 @@ class TestEvaluation:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kw", [{"lr": "x"}, {"epochs": 2.5}, {"seed": True},
-                                    {"improvement_tol": None}])
+                                    {"lr_decay": None}])
     def test_wrong_type_names_the_key(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             TrainConfig(**kw)
