@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
+import resource
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -41,6 +42,7 @@ class CostProfile:
     phase_macs: dict = field(default_factory=dict)
     wall_ms_median: float = 0.0
     wall_ms_iqr: float = 0.0
+    minor_faults: int = 0  # median over trials of the minor page faults of one iteration
 
 
 def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
@@ -124,13 +126,15 @@ def measure_macs(cfg: ModelConfig, n: int, e: int, seed: int = 0) -> dict:
 def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
                    warmup: int = 2, seed: int = 0) -> CostProfile:
     """Median and interquartile range over trials of the wall time of one
-    forward+backward iteration; the forward MACs per phase come from the
+    forward+backward iteration, and the median of its minor page faults
+    (`ru_minflt` of this process); the forward MACs per phase come from the
     last timed tape."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
     model, x, recv, send = _setup(cfg, n, e, seed)
-    times = []
+    times, faults = [], []
     for i in range(warmup + trials):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         with Tape() as tape:
             pred = model.forward(x, recv, send)
@@ -138,6 +142,7 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
             T.backward(loss, tape)
         if i >= warmup:
             times.append((time.perf_counter() - t0) * 1000.0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         for p in model.params().values():
             p.grad = None
     phases = _forward_phase_macs(tape)
@@ -147,6 +152,7 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
         blocks=cfg.blocks, heads=cfg.heads,
         analytic_macs=count_macs(cfg, n, e)["total"], measured_macs=phases["total"],
         phase_macs=phases, wall_ms_median=float(median), wall_ms_iqr=float(q3 - q1),
+        minor_faults=int(np.median(faults)),
     )
 
 
@@ -154,7 +160,8 @@ def write_bench_csv(profiles: list[CostProfile], path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["backbone", "n", "e", "macs", "wall_ms_median", "wall_ms_iqr"])
+        writer.writerow(["backbone", "n", "e", "macs", "wall_ms_median", "wall_ms_iqr",
+                         "minor_faults"])
         for p in profiles:
             writer.writerow([p.backbone, p.n, p.e, p.measured_macs,
-                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}"])
+                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}", p.minor_faults])

@@ -270,7 +270,7 @@ def cmd_bench(args) -> int:
             prof = B.time_iteration(cfg, bcfg["n"], e, trials=bcfg["trials"])
             profiles.append(prof)
             print(f"{backbone:8s} N={prof.n} E={prof.e} macs={prof.measured_macs} "
-                  f"wall={prof.wall_ms_median:.2f}ms")
+                  f"wall={prof.wall_ms_median:.2f}ms minor_faults={prof.minor_faults}")
             if prof.analytic_macs != prof.measured_macs:
                 print(f"{backbone} N={prof.n} E={prof.e}: analytic MACs {prof.analytic_macs} "
                       f"!= measured {prof.measured_macs}", file=sys.stderr)

@@ -11,6 +11,7 @@ and never mixed inside one graph.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from contextlib import contextmanager
@@ -68,12 +69,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def accumulate_grad(self, g: np.ndarray):
-        # The first gradient is copied: primitives such as add and concat hand
-        # the same array to several parents.
+        # The first gradient is kept as it arrives, and may be shared with other
+        # parents: `.grad` is never written in place, later gradients add anew.
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -166,7 +167,7 @@ def _check_dtype(*tensors: Tensor):
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Propagate gradients from a scalar loss through the tape."""
+    """Propagate gradients from a scalar loss through the tape, freeing each used gradient."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
@@ -175,6 +176,7 @@ def backward(loss: Tensor, tape: Tape):
         if g is None or not entry.out.requires_grad:
             continue
         entry.backward_fn(g)
+        entry.out.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +503,9 @@ def cols(a: Tensor, start: int, stop: int) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            # heads sliced from one projection fill its gradient block by block
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += g
+            full = np.zeros_like(a.data)
+            full[:, start:stop] = g
+            a.accumulate_grad(full)
 
     return _record(out, (a,), bwd)
 
@@ -921,15 +922,18 @@ def save_checkpoint(params: dict, manifest_path, blob_path):
         })
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
     with open(manifest_path, "w") as f:
-        json.dump({"tensors": entries, "total_bytes": offset}, f, indent=2)
+        json.dump({"tensors": entries, "total_bytes": offset,
+                   "sha256": hashlib.sha256(blob).hexdigest()}, f, indent=2)
     with open(blob_path, "wb") as f:
-        f.write(b"".join(chunks))
+        f.write(blob)
 
 
 def load_checkpoint(manifest_path, blob_path) -> dict:
     """Read a checkpoint written by `save_checkpoint`; a malformed manifest
-    raises CheckpointError naming the missing key."""
+    raises CheckpointError naming the missing key, and a blob whose SHA-256
+    differs from the manifest's raises CheckpointError."""
     with open(blob_path, "rb") as f:
         blob = f.read()
     try:
@@ -938,6 +942,9 @@ def load_checkpoint(manifest_path, blob_path) -> dict:
         if len(blob) != manifest["total_bytes"]:
             raise CheckpointError(f"checkpoint blob is {len(blob)} bytes, "
                                   f"manifest says {manifest['total_bytes']}")
+        if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
+            raise CheckpointError(f"checkpoint blob {blob_path} fails the SHA-256 "
+                                  f"of {manifest_path}")
         out = {}
         for e in manifest["tensors"]:
             dt = np.dtype(DTYPES[e["precision"]]).newbyteorder("<")

@@ -360,10 +360,22 @@ def read_dataset(path) -> RolloutDataset:
         spec = WorldSpec(**meta["world_spec"])
     except (TypeError, ValueError) as e:
         raise MetadataError(f"{meta_path}: bad world_spec: {e}") from e
-    ds = RolloutDataset(meta["name"], spec, int(meta["n_frames"]),
-                        np.asarray(meta["material_ids"], dtype=np.int64))
+    counts = meta["counts"] if isinstance(meta["counts"], dict) else {}
     for split in ("train", "valid"):
-        for i in range(meta["counts"][split]):
+        c = counts.get(split)
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            raise MetadataError(f"{meta_path}: counts.{split} must be a non-negative int, "
+                                f"got {c!r}")
+    try:
+        ids = np.asarray(meta["material_ids"], dtype=np.int64)
+    except (TypeError, ValueError) as e:
+        raise MetadataError(f"{meta_path}: bad material_ids: {e}") from e
+    if ids.shape != (spec.n,):
+        raise MetadataError(f"dataset {path}: {ids.size} material_ids for the {spec.n} "
+                            f"particles of its world_spec")
+    ds = RolloutDataset(meta["name"], spec, int(meta["n_frames"]), ids)
+    for split in ("train", "valid"):
+        for i in range(counts[split]):
             fp = os.path.join(path, split, f"rollout_{i:05d}.bin")
             frames = read_rollout_file(fp, ds.n_frames, spec.n)
             getattr(ds, split).append(frames)

@@ -2,6 +2,7 @@
 codes (0 ok, 2 bad arguments, 3 verification failure, 5 i/o error)."""
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -196,6 +197,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "world_spec" in err and key in err
 
+    @pytest.mark.parametrize("counts", [{"train": "1", "valid": 1}, {"train": 1},
+                                        {"train": 1, "valid": -1}, [3, 2]])
+    def test_bad_counts_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir, counts):
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline_dir / "data" / "dataset", bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["counts"] = counts
+        (bad / "meta.json").write_text(json.dumps(meta))
+        code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
+        assert code == 5
+        assert "counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [lambda ids: ids[:2], lambda ids: ["a"] * len(ids)],
+                             ids=["short", "not ints"])
+    def test_bad_material_ids_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir,
+                                                     edit):
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline_dir / "data" / "dataset", bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["material_ids"] = edit(meta["material_ids"])
+        (bad / "meta.json").write_text(json.dumps(meta))
+        code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "material_ids" in err and str(bad) in err
+
     @pytest.mark.parametrize("backbone", ["gnn", "vanilla"])
     def test_linear_mode_without_tie_is_bad_args(self, tmp_path, capsys, pipeline_dir,
                                                  backbone):
@@ -287,6 +314,26 @@ class TestExitCodes:
         assert self.eval_copied_model(tmp_path, pipeline_dir, drop_size) == 5
         assert "total_bytes" in capsys.readouterr().err
 
+    def test_checkpoint_with_a_flipped_blob_byte_is_io_error(self, tmp_path, capsys,
+                                                             pipeline_dir):
+        def flip_byte(man, blob):
+            raw = bytearray(blob.read_bytes())
+            raw[len(raw) // 2] ^= 0x01
+            blob.write_bytes(bytes(raw))
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, flip_byte) == 5
+        assert "SHA-256" in capsys.readouterr().err
+
+    def test_checkpoint_manifest_without_digest_is_io_error(self, tmp_path, capsys,
+                                                            pipeline_dir):
+        def drop_digest(man, blob):
+            manifest = json.loads(man.read_text())
+            del manifest["sha256"]
+            man.write_text(json.dumps(manifest))
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, drop_digest) == 5
+        assert "sha256" in capsys.readouterr().err
+
     def test_model_dir_without_norm_stats_is_io_error(self, tmp_path, capsys, pipeline_dir):
         def drop_stats(man, blob):
             os.remove(man.parent / "norm_stats.json")
@@ -362,8 +409,21 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "WARNING" not in captured.out  # analytic == measured everywhere
         lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "backbone,n,e,macs,wall_ms_median,wall_ms_iqr"
+        assert lines[0] == "backbone,n,e,macs,wall_ms_median,wall_ms_iqr,minor_faults"
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
+
+    def test_bench_csv_reports_minor_faults(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out),
+                     "--set", "bench.n=12", "--set", "bench.e_values=[30]",
+                     "--set", "bench.d=8", "--set", "bench.blocks=1",
+                     "--set", "bench.heads=2", "--set", "bench.trials=5"]) == 0
+        capsys.readouterr()
+        with open(out / "bench.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3
+        for row in rows:
+            assert re.fullmatch(r"\d+", row["minor_faults"]), row
 
     def test_bench_mac_mismatch_fails(self, tmp_path, capsys, monkeypatch):
         from particlesim import bench

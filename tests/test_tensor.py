@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from particlesim import tensor as T
 from particlesim.tensor import (Tensor, Tape, ShapeError, ContractError, CheckpointError,
                                 DegenerateRowError, save_checkpoint, load_checkpoint)
-from particlesim.nn import ParamStore
+from particlesim import verify as V
+from particlesim.attention import build_model
+from particlesim.bench import synthesize_pairs
+from particlesim.nn import ModelConfig, ParamStore
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,23 +247,97 @@ class TestTape:
         with pytest.raises(ContractError):
             T.backward(out, tape)
 
-    def test_first_gradients_are_distinct_copies(self):
-        # add hands the same upstream array to both parents
+    def test_accumulating_into_a_shared_first_gradient_leaves_the_other_parent(self):
+        # add hands the same upstream array to both parents, and the first
+        # gradient of each is kept without a copy
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
             T.backward(T.reduce_sum(T.add(a, b)), tape)
-        assert not np.shares_memory(a.grad, b.grad)
         a.accumulate_grad(np.full((2, 2), 2.0))
         assert np.array_equal(a.grad, np.full((2, 2), 3.0))
         assert np.array_equal(b.grad, np.ones((2, 2)))
         assert a.grad.dtype == b.grad.dtype == np.float64
+        c = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        for _ in range(2):
+            c.accumulate_grad(np.full(3, 0.5))  # f64 gradients into an f32 tensor
+            assert c.grad.dtype == np.float32
+        assert np.array_equal(c.grad, np.ones(3, dtype=np.float32))
 
     def test_no_tape_means_no_recording(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         out = T.mul(a, a)  # outside any Tape context
         assert out.requires_grad
         assert T.active_tape() is None
+
+
+def _backbone_run(backbone, normalized=True, n_abstract=0, seed=0):
+    """Outputs, parameter gradients and tape of one fwd+bwd of a small model."""
+    cfg = ModelConfig(backbone=backbone, d_in=6, d=8, heads=2, blocks=2, mlp_hidden=8,
+                      n_abstract=n_abstract, normalized_attention=normalized,
+                      precision="f64")
+    model = build_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal((12, cfg.d_in))
+    recv, send = synthesize_pairs(12, 40, seed)
+    ids = np.arange(12) % 2 if n_abstract else None
+    with Tape() as tape:
+        pred = model.forward(x, recv, send, ids)
+        T.backward(T.reduce_sum(T.square(pred)), tape)
+    return [pred.data] + [p.grad for p in model.params().values()], tape
+
+
+def _oracle_run(oracle, seed=0):
+    """Output, input gradients and tape of a composed attention oracle whose
+    second input also reaches the loss directly, so that its first gradient
+    is add's upstream array."""
+    recv, send = synthesize_pairs(9, 30, seed)
+    rng = np.random.default_rng(seed)
+    inputs = [Tensor(rng.standard_normal((9, 8)), requires_grad=True) for _ in range(3)]
+    upstream = Tensor(rng.standard_normal((9, 8)))
+    with Tape() as tape:
+        out = oracle(*inputs, recv, send, 2)
+        T.backward(T.reduce_sum(T.mul(T.add(out, inputs[1]), upstream)), tape)
+    return [out.data] + [t.grad for t in inputs], tape
+
+
+RUNS = {
+    "normalized tie": lambda: _backbone_run("tie"),
+    "plain tie, abstract rows": lambda: _backbone_run("tie", normalized=False, n_abstract=2),
+    "vanilla": lambda: _backbone_run("vanilla"),
+    "gnn": lambda: _backbone_run("gnn"),
+    "implicit edge oracle": lambda: _oracle_run(V.composed_attention),
+    "pair oracle": lambda: _oracle_run(V.composed_pair_attention),
+}
+
+
+class TestGradientOwnership:
+    """The reverse pass keeps first gradients without a copy and frees each
+    used gradient, so no backward may write into the gradient it is handed."""
+
+    @pytest.mark.parametrize("case", list(RUNS))
+    def test_backward_functions_never_write_their_upstream_gradient(self, monkeypatch, case):
+        plain, _ = RUNS[case]()
+        record = T._record
+
+        def read_only_upstream(out, parents, backward_fn, macs=0):
+            def bwd(g):
+                view = g.view()
+                view.flags.writeable = False
+                backward_fn(view)
+            return record(out, parents, bwd, macs)
+
+        monkeypatch.setattr(T, "_record", read_only_upstream)
+        guarded, _ = RUNS[case]()
+        assert len(plain) == len(guarded)
+        for x, y in zip(plain, guarded):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("case", ["normalized tie", "vanilla", "gnn"])
+    def test_intermediate_gradients_are_freed(self, case):
+        grads, tape = RUNS[case]()
+        assert all(g is not None for g in grads)
+        assert all(entry.out.grad is None for entry in tape.entries)
 
 
 class TestCheckpoint:
@@ -286,6 +363,15 @@ class TestCheckpoint:
         save_checkpoint(params, man, blob)
         blob.write_bytes(blob.read_bytes()[:-4])
         with pytest.raises(IOError):
+            load_checkpoint(man, blob)
+
+    def test_flipped_blob_byte_fails_the_digest(self, tmp_path):
+        man, blob = tmp_path / "m.json", tmp_path / "b.bin"
+        save_checkpoint({"w": Tensor(np.ones((2, 2)))}, man, blob)
+        raw = bytearray(blob.read_bytes())
+        raw[3] ^= 0x01
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="SHA-256"):
             load_checkpoint(man, blob)
 
     def test_malformed_manifest(self, tmp_path):
