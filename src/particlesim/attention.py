@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, SIGMA_FLOOR
-from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp, LinearMap
+from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp
 from .particles import InputError
 
 
@@ -63,15 +63,12 @@ class _AttentionBase:
         self.cfg = cfg
         self.store = ParamStore(cfg.precision, seed)
         d, din, hid = cfg.d, cfg.d_in, cfg.mlp_hidden
-        if cfg.linear_mode:
-            self.dec = LinearMap(self.store, "dec.w", d, OUT_DIM)
-        else:
-            self.enc = Mlp(self.store, "enc", din, d, d)
-            self.dec = Mlp(self.store, "dec", d, d, OUT_DIM)
-            self.w_o = [self.store.weight(f"block{l}.w_o", (d, d)) for l in range(cfg.blocks)]
-            self.mlp = [Mlp(self.store, f"block{l}.mlp", d, hid, d) for l in range(cfg.blocks)]
-            self.ln_gain = [self.store.ones(f"block{l}.ln.gain", (d,)) for l in range(cfg.blocks)]
-            self.ln_shift = [self.store.zeros(f"block{l}.ln.shift", (d,)) for l in range(cfg.blocks)]
+        self.enc = Mlp(self.store, "enc", din, d, d)
+        self.dec = Mlp(self.store, "dec", d, d, OUT_DIM)
+        self.w_o = [self.store.weight(f"block{l}.w_o", (d, d)) for l in range(cfg.blocks)]
+        self.mlp = [Mlp(self.store, f"block{l}.mlp", d, hid, d) for l in range(cfg.blocks)]
+        self.ln_gain = [self.store.ones(f"block{l}.ln.gain", (d,)) for l in range(cfg.blocks)]
+        self.ln_shift = [self.store.zeros(f"block{l}.ln.shift", (d,)) for l in range(cfg.blocks)]
         if cfg.n_abstract > 0:
             self.bank = self.store.weight("abstract_bank", (cfg.n_abstract, d))
 
@@ -90,15 +87,13 @@ class _AttentionBase:
             recv, send = self.extend_pairs(recv, send, material_ids, n)
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
         with T.scope("encode"):
-            v = x if cfg.linear_mode else self.enc(x)
+            v = self.enc(x)
             if cfg.n_abstract > 0:
                 v = T.concat([v, self.bank], axis=0)
         return v, T.PairIndex(recv, send, n + cfg.n_abstract), n
 
     def _post(self, v: Tensor, heads: Tensor, layer: int) -> Tensor:
         """heads: (N', d) attention output, heads as column blocks."""
-        if self.cfg.linear_mode:
-            return heads
         h = T.matmul(heads, self.w_o[layer])
         return T.layer_norm(T.add(v, self.mlp[layer](h)),
                             self.ln_gain[layer], self.ln_shift[layer])
@@ -127,9 +122,8 @@ class ImplicitEdgeModel(_AttentionBase):
         self.w_r = [weight(f"block{l}.w_r", (d, dh), heads=H) for l in range(L)]
         self.w_s = [weight(f"block{l}.w_s", (d, dh), heads=H) for l in range(L)]
         self.w_m = [weight(f"block{l}.w_m", (dh, dh), heads=H) for l in range(L)]
-        if not cfg.linear_mode:
-            self.w_rp = [weight(f"block{l}.w_rp", (d, d)) for l in range(L)]
-            self.w_sp = [weight(f"block{l}.w_sp", (d, d)) for l in range(L)]
+        self.w_rp = [weight(f"block{l}.w_rp", (d, d)) for l in range(L)]
+        self.w_sp = [weight(f"block{l}.w_sp", (d, d)) for l in range(L)]
         if cfg.normalized_attention:
             self.attn_gain = [self.store.ones(f"block{l}.attn_ln.gain", (d,)) for l in range(L)]
             self.attn_shift = [self.store.zeros(f"block{l}.attn_ln.shift", (d,))
@@ -142,10 +136,7 @@ class ImplicitEdgeModel(_AttentionBase):
         H = self.cfg.heads
         r = T.add(T.matmul(v, self.w_r[layer]), T.head_matmul(r_prev, self.w_m[layer], H))
         s = T.add(T.matmul(v, self.w_s[layer]), T.head_matmul(s_prev, self.w_m[layer], H))
-        if not self.cfg.linear_mode:
-            r = T.matmul(r, self.w_rp[layer])
-            s = T.matmul(s, self.w_sp[layer])
-        return r, s
+        return T.matmul(r, self.w_rp[layer]), T.matmul(s, self.w_sp[layer])
 
     def _attend(self, v: Tensor, r: Tensor, s: Tensor, index: T.PairIndex, layer: int) -> Tensor:
         q = T.matmul(v, self.w_q[layer])
@@ -160,10 +151,8 @@ class ImplicitEdgeModel(_AttentionBase):
         v, index, n = self._encode(x_np, recv, send, material_ids)
         with T.scope("token_update"):
             r, s = self.init_tokens(v)
-        if record is not None:
-            record["v"] = [v.data.copy()]
-            record["r"] = [r.data.copy()]
-            record["s"] = [s.data.copy()]
+        if record is not None:  # the tokens entering each block, and the last ones
+            record.update(v=[v.data.copy()], r=[r.data.copy()], s=[s.data.copy()])
         for l in range(cfg.blocks):
             with T.scope("token_update"):
                 r, s = self.update_tokens(v, r, s, l)
@@ -172,9 +161,8 @@ class ImplicitEdgeModel(_AttentionBase):
             with T.scope("post"):
                 v = self._post(v, heads, l)
             if record is not None:
-                record["v"].append(v.data.copy())
-                record["r"].append(r.data.copy())
-                record["s"].append(s.data.copy())
+                for name, t in (("v", v), ("r", r), ("s", s)):
+                    record[name].append(t.data.copy())
         with T.scope("decode"):
             return self._decode(v, n)
 

@@ -49,11 +49,8 @@ def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
     """Closed-form forward MAC counts per phase for one model iteration.
 
     n is the token count (particles plus abstract rows), e the pair count
-    after any abstract extension.  Linear mode, an oracle setting, has no
-    model here.
+    after any abstract extension.
     """
-    if cfg.linear_mode:
-        raise T.ContractError("count_macs models the practice blocks, not linear_mode")
     d, dh, H, L, hid, din, out = (cfg.d, cfg.d_head, cfg.heads, cfg.blocks,
                                   cfg.mlp_hidden, cfg.d_in, OUT_DIM)
     phases: dict[str, int] = {}

@@ -288,6 +288,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _int_at_least(minimum: int):
+    """An argparse type for ints >= `minimum`; argparse exits 2 naming the option."""
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand declares exactly the options its cmd_* reads."""
     parser = argparse.ArgumentParser(prog="particlesim",
@@ -322,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval", cmd_eval, "one-step evaluation of a trained model",
                 "--out", "--data", "--model-dir")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
 
     p = command("rollout", cmd_rollout, "recursive rollout evaluation",
                 "--out", "--data", "--model-dir")
-    p.add_argument("--steps", type=int, default=0)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--steps", type=_int_at_least(0), default=0, help="0: the full rollout")
+    p.add_argument("--count", type=_int_at_least(1), default=5)
 
     command("bench", cmd_bench, "cost model and timing benchmark", "--config", "--set", "--out")
 

@@ -1,12 +1,11 @@
 """Explicit-edge message-passing baseline, and the linear edge recursion
-that the implicit-edge identity oracle checks the attention model against.
+that the implicit-edge identity oracle checks the TIE tokens against.
 
 Each round updates edges from (receiver node, sender node, previous edge),
-then nodes from the sum of their incoming edges.  With bias-free linear maps
-and the edge-update weight partitioned into three square blocks
-[W_r | W_s | W_m], the edge features follow an exact linear recursion,
-`expand_edge_linear`; the attention model's receiver/sender tokens must
-reproduce it pair by pair (`verify.implicit_edge_deviation`).
+then nodes from the sum of their incoming edges.  `expand_edge_linear` is
+the bias-free linear edge update e = v_i W_r + v_j W_s + e' W_m; the TIE
+receiver/sender tokens reproduce it pair by pair as r_i + s_j
+(`verify.implicit_edge_deviation`).
 """
 
 from __future__ import annotations
@@ -90,7 +89,8 @@ def expand_edge_linear(w0_r: np.ndarray, w0_s: np.ndarray,
     identity).
 
     block_weights: per layer (W_r, W_s, W_m) square blocks, maps applied on
-    the right (row vectors).  v_trajectory: node features entering each layer.
+    the right (row vectors).  x: the node features the first edge is encoded
+    from.  v_trajectory: node features entering each layer.
     Returns edge features per depth: element 0 is the encoded edge, element
     l >= 1 the edge after layer l.
     """

@@ -48,7 +48,6 @@ class ModelConfig:
     mlp_hidden: int = 256
     n_abstract: int = 0
     normalized_attention: bool = True
-    linear_mode: bool = False
     radius: float = 0.08
     history: int = 1
     precision: str = "f32"
@@ -65,13 +64,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
-        if self.linear_mode:
-            if self.backbone != "tie":
-                raise ValueError(f"linear_mode requires the tie backbone, got {self.backbone!r}")
-            if self.heads != 1:
-                raise ValueError("linear_mode requires a single head")
-            if self.d_in != self.d:
-                raise ValueError("linear_mode requires d_in == d (identity encoder)")
 
     @property
     def d_head(self) -> int:
@@ -137,12 +129,3 @@ class Mlp:
         h = T.relu(T.add(T.matmul(x, self.w1), self.b1))
         return T.add(T.matmul(h, self.w2), self.b2)
 
-
-class LinearMap:
-    """Bias-free linear map, y = x W."""
-
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
-        self.w = store.weight(name, (d_in, d_out))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w)

@@ -21,27 +21,37 @@ from .bench import synthesize_pairs
 from .training import mse_loss
 
 
-def tie_linear_model(d: int, blocks: int, seed: int) -> ImplicitEdgeModel:
-    cfg = ModelConfig(backbone="tie", d_in=d, d=d, heads=1, blocks=blocks,
-                      linear_mode=True, normalized_attention=False, precision="f64")
-    return ImplicitEdgeModel(cfg, seed=seed)
-
-
-def implicit_edge_deviation(d: int, blocks: int, n: int, seed: int) -> float:
-    """Max |e_ij - (r_i + s_j)| over all pairs and depths for one random
-    linear tied configuration; the edge side is the explicit recursion."""
-    model = tie_linear_model(d, blocks, seed)
+def implicit_edge_deviation(d: int, blocks: int, n: int, seed: int, heads: int = 1,
+                            normalized: bool = False, n_abstract: int = 0,
+                            tied: bool = True) -> float:
+    """Max |e_ij - (r_i + s_j)| over all pairs, abstract ones included, and
+    all depths of one random practice TIE model in f64.  With w_sp tied to
+    w_rp = P, r = (v W_r + r' M) P gives r_i + s_j the recursion
+    `expand_edge_linear` with blocks (W_r P, W_s P, M P), M the
+    block-diagonal memory, from the encoded tokens.  Untied, it does not."""
+    cfg = ModelConfig(backbone="tie", d_in=d, d=d, heads=heads, blocks=blocks, mlp_hidden=d,
+                      n_abstract=n_abstract, normalized_attention=normalized, precision="f64")
+    model = ImplicitEdgeModel(cfg, seed=seed)
+    if tied:
+        for w_rp, w_sp in zip(model.w_rp, model.w_sp):
+            w_sp.data = w_rp.data.copy()
     rng = np.random.default_rng(seed + 7)
     x = rng.standard_normal((n, d))
-    e_count = min(max(2 * n, 4), n * (n - 1))
-    recv, send = synthesize_pairs(n, e_count, seed)
+    ids = rng.integers(0, n_abstract, size=n) if n_abstract else None
+    recv, send = synthesize_pairs(n, min(max(2 * n, 4), n * (n - 1)), seed)
     record: dict = {}
-    model.forward(x, recv, send, record=record)
-    block_weights = [(model.w_r[l].data, model.w_s[l].data, model.w_m[l].data)
-                     for l in range(blocks)]
-    v_traj = record["v"][:blocks]
-    edges = expand_edge_linear(model.w_r0.data, model.w_s0.data,
-                               block_weights, x, v_traj, recv, send)
+    model.forward(x, recv, send, ids, record=record)
+    if n_abstract:
+        recv, send = model.extend_pairs(recv, send, ids, n)
+    dh = cfg.d_head
+    block_weights = []
+    for l in range(blocks):
+        p, wm = model.w_rp[l].data, model.w_m[l].data
+        mp = np.concatenate([wm[:, h * dh:(h + 1) * dh] @ p[h * dh:(h + 1) * dh]
+                             for h in range(heads)])  # row block h of M P
+        block_weights.append((model.w_r[l].data @ p, model.w_s[l].data @ p, mp))
+    edges = expand_edge_linear(model.w_r0.data, model.w_s0.data, block_weights,
+                               record["v"][0], record["v"][:blocks], recv, send)
     worst = 0.0
     for level in range(blocks + 1):
         implicit = record["r"][level][recv] + record["s"][level][send]
@@ -50,13 +60,19 @@ def implicit_edge_deviation(d: int, blocks: int, n: int, seed: int) -> float:
 
 
 def run_implicit_edge_suite(n_configs: int = 100, seed: int = 0) -> float:
+    """Worst `implicit_edge_deviation` over random depths, widths, head
+    counts, attention variants and abstract rows."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n_configs):
         d = int(rng.choice([4, 16]))
+        heads = int(rng.choice([1, 2, 4]))
         blocks = int(rng.integers(1, 5))
         n = int(rng.integers(4, 33))
-        worst = max(worst, implicit_edge_deviation(d, blocks, n, seed=1000 + i))
+        normalized = bool(rng.integers(2))
+        n_abstract = int(rng.choice([0, 2]))
+        worst = max(worst, implicit_edge_deviation(d, blocks, n, 1000 + i, heads,
+                                                   normalized, n_abstract))
     return worst
 
 

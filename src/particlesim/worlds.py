@@ -366,6 +366,9 @@ def read_dataset(path) -> RolloutDataset:
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise MetadataError(f"{meta_path}: counts.{split} must be a non-negative int, "
                                 f"got {c!r}")
+    n_frames = meta["n_frames"]
+    if not isinstance(n_frames, int) or isinstance(n_frames, bool) or n_frames < 2:
+        raise MetadataError(f"{meta_path}: n_frames must be an int >= 2, got {n_frames!r}")
     try:
         ids = np.asarray(meta["material_ids"], dtype=np.int64)
     except (TypeError, ValueError) as e:
@@ -373,7 +376,7 @@ def read_dataset(path) -> RolloutDataset:
     if ids.shape != (spec.n,):
         raise MetadataError(f"dataset {path}: {ids.size} material_ids for the {spec.n} "
                             f"particles of its world_spec")
-    ds = RolloutDataset(meta["name"], spec, int(meta["n_frames"]), ids)
+    ds = RolloutDataset(meta["name"], spec, n_frames, ids)
     for split in ("train", "valid"):
         for i in range(counts[split]):
             fp = os.path.join(path, split, f"rollout_{i:05d}.bin")

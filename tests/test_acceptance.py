@@ -20,8 +20,10 @@ from particlesim import verify as V
 
 
 def test_1_implicit_edge_exactness():
-    """100 random linear tied configurations: the pairwise edge recovered as
-    r_i + s_j must match the explicit linear edge recursion at every depth."""
+    """100 random practice TIE models with w_sp tied to w_rp (heads, attention
+    variant and abstract rows drawn at random): the pairwise edge recovered
+    as r_i + s_j must match the explicit linear edge recursion at every
+    depth."""
     worst = V.run_implicit_edge_suite(n_configs=100, seed=0)
     print(f"\n[1] implicit-edge max deviation: {worst:.3e} (limit 1e-10)")
     assert worst <= 1e-10

@@ -73,14 +73,6 @@ class TestAnalyticEqualsInstrumented:
         for phase, macs in analytic.items():
             assert measured.get(phase, 0) == macs, f"phase {phase}"
 
-    def test_linear_mode_has_no_cost_model(self):
-        # the practice formulas would give 193,880 MACs here; the tape counts 17,880
-        cfg = ModelConfig(backbone="tie", d_in=8, d=8, heads=1, blocks=2,
-                          linear_mode=True, normalized_attention=False, precision="f64")
-        assert measure_macs(cfg, 20, 60)["total"] == 17_880
-        with pytest.raises(T.ContractError, match="linear_mode"):
-            count_macs(cfg, 20, 60)
-
 
 class TestScalingStructure:
     def test_token_update_independent_of_pair_count(self):

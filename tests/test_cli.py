@@ -197,6 +197,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "world_spec" in err and key in err
 
+    @pytest.mark.parametrize("n_frames", ["x", 2.5, 1, True])
+    def test_bad_n_frames_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir,
+                                                 n_frames):
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline_dir / "data" / "dataset", bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["n_frames"] = n_frames
+        (bad / "meta.json").write_text(json.dumps(meta))
+        code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
+        assert code == 5
+        assert "n_frames must be an int >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("counts", [{"train": "1", "valid": 1}, {"train": 1},
                                         {"train": 1, "valid": -1}, [3, 2]])
     def test_bad_counts_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir, counts):
@@ -223,16 +235,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "material_ids" in err and str(bad) in err
 
-    @pytest.mark.parametrize("backbone", ["gnn", "vanilla"])
-    def test_linear_mode_without_tie_is_bad_args(self, tmp_path, capsys, pipeline_dir,
-                                                 backbone):
-        # one head and d = d_in (7 on this dataset): linear mode would be valid on tie
+    @pytest.mark.parametrize("backbone", ["gnn", "vanilla", "tie"])
+    def test_linear_mode_is_unknown_model_key(self, tmp_path, capsys, pipeline_dir, backbone):
         code = main(["train", "--out", str(tmp_path / "m"),
                      "--data", str(pipeline_dir / "data" / "dataset"), "--backbone", backbone,
-                     "--set", "model.linear_mode=true", "--set", "model.d=7",
-                     "--set", "model.heads=1"] + SMALL_TRAIN)
+                     "--set", "model.linear_mode=true"] + SMALL_TRAIN)
         assert code == 2
-        assert "linear_mode requires the tie backbone" in capsys.readouterr().err
+        assert "unknown model key 'linear_mode'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, named", [
         (["gen-data", "--out", "x", "--seed", "3"], "--seed"),
@@ -247,6 +256,18 @@ class TestExitCodes:
     def test_value_the_command_would_drop_is_bad_args(self, capsys, argv, named):
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named, message", [
+        (["eval", "--samples", "0"], "--samples", "must be >= 1, got 0"),
+        (["rollout", "--count", "0"], "--count", "must be >= 1, got 0"),
+        (["rollout", "--steps", "-3"], "--steps", "must be >= 0, got -3"),
+        (["rollout", "--count", "x"], "--count", "invalid int value: 'x'"),
+    ], ids=["samples", "count", "steps", "not an int"])
+    def test_bad_count_is_bad_args(self, capsys, argv, named, message):
+        argv = argv[:1] + ["--out", "x", "--data", "d", "--model-dir", "m"] + argv[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {named}: {message}" in err
 
     def test_unknown_key_in_saved_model_config_is_bad_args(self, tmp_path, capsys,
                                                             pipeline_dir):

@@ -31,10 +31,76 @@ def np_layer_norm(x, gain, shift, eps=1e-5):
     return gain * (x - mu) / np.sqrt(var + eps) + shift
 
 
-def linear_tie(d=4, blocks=1, seed=0):
-    cfg = ModelConfig(backbone="tie", d_in=d, d=d, heads=1, blocks=blocks,
-                      linear_mode=True, normalized_attention=False, precision="f64")
+def practice_tie(d=4, heads=1, seed=0, normalized=True):
+    cfg = ModelConfig(backbone="tie", d_in=d, d=d, heads=heads, blocks=1, mlp_hidden=2 * d,
+                      normalized_attention=normalized, precision="f64")
     return ImplicitEdgeModel(cfg, seed=seed)
+
+
+def softmax_by_receiver(logits, recv, n):
+    alpha = np.zeros_like(logits)
+    for i in range(n):
+        sel = recv == i
+        e = np.exp(logits[sel] - logits[sel].max())
+        alpha[sel] = e / e.sum()
+    return alpha
+
+
+def np_tie_forward(model, x, recv, send):
+    """A one-block TIE forward in numpy, head by head, for either attention
+    variant."""
+    p = model.params()
+    n, dh, H = x.shape[0], model.cfg.d_head, model.cfg.heads
+
+    def head(name, h):  # column block h of a parameter
+        return p[name].data[..., h * dh:(h + 1) * dh]
+
+    v = np_mlp(p, "enc", x)
+    tokens = {}
+    for name in ("r", "s"):
+        init = [v @ head(f"init.w_{name}0", h) for h in range(H)]
+        update = [v @ head(f"block0.w_{name}", h) + init[h] @ head("block0.w_m", h)
+                  for h in range(H)]
+        tokens[name] = np.concatenate(update, axis=1) @ p[f"block0.w_{name}p"].data
+    heads = []
+    for h in range(H):
+        rh, sh = (tokens[name][:, h * dh:(h + 1) * dh] for name in ("r", "s"))
+        q = v @ head("block0.w_q", h)
+        if model.cfg.normalized_attention:
+            mu_r, mu_s = rh.mean(1), sh.mean(1)
+            rc = rh - mu_r[:, None]
+            sc = sh - mu_s[:, None]
+            var = ((rh ** 2).sum(1)[recv] / dh + (sh ** 2).sum(1)[send] / dh
+                   + 2 * (rh[recv] * sh[send]).sum(1) / dh
+                   - (mu_r[recv] + mu_s[send]) ** 2)
+            sigma = np.sqrt(np.maximum(var, SIGMA_FLOOR))
+            logits = (((q * rc).sum(1)[recv] + (q[recv] * sc[send]).sum(1)) / sigma
+                      / np.sqrt(dh))
+            value = (rc[recv] + sc[send]) / sigma[:, None]
+        else:
+            logits = ((q * rh).sum(1)[recv] + (q[recv] * sh[send]).sum(1)) / np.sqrt(dh)
+            value = sh[send]
+        agg = np.zeros((n, dh))
+        np.add.at(agg, recv, softmax_by_receiver(logits, recv, n)[:, None] * value)
+        if model.cfg.normalized_attention:
+            heads.append(agg * head("block0.attn_ln.gain", h) + head("block0.attn_ln.shift", h))
+        else:
+            heads.append(rh + agg)
+    hcat = np.concatenate(heads, axis=1) @ p["block0.w_o"].data
+    v = np_layer_norm(v + np_mlp(p, "block0.mlp", hcat),
+                      p["block0.ln.gain"].data, p["block0.ln.shift"].data)
+    return np_mlp(p, "dec", v)
+
+
+def check_forward_against_numpy(normalized, seed):
+    cfg = ModelConfig(backbone="tie", d_in=4, d=6, heads=2, blocks=1, mlp_hidden=8,
+                      normalized_attention=normalized, precision="f64")
+    model = ImplicitEdgeModel(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal((5, 4))
+    recv, send = synthesize_pairs(5, 9, seed=seed + 2)
+    out = model.forward(x, recv, send).data
+    assert np.allclose(out, np_tie_forward(model, x, recv, send), atol=1e-11)
 
 
 class TestAbstractPairs:
@@ -75,7 +141,7 @@ class TestAbstractPairs:
 
 class TestTokenRecursion:
     def test_init_tokens_linear(self):
-        model = linear_tie(d=3, seed=1)
+        model = practice_tie(d=3, seed=1)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 3))
         r, s = model.init_tokens(T.Tensor(x))
@@ -83,25 +149,27 @@ class TestTokenRecursion:
         assert np.allclose(s.data, x @ model.w_s0.data)
 
     def test_update_without_memory(self):
-        model = linear_tie(d=3, seed=3)
+        model = practice_tie(d=3, seed=3)
         model.w_m[0].data[:] = 0.0
         rng = np.random.default_rng(4)
         v = T.Tensor(rng.standard_normal((4, 3)))
         prev = T.Tensor(rng.standard_normal((4, 3)))
         r, s = model.update_tokens(v, prev, prev, 0)
-        assert np.allclose(r.data, v.data @ model.w_r[0].data)
-        assert np.allclose(s.data, v.data @ model.w_s[0].data)
+        assert np.allclose(r.data, v.data @ model.w_r[0].data @ model.w_rp[0].data)
+        assert np.allclose(s.data, v.data @ model.w_s[0].data @ model.w_sp[0].data)
 
     def test_update_accumulates_memory(self):
-        model = linear_tie(d=3, seed=5)
+        model = practice_tie(d=3, seed=5)
         rng = np.random.default_rng(6)
         v = T.Tensor(rng.standard_normal((4, 3)))
         rp = T.Tensor(rng.standard_normal((4, 3)))
         sp = T.Tensor(rng.standard_normal((4, 3)))
         r, s = model.update_tokens(v, rp, sp, 0)
         wm = model.w_m[0].data
-        assert np.allclose(r.data, v.data @ model.w_r[0].data + rp.data @ wm)
-        assert np.allclose(s.data, v.data @ model.w_s[0].data + sp.data @ wm)
+        assert np.allclose(r.data, (v.data @ model.w_r[0].data + rp.data @ wm)
+                           @ model.w_rp[0].data)
+        assert np.allclose(s.data, (v.data @ model.w_s[0].data + sp.data @ wm)
+                           @ model.w_sp[0].data)
 
     def test_update_applies_memory_per_head(self):
         # head h of the memory term is column block h of the previous token
@@ -124,41 +192,32 @@ class TestTokenRecursion:
 
 class TestPlainAttention:
     def test_single_block_closed_form(self):
-        d = 4
-        model = linear_tie(d=d, blocks=1, seed=7)
-        rng = np.random.default_rng(8)
-        n = 5
-        x = rng.standard_normal((n, d))
-        recv, send = synthesize_pairs(n, 10, seed=9)
-        out = model.forward(x, recv, send).data
-
-        # independent expansion of one plain-attention block
-        r = x @ model.w_r[0].data + (x @ model.w_r0.data) @ model.w_m[0].data
-        s = x @ model.w_s[0].data + (x @ model.w_s0.data) @ model.w_m[0].data
-        q = x @ model.w_q[0].data
-        logits = ((q[recv] * r[recv]).sum(1) + (q[recv] * s[send]).sum(1)) / np.sqrt(d)
-        alpha = np.zeros_like(logits)
-        for i in range(n):
-            sel = recv == i
-            e = np.exp(logits[sel] - logits[sel].max())
-            alpha[sel] = e / e.sum()
-        v1 = r.copy()
-        np.add.at(v1, recv, alpha[:, None] * s[send])
-        expect = v1 @ model.dec.w.data
-        assert np.allclose(out, expect, atol=1e-12)
+        check_forward_against_numpy(normalized=False, seed=7)
 
     def test_single_neighbor_weight_is_one(self):
-        d = 3
-        model = linear_tie(d=d, blocks=1, seed=10)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, d))
-        recv = np.array([0, 1])
-        send = np.array([1, 0])
-        record = {}
-        model.forward(x, recv, send, record=record)
         # with one neighbor each, the attended update is exactly r_i + s_j
-        r, s = record["r"][1], record["s"][1]
-        assert np.allclose(record["v"][1], r + s[send], atol=1e-12)
+        model = practice_tie(d=6, heads=2, seed=10, normalized=False)
+        rng = np.random.default_rng(11)
+        v, r, s = (T.Tensor(rng.standard_normal((3, 6))) for _ in range(3))
+        send = np.array([1, 2, 0])
+        out = model._attend(v, r, s, T.PairIndex(np.arange(3), send, 3), 0)
+        assert np.allclose(out.data, r.data + s.data[send], atol=1e-12)
+
+
+class TestImplicitEdgeIdentity:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("n_abstract", [0, 2])
+    def test_tied_tokens_reproduce_the_edge_recursion(self, heads, normalized, n_abstract):
+        dev = V.implicit_edge_deviation(8, 3, 12, 50, heads, normalized, n_abstract)
+        assert dev <= 1e-10
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_untied_sender_projection_breaks_it(self, heads):
+        # negative control: the oracle can fail on the practice model
+        for seed in range(3):
+            dev = V.implicit_edge_deviation(8, 2, 12, seed, heads, tied=False)
+            assert dev > 1e-3
 
 
 class TestNormalizedAttention:
@@ -213,57 +272,7 @@ class TestNormalizedAttention:
         assert SIGMA_FLOOR == 1e-10
 
     def test_normalized_forward_matches_numpy_oracle(self):
-        cfg = ModelConfig(backbone="tie", d_in=4, d=6, heads=2, blocks=1,
-                          mlp_hidden=8, normalized_attention=True, precision="f64")
-        model = ImplicitEdgeModel(cfg, seed=14)
-        rng = np.random.default_rng(15)
-        n, dh = 5, cfg.d_head
-        x = rng.standard_normal((n, 4))
-        recv, send = synthesize_pairs(n, 9, seed=16)
-        out = model.forward(x, recv, send).data
-
-        p = model.params()
-
-        def head(name, h):  # column block h of a parameter
-            return p[name].data[..., h * dh:(h + 1) * dh]
-
-        v = np_mlp(p, "enc", x)
-        r0 = [v @ head("init.w_r0", h) for h in range(2)]
-        s0 = [v @ head("init.w_s0", h) for h in range(2)]
-        r = [v @ head("block0.w_r", h) + r0[h] @ head("block0.w_m", h) for h in range(2)]
-        s = [v @ head("block0.w_s", h) + s0[h] @ head("block0.w_m", h) for h in range(2)]
-        rcat = np.concatenate(r, axis=1) @ p["block0.w_rp"].data
-        scat = np.concatenate(s, axis=1) @ p["block0.w_sp"].data
-        r = [rcat[:, h * dh:(h + 1) * dh] for h in range(2)]
-        s = [scat[:, h * dh:(h + 1) * dh] for h in range(2)]
-        heads = []
-        for h in range(2):
-            rh, sh = r[h], s[h]
-            q = v @ head("block0.w_q", h)
-            mu_r, mu_s = rh.mean(1), sh.mean(1)
-            rc = rh - mu_r[:, None]
-            sc = sh - mu_s[:, None]
-            var = ((rh ** 2).sum(1)[recv] / dh + (sh ** 2).sum(1)[send] / dh
-                   + 2 * (rh[recv] * sh[send]).sum(1) / dh
-                   - (mu_r[recv] + mu_s[send]) ** 2)
-            sigma = np.sqrt(np.maximum(var, SIGMA_FLOOR))
-            logits = (((q * rc).sum(1)[recv] + (q[recv] * sc[send]).sum(1)) / sigma
-                      / np.sqrt(dh))
-            alpha = np.zeros_like(logits)
-            for i in range(n):
-                sel = recv == i
-                e = np.exp(logits[sel] - logits[sel].max())
-                alpha[sel] = e / e.sum()
-            value = (rc[recv] + sc[send]) / sigma[:, None]
-            agg = np.zeros((n, dh))
-            np.add.at(agg, recv, alpha[:, None] * value)
-            heads.append(agg * head("block0.attn_ln.gain", h)
-                         + head("block0.attn_ln.shift", h))
-        hcat = np.concatenate(heads, axis=1) @ p["block0.w_o"].data
-        v = np_layer_norm(v + np_mlp(p, "block0.mlp", hcat),
-                          p["block0.ln.gain"].data, p["block0.ln.shift"].data)
-        expect = np_mlp(p, "dec", v)
-        assert np.allclose(out, expect, atol=1e-11)
+        check_forward_against_numpy(normalized=True, seed=14)
 
 
 class TestFusedAttention:
@@ -475,17 +484,6 @@ class TestConfigValidation:
     def test_heads_must_divide_d(self):
         with pytest.raises(ValueError):
             ModelConfig(backbone="tie", d=10, heads=3)
-
-    def test_linear_mode_constraints(self):
-        with pytest.raises(ValueError):
-            ModelConfig(backbone="tie", d_in=4, d=8, heads=1, linear_mode=True)
-        with pytest.raises(ValueError):
-            ModelConfig(backbone="tie", d_in=8, d=8, heads=2, linear_mode=True)
-
-    @pytest.mark.parametrize("backbone", ["gnn", "vanilla"])
-    def test_linear_mode_is_tie_only(self, backbone):
-        with pytest.raises(ValueError, match="linear_mode requires the tie backbone"):
-            ModelConfig(backbone=backbone, d_in=8, d=8, heads=1, linear_mode=True)
 
     def test_backbone_mismatch(self):
         with pytest.raises(ValueError):
