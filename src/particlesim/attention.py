@@ -24,16 +24,20 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, SIGMA_FLOOR
 from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp
-from .particles import InputError
+from .particles import InputError, sample_rows
 
 
 def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.ndarray,
-                          n: int, n_abstract: int, bidirectional: bool = True):
+                          n: int, n_abstract: int, bidirectional: bool = True,
+                          samples: int = 1):
     """Extend a pair list with abstract-particle connectivity.
 
-    Abstract particle k occupies row n + k, receives from every particle of
-    material k and (if bidirectional) also sends to them.  No abstract pair
-    connects two abstract rows.  Result is sorted by (receiver, sender).
+    The n rows are `samples` equal blocks (one per sample of a batch), and
+    each block has its own n_abstract abstract rows, all placed after the n
+    rows: row r of material k receives from and (if bidirectional) sends to
+    abstract row n + n_abstract * (r // (n / samples)) + k.  No abstract pair
+    connects two abstract rows or two samples.  Result is sorted by
+    (receiver, sender).
     """
     if n_abstract == 0:
         return recv, send
@@ -42,16 +46,12 @@ def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.n
         raise InputError(f"got {material_ids.shape[0]} material ids for {n} particles")
     if material_ids.min() < 0 or material_ids.max() >= n_abstract:
         raise InputError(f"material id out of range [0, {n_abstract})")
-    extra_r = []
-    extra_s = []
-    for k in range(n_abstract):
-        members = np.nonzero(material_ids == k)[0].astype(np.int64)
-        a = n + k
-        extra_r.append(np.full(members.size, a, dtype=np.int64))
-        extra_s.append(members)
-        if bidirectional:
-            extra_r.append(members)
-            extra_s.append(np.full(members.size, a, dtype=np.int64))
+    members = np.arange(n, dtype=np.int64)
+    owner = n + n_abstract * (members // sample_rows(n, samples)) + material_ids
+    extra_r, extra_s = [owner], [members]
+    if bidirectional:
+        extra_r.append(members)
+        extra_s.append(owner)
     recv = np.concatenate([recv] + extra_r)
     send = np.concatenate([send] + extra_s)
     order = np.lexsort((send, recv))
@@ -78,19 +78,22 @@ class _AttentionBase:
     def load_params(self, values):
         self.store.load(values)
 
-    def _encode(self, x_np: np.ndarray, recv, send, material_ids):
-        """(v, index, n): the state tokens with the abstract rows appended,
-        and the pair index with the abstract pairs attached."""
+    def _encode(self, x_np: np.ndarray, recv, send, material_ids, samples: int):
+        """(v, index, n): the state tokens of the n particle rows (`samples`
+        equal blocks, one per sample) with each sample's abstract rows
+        appended after them, and the pair index with the abstract pairs
+        attached."""
         cfg = self.cfg
         n = np.asarray(x_np).shape[0]
+        sample_rows(n, samples)  # the samples must split the rows evenly
         if cfg.n_abstract > 0:
-            recv, send = self.extend_pairs(recv, send, material_ids, n)
+            recv, send = self.extend_pairs(recv, send, material_ids, n, samples)
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[cfg.precision]))
         with T.scope("encode"):
             v = self.enc(x)
             if cfg.n_abstract > 0:
-                v = T.concat([v, self.bank], axis=0)
-        return v, T.PairIndex(recv, send, n + cfg.n_abstract), n
+                v = T.concat([v] + [self.bank] * samples, axis=0)
+        return v, T.PairIndex(recv, send, n + cfg.n_abstract * samples), n
 
     def _post(self, v: Tensor, heads: Tensor, layer: int) -> Tensor:
         """heads: (N', d) attention output, heads as column blocks."""
@@ -101,8 +104,9 @@ class _AttentionBase:
     def _decode(self, v: Tensor, n: int) -> Tensor:
         return self.dec(T.rows(v, 0, n) if v.data.shape[0] != n else v)
 
-    def extend_pairs(self, recv, send, material_ids, n):
-        return attach_abstract_pairs(recv, send, material_ids, n, self.cfg.n_abstract)
+    def extend_pairs(self, recv, send, material_ids, n, samples: int = 1):
+        return attach_abstract_pairs(recv, send, material_ids, n, self.cfg.n_abstract,
+                                     samples=samples)
 
 
 class ImplicitEdgeModel(_AttentionBase):
@@ -146,9 +150,9 @@ class ImplicitEdgeModel(_AttentionBase):
         return T.add(T.scale_cols(agg, self.attn_gain[layer]), self.attn_shift[layer])
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
-                material_ids=None, record=None) -> Tensor:
+                material_ids=None, samples: int = 1, record=None) -> Tensor:
         cfg = self.cfg
-        v, index, n = self._encode(x_np, recv, send, material_ids)
+        v, index, n = self._encode(x_np, recv, send, material_ids, samples)
         with T.scope("token_update"):
             r, s = self.init_tokens(v)
         if record is not None:  # the tokens entering each block, and the last ones
@@ -187,9 +191,9 @@ class VanillaTransformer(_AttentionBase):
         return T.pair_attention(q, k, val, index, self.cfg.heads)
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
-                material_ids=None) -> Tensor:
+                material_ids=None, samples: int = 1) -> Tensor:
         cfg = self.cfg
-        v, index, n = self._encode(x_np, recv, send, material_ids)
+        v, index, n = self._encode(x_np, recv, send, material_ids, samples)
         for l in range(cfg.blocks):
             with T.scope("attention"):
                 heads = self._attend(v, index, l)

@@ -4,7 +4,9 @@ evaluation, verification suites, and benchmarks.
 One JSON config file with dotted-key overrides; every run writes a
 resolved-config snapshot next to its outputs.  Exit codes: 0 success,
 2 bad arguments, 3 verification failure (an oracle suite, or analytic MACs
-differing from the tape's in `bench`), 4 training divergence, 5 I/O error.
+differing from the tape's in `bench`), 4 divergence (of training, or a
+non-finite score for report.json), 5 I/O error (a dataset without
+validation rollouts included, for train, eval and rollout).
 """
 
 from __future__ import annotations
@@ -195,9 +197,29 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _read_dataset_with_valid(path) -> RolloutDataset:
+    """A dataset that train, eval and rollout can score: one with no
+    validation rollouts would only yield NaN losses and reports."""
+    ds = read_dataset(path)
+    if not ds.valid:
+        raise MetadataError(f"dataset {path} has an empty 'valid' split: "
+                            "train, eval and rollout score the validation rollouts")
+    return ds
+
+
+def _write_report(payload: dict, out_dir):
+    """report.json in strict JSON; a non-finite score means the model diverged."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise DivergenceError(f"report holds a non-finite score ({e})") from e
+    with open(os.path.join(out_dir, "report.json"), "w") as f:
+        f.write(text)
+
+
 def cmd_train(args) -> int:
     config = load_config(args)
-    ds = read_dataset(args.data)
+    ds = _read_dataset_with_valid(args.data)
     model_cfg = _model_config(config["model"], ds)
     train_cfg = TrainConfig(**config["train"])
     model = build_model(model_cfg, seed=train_cfg.seed)
@@ -223,7 +245,7 @@ def _restore_model(model_dir, ds: RolloutDataset):
 
 
 def cmd_eval(args) -> int:
-    ds = read_dataset(args.data)
+    ds = _read_dataset_with_valid(args.data)
     model, config, stats = _restore_model(args.model_dir, ds)
     snapshot_config(config, args.out)
     report = one_step_eval(model, ds, stats, max_samples=args.samples, seed=0)
@@ -231,15 +253,14 @@ def cmd_eval(args) -> int:
                                       max_samples=args.samples, seed=0)
     payload = {"one_step": report.to_json(),
                "constant_velocity_baseline": baseline.to_json()}
-    with open(os.path.join(args.out, "report.json"), "w") as f:
-        json.dump(payload, f, indent=2)
+    _write_report(payload, args.out)
     print(f"one-step M3SE {report.m3se_mean:.6e} +/- {report.m3se_std:.6e} "
           f"(baseline {baseline.m3se_mean:.6e})")
     return EXIT_OK
 
 
 def cmd_rollout(args) -> int:
-    ds = read_dataset(args.data)
+    ds = _read_dataset_with_valid(args.data)
     model, config, stats = _restore_model(args.model_dir, ds)
     snapshot_config(config, args.out)
     n_steps = args.steps or (ds.n_frames - model.cfg.history)
@@ -249,10 +270,9 @@ def cmd_rollout(args) -> int:
         _, report = rollout(model, ds, stats, i, n_steps, out_path=out_bin)
         reports.append(report.to_json())
     means = [r["m3se_mean"] for r in reports]
-    with open(os.path.join(args.out, "report.json"), "w") as f:
-        json.dump({"rollouts": reports,
+    _write_report({"rollouts": reports,
                    "m3se_mean": float(np.mean(means)),
-                   "m3se_std": float(np.std(means))}, f, indent=2)
+                   "m3se_std": float(np.std(means))}, args.out)
     print(f"rollout M3SE {np.mean(means):.6e} over {len(reports)} trajectories")
     return EXIT_OK
 

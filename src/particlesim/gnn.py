@@ -15,6 +15,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp
+from .particles import sample_rows
 
 
 class ExplicitEdgeGnn:
@@ -70,8 +71,11 @@ class ExplicitEdgeGnn:
         return v_new, e_new
 
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
-                material_ids=None) -> Tensor:
-        """Predict per-particle velocities (normalized units)."""
+                material_ids=None, samples: int = 1) -> Tensor:
+        """Predict per-particle velocities (normalized units).  A batch of
+        `samples` systems is one disjoint graph, so only the row count is
+        checked."""
+        sample_rows(len(x_np), samples)
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[self.cfg.precision]))
         with T.scope("encode"):
             v, e = self.encode(x, recv, send)

@@ -14,6 +14,14 @@ class InputError(ValueError):
     """Non-finite or otherwise invalid domain input."""
 
 
+def sample_rows(n: int, samples: int) -> int:
+    """Rows per sample of a batch that stacks `samples` equal systems into n
+    rows; InputError unless `samples` is positive and divides n."""
+    if samples < 1 or n % samples:
+        raise InputError(f"{samples} samples do not divide {n} particles")
+    return n // samples
+
+
 @dataclass
 class SystemState:
     positions: np.ndarray  # (N, 3)

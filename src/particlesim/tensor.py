@@ -808,7 +808,7 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         w = alpha / sigma
         agg = np.matmul(w[:, :, None, :], S)[:, :, 0, :]
         agg += rcb * w.sum(axis=2)[..., None]
-        saved.append((S, z, alpha, sigma, keep, w))
+        saved.append((z, alpha, sigma, keep, w))
         out[b.rows] = agg
     result = Tensor(out.reshape(n, d))
 
@@ -820,8 +820,11 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         # the pair's share of d|s_c|^2
         to_sender = _slot_buffer(index, heads, D, dt)
         d_ss = np.zeros((index.n_slots + 1, heads), dtype=dt)
-        for b, (S, z, alpha, sigma, keep, w) in zip(index.recv_buckets, saved):
+        for b, (z, alpha, sigma, keep, w) in zip(index.recv_buckets, saved):
             R, K = b.valid.shape
+            # gathered again rather than kept: the forward's slots x d per
+            # block would otherwise sit in memory until the reverse pass
+            S = sc[b.senders].transpose(0, 2, 1, 3)
             gb = gh[b.rows]
             rcb, qb = rc[b.rows], qh[b.rows]
             ws = w.sum(axis=2)

@@ -153,13 +153,36 @@ def make_sample(ds: RolloutDataset, frames: np.ndarray, t: int, history: int,
     return x, graph, target
 
 
-def evaluate_loss(model, ds: RolloutDataset, stats, trans) -> float:
+def make_batch(ds: RolloutDataset, rollouts: list, trans, history: int,
+               stats: P.NormStats, radius: float):
+    """(x, receivers, senders, target) of the transitions `trans` ((rollout,
+    t) pairs into `rollouts`) as one block-diagonal system: the samples'
+    rows stacked in order, and the pairs of sample b offset by b * n, so no
+    pair joins two samples.  Each sample comes from `make_sample`."""
+    xs, recvs, sends, targets = [], [], [], []
+    for b, (ri, t) in enumerate(trans):
+        x, graph, target = make_sample(ds, rollouts[ri], t, history, stats, radius)
+        offset = b * x.shape[0]
+        xs.append(x)
+        recvs.append(graph.receivers + offset)
+        sends.append(graph.senders + offset)
+        targets.append(target)
+    return (np.concatenate(xs), np.concatenate(recvs), np.concatenate(sends),
+            np.concatenate(targets))
+
+
+def evaluate_loss(model, ds: RolloutDataset, stats, trans, batch_size: int) -> float:
+    """Mean over the validation transitions `trans` of the per-sample MSE,
+    one forward per `batch_size` of them."""
     total = 0.0
-    for ri, t in trans:
-        x, graph, target = make_sample(ds, ds.valid[ri], t, model.cfg.history, stats,
-                                       model.cfg.radius)
-        pred = model.forward(x, graph.receivers, graph.senders, ds.material_ids)
-        total += mse(pred.data, target)
+    for lo in range(0, len(trans), batch_size):
+        chunk = trans[lo:lo + batch_size]
+        x, recv, send, target = make_batch(ds, ds.valid, chunk, model.cfg.history, stats,
+                                           model.cfg.radius)
+        pred = model.forward(x, recv, send, np.tile(ds.material_ids, len(chunk)),
+                             samples=len(chunk))
+        for p, t in zip(np.split(pred.data, len(chunk)), np.split(target, len(chunk))):
+            total += mse(p, t)
     return total / len(trans)
 
 
@@ -180,25 +203,21 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
     valid_trans = _transitions(ds, "valid", model.cfg.history, cfg.valid_samples, cfg.seed + 1)
     sched = PlateauScheduler(cfg.lr, cfg.lr_decay, cfg.patience)
     optim = Adam(model.params(), cfg.lr)
+    batch_ids = np.tile(ds.material_ids, cfg.batch_size)
     history = []
     last_good = {k: t.data.copy() for k, t in model.params().items()}
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
             idxs = rng.integers(0, len(train_trans), size=cfg.batch_size)
+            x, recv, send, target = make_batch(ds, ds.train, [train_trans[i] for i in idxs],
+                                               model.cfg.history, stats, model.cfg.radius)
             optim.zero_grad()
             with Tape() as tape:
-                losses = []
-                for bi in idxs:
-                    ri, t = train_trans[bi]
-                    x, graph, target = make_sample(ds, ds.train[ri], t, model.cfg.history,
-                                                   stats, model.cfg.radius)
-                    pred = model.forward(x, graph.receivers, graph.senders, ds.material_ids)
-                    losses.append(mse_loss(pred, target))
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = T.add(loss, extra)
-                loss = T.scale(loss, 1.0 / len(losses))
+                # every sample has the same particle count, so the MSE over
+                # the stacked rows is the mean of the per-sample losses
+                pred = model.forward(x, recv, send, batch_ids, samples=cfg.batch_size)
+                loss = mse_loss(pred, target)
                 if not np.isfinite(loss.item()):
                     if out_dir is not None:
                         _save_model(dict_to_tensors(last_good), out_dir, "last_good")
@@ -208,7 +227,8 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
             optim.step()
             optim.lr = sched.lr
         last_good = {k: t.data.copy() for k, t in model.params().items()}
-        valid_loss = evaluate_loss(model, ds, stats, valid_trans) if valid_trans else np.nan
+        valid_loss = (evaluate_loss(model, ds, stats, valid_trans, cfg.batch_size)
+                      if valid_trans else np.nan)
         lr_next = sched.update(valid_loss)
         optim.lr = lr_next
         history.append({

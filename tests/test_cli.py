@@ -363,6 +363,34 @@ class TestExitCodes:
         assert "norm_stats.json" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "eval", "rollout"])
+    def test_dataset_without_valid_rollouts_is_io_error(self, tmp_path, capsys, pipeline_dir,
+                                                        command):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data)] + SMALL_DATA
+                    + ["--set", "dataset.valid_rollouts=0"]) == 0
+        extra = (SMALL_MODEL + SMALL_TRAIN if command == "train"
+                 else ["--model-dir", str(pipeline_dir / "model")])
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--data", str(data / "dataset")] + extra) == 5
+        assert "empty 'valid' split" in capsys.readouterr().err
+        assert not (out / "report.json").exists() and not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_non_finite_score_writes_no_report(self, tmp_path, capsys, pipeline_dir, command):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        params = T.load_checkpoint(model / "final.manifest.json", model / "final.blob.bin")
+        params["dec.w2"].data[:] = np.nan
+        T.save_checkpoint(params, model / "final.manifest.json", model / "final.blob.bin")
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out),
+                     "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--model-dir", str(model)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
 class TestPipeline:
     def test_gen_data_artifacts(self, pipeline_dir):
         data = pipeline_dir / "data"

@@ -9,10 +9,13 @@ from particlesim.tensor import Tensor, Tape
 from particlesim.nn import ModelConfig
 from particlesim.attention import build_model
 from particlesim.worlds import WorldSpec, generate_dataset
+from particlesim.bench import synthesize_pairs
 from particlesim.training import (mse, mse_loss, m3se, Adam, PlateauScheduler,
                                   TrainConfig, fit, one_step_eval,
                                   constant_velocity_eval, rollout,
-                                  dataset_norm_stats, DivergenceError)
+                                  dataset_norm_stats, DivergenceError,
+                                  make_sample, make_batch, evaluate_loss,
+                                  _transitions)
 
 
 class TestLosses:
@@ -209,9 +212,9 @@ class TestFit:
             def params(self):
                 return self.inner.params()
 
-            def forward(self, x, recv, send, ids=None):
+            def forward(self, x, recv, send, ids=None, samples=1):
                 self.calls += 1
-                out = self.inner.forward(x, recv, send, ids)
+                out = self.inner.forward(x, recv, send, ids, samples)
                 if self.calls > 3:
                     out.data = out.data * np.nan
                 return out
@@ -222,6 +225,154 @@ class TestFit:
             fit(model, shared_dataset, cfg, out_dir=tmp_path)
         assert (tmp_path / "last_good.manifest.json").exists()
         assert (tmp_path / "norm_stats.json").exists()
+
+
+# (backbone, normalized attention, abstract rows): every model the batch serves
+BATCH_MODELS = [("tie", True, 0), ("tie", True, 2), ("tie", False, 0), ("tie", False, 2),
+                ("vanilla", True, 0), ("vanilla", True, 2), ("gnn", True, 0)]
+
+
+def batch_case(backbone, normalized, n_abstract, samples, n=7, d_in=5, seed=0):
+    """An f64 model and `samples` random systems of n particles: per sample
+    (x, recv, send, material ids, target)."""
+    cfg = ModelConfig(backbone=backbone, d_in=d_in, d=8, heads=2, blocks=2, mlp_hidden=8,
+                      n_abstract=n_abstract, normalized_attention=normalized,
+                      precision="f64")
+    model = build_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    cases = []
+    for b in range(samples):
+        recv, send = synthesize_pairs(n, 12, seed=seed + 10 + b)
+        ids = rng.integers(0, n_abstract, size=n) if n_abstract else None
+        cases.append((rng.standard_normal((n, d_in)), recv, send, ids,
+                      rng.standard_normal((n, 3))))
+    return model, cases
+
+
+def stack(cases):
+    """The block-diagonal system of `cases`, pairs of sample b offset by b * n."""
+    n = cases[0][0].shape[0]
+    ids = None if cases[0][3] is None else np.concatenate([c[3] for c in cases])
+    return (np.concatenate([c[0] for c in cases]),
+            np.concatenate([c[1] + b * n for b, c in enumerate(cases)]),
+            np.concatenate([c[2] + b * n for b, c in enumerate(cases)]),
+            ids, np.concatenate([c[4] for c in cases]))
+
+
+def param_grads(model, loss_fn) -> dict:
+    for p in model.params().values():
+        p.grad = None
+    with Tape() as tape:
+        T.backward(loss_fn(), tape)
+    return {k: p.grad.copy() for k, p in model.params().items()}
+
+
+class TestBatching:
+    """One forward over a block-diagonal batch equals the per-sample forwards."""
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("backbone,normalized,n_abstract", BATCH_MODELS)
+    def test_batched_rows_equal_separate_forwards(self, backbone, normalized, n_abstract,
+                                                  samples):
+        model, cases = batch_case(backbone, normalized, n_abstract, samples)
+        x, recv, send, ids, _ = stack(cases)
+        batched = model.forward(x, recv, send, ids, samples=samples).data
+        separate = np.concatenate([model.forward(c[0], c[1], c[2], c[3]).data
+                                   for c in cases])
+        assert batched.shape == separate.shape
+        assert np.abs(batched - separate).max() <= 1e-12
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("backbone,normalized,n_abstract", BATCH_MODELS)
+    def test_batched_loss_gradients_equal_mean_of_sample_losses(self, backbone, normalized,
+                                                                 n_abstract, samples):
+        model, cases = batch_case(backbone, normalized, n_abstract, samples)
+        x, recv, send, ids, target = stack(cases)
+
+        def batched():
+            return mse_loss(model.forward(x, recv, send, ids, samples=samples), target)
+
+        def mean_of_samples():
+            losses = [mse_loss(model.forward(c[0], c[1], c[2], c[3]), c[4]) for c in cases]
+            total = losses[0]
+            for extra in losses[1:]:
+                total = T.add(total, extra)
+            return T.scale(total, 1.0 / samples)
+
+        got, want = param_grads(model, batched), param_grads(model, mean_of_samples)
+        assert got.keys() == want.keys()
+        for k in want:
+            scale = max(np.abs(want[k]).max(), 1e-300)
+            assert np.abs(got[k] - want[k]).max() / scale <= 1e-12, k
+
+    def test_abstract_rows_follow_their_sample(self):
+        model, cases = batch_case("tie", True, 2, 3)
+        x, recv, send, ids, _ = stack(cases)
+        r, s = model.extend_pairs(recv, send, ids, x.shape[0], 3)
+        abstract = r >= x.shape[0]
+        # abstract row 21 + 2b + k hears exactly the particles of sample b, material k
+        owner = (r[abstract] - x.shape[0]) // 2
+        assert np.array_equal(owner, s[abstract] // 7)
+        assert np.array_equal((r[abstract] - x.shape[0]) % 2, ids[s[abstract]])
+
+    @pytest.mark.parametrize("backbone", ["tie", "gnn"])
+    def test_samples_must_divide_rows(self, backbone):
+        model, cases = batch_case(backbone, True, 0, 2)
+        x, recv, send, ids, _ = stack(cases)
+        with pytest.raises(P.InputError, match="samples"):
+            model.forward(x, recv, send, ids, samples=4)
+
+    def test_make_batch_stacks_make_sample(self, shared_dataset):
+        stats = dataset_norm_stats(shared_dataset)
+        trans = [(1, 3), (0, 5), (1, 3)]
+        x, recv, send, target = make_batch(shared_dataset, shared_dataset.train, trans, 1,
+                                           stats, 0.1)
+        n = shared_dataset.material_ids.shape[0]
+        for b, (ri, t) in enumerate(trans):
+            xb, graph, tb = make_sample(shared_dataset, shared_dataset.train[ri], t, 1,
+                                        stats, 0.1)
+            rows = slice(b * n, (b + 1) * n)
+            assert np.array_equal(x[rows], xb) and np.array_equal(target[rows], tb)
+            mine = (recv >= b * n) & (recv < (b + 1) * n)
+            assert np.array_equal(recv[mine] - b * n, graph.receivers)
+            assert np.array_equal(send[mine] - b * n, graph.senders)
+        assert recv.size == send.size and np.all(recv // n == send // n)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_evaluate_loss_is_the_mean_of_sample_losses(self, shared_dataset, batch_size):
+        model = build_model(tiny_config(), seed=0)
+        stats = dataset_norm_stats(shared_dataset)
+        trans = _transitions(shared_dataset, "valid", 1, 5, seed=1)
+        want = np.mean([
+            mse(model.forward(*_sample_inputs(shared_dataset, ri, t, stats)).data,
+                make_sample(shared_dataset, shared_dataset.valid[ri], t, 1, stats, 0.1)[2])
+            for ri, t in trans])
+        got = evaluate_loss(model, shared_dataset, stats, trans, batch_size)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_fit_step_tapes_one_forward(self, shared_dataset, monkeypatch):
+        model = build_model(tiny_config(), seed=0)
+        stats = dataset_norm_stats(shared_dataset)
+        with Tape() as tape:
+            pred = model.forward(*_sample_inputs(shared_dataset, 0, 2, stats, "train"))
+            mse_loss(pred, np.zeros((pred.data.shape[0], 3)))
+        single = len(tape.entries)
+        recorded = []
+        backward = T.backward
+
+        def counting_backward(loss, tape):
+            recorded.append(len(tape.entries))
+            return backward(loss, tape)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        fit(model, shared_dataset, TrainConfig(epochs=1, steps_per_epoch=1, batch_size=4,
+                                               valid_samples=1))
+        assert len(recorded) == 1 and recorded[0] <= single
+
+
+def _sample_inputs(ds, ri, t, stats, split="valid"):
+    x, graph, _ = make_sample(ds, getattr(ds, split)[ri], t, 1, stats, 0.1)
+    return x, graph.receivers, graph.senders, ds.material_ids
 
 
 class TestEvaluation:
