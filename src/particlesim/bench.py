@@ -43,6 +43,9 @@ class CostProfile:
     wall_ms_median: float = 0.0
     wall_ms_iqr: float = 0.0
     minor_faults: int = 0  # median over trials of the minor page faults of one iteration
+    # padded slots per pair of the forward's `tensor.PairIndex`; None for the
+    # GNN, which builds none
+    slots_per_pair: float | None = None
 
 
 def count_macs(cfg: ModelConfig, n: int, e: int) -> dict:
@@ -125,7 +128,8 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
     """Median and interquartile range over trials of the wall time of one
     forward+backward iteration, and the median of its minor page faults
     (`ru_minflt` of this process); the forward MACs per phase come from the
-    last timed tape."""
+    last timed tape.  The attention backbones also report the slots per pair
+    of the pair index their forward builds over the same pairs."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
     model, x, recv, send = _setup(cfg, n, e, seed)
@@ -144,12 +148,16 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
             p.grad = None
     phases = _forward_phase_macs(tape)
     q1, median, q3 = np.percentile(times, [25, 50, 75])
+    slots_per_pair = None
+    if cfg.backbone != "gnn":
+        index = T.PairIndex(recv, send, n)
+        slots_per_pair = index.n_slots / max(index.e, 1)
     return CostProfile(
         backbone=cfg.backbone, n=n, e=e, n_abstract=cfg.n_abstract, d=cfg.d,
         blocks=cfg.blocks, heads=cfg.heads,
         analytic_macs=count_macs(cfg, n, e)["total"], measured_macs=phases["total"],
         phase_macs=phases, wall_ms_median=float(median), wall_ms_iqr=float(q3 - q1),
-        minor_faults=int(np.median(faults)),
+        minor_faults=int(np.median(faults)), slots_per_pair=slots_per_pair,
     )
 
 
@@ -158,7 +166,8 @@ def write_bench_csv(profiles: list[CostProfile], path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["backbone", "n", "e", "macs", "wall_ms_median", "wall_ms_iqr",
-                         "minor_faults"])
+                         "minor_faults", "slots_per_pair"])
         for p in profiles:
             writer.writerow([p.backbone, p.n, p.e, p.measured_macs,
-                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}", p.minor_faults])
+                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}", p.minor_faults,
+                             "" if p.slots_per_pair is None else f"{p.slots_per_pair:.4f}"])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -87,6 +88,7 @@ class TapeEntry:
     backward_fn: Callable[[np.ndarray], None]
     macs: int
     scope: str
+    backward_ms: float = 0.0  # wall time of backward_fn, set by `backward`
 
 
 class Tape:
@@ -95,7 +97,7 @@ class Tape:
     Replaying the entries in reverse propagates gradients to every
     requires_grad tensor reachable from the loss.  Entries also carry a
     multiply-accumulate count tagged with the active scope label, which
-    the benchmark module reads back.
+    the benchmark module reads back, and the wall time of their backward.
     """
 
     def __init__(self):
@@ -127,6 +129,12 @@ class Tape:
         out: dict[str, int] = {}
         for e in self.entries:
             out[e.scope] = out.get(e.scope, 0) + e.macs
+        return out
+
+    def backward_ms_by_scope(self) -> dict:
+        out: dict[str, float] = {}
+        for e in self.entries:
+            out[e.scope] = out.get(e.scope, 0.0) + e.backward_ms
         return out
 
 
@@ -167,7 +175,8 @@ def _check_dtype(*tensors: Tensor):
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Propagate gradients from a scalar loss through the tape, freeing each used gradient."""
+    """Propagate gradients from a scalar loss through the tape, freeing each
+    used gradient and timing each entry's backward."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
@@ -175,7 +184,9 @@ def backward(loss: Tensor, tape: Tape):
         g = entry.out.grad
         if g is None or not entry.out.requires_grad:
             continue
+        t0 = time.perf_counter()
         entry.backward_fn(g)
+        entry.backward_ms = (time.perf_counter() - t0) * 1000.0
         entry.out.grad = None
 
 
@@ -582,19 +593,26 @@ def segment_softmax(logits: Tensor, seg_ids: np.ndarray, num_segments: int) -> T
     return _record(out, (logits,), bwd)
 
 
+# Padded width of a row of degree 0..8: the power of two at or above it.
+_SMALL_WIDTH = np.array([0, 1, 2, 4, 4, 8, 8, 8, 8])
+
+
 def _degree_buckets(starts: np.ndarray):
-    """Rows of a CSR layout grouped by padded width, the power of two at or
-    above their degree; rows of degree 0 are left out.
+    """Rows of a CSR layout grouped by padded width; rows of degree 0 are left out.
+
+    A row of degree k pads to the power of two at or above k up to 8, and to
+    the multiple of 8 at or above k beyond that.  Every row pads to less than
+    twice its degree, so one row of degree N does not widen the others, and
+    rows of degree above 8 pad by at most 7 slots: neighbor-search and
+    `bench.synthesize_pairs` graphs of mean degree 15-20 take about 1.25 slots
+    per pair.
 
     Yields (rows, pos, valid) with pos[a, k] = starts[rows[a]] + k and
-    valid[a, k] = k < degree.  Every row pads to less than twice its degree,
-    so one row of degree N does not widen the others.
+    valid[a, k] = k < degree.
     """
     deg = np.diff(starts)
-    width = np.zeros_like(deg)
-    nonempty = deg > 0
-    width[nonempty] = 1 << np.ceil(np.log2(deg[nonempty])).astype(np.int64)
-    for k in np.unique(width[nonempty]):
+    width = np.where(deg > 8, (deg + 7) // 8 * 8, _SMALL_WIDTH[np.minimum(deg, 8)])
+    for k in np.unique(width[deg > 0]):
         rows = np.flatnonzero(width == k)
         cols = np.arange(k)
         yield rows, starts[rows, None] + cols, cols < deg[rows, None]
@@ -607,6 +625,11 @@ class _RecvBucket:
     valid: np.ndarray   # (R, K) slot holds a pair
     senders: np.ndarray  # (R, K) sender of each slot (0 on padding)
 
+    def slots(self, buf: np.ndarray) -> np.ndarray:
+        """(R, K, ...) view of the bucket's slots in a slot buffer."""
+        R, K = self.valid.shape
+        return buf[self.lo:self.lo + R * K].reshape(R, K, *buf.shape[1:])
+
 
 class PairIndex:
     """Receiver- and sender-side layouts of one pair list, built once per graph.
@@ -614,12 +637,21 @@ class PairIndex:
     Pairs are taken in receiver order (neighbor search and abstract pairs
     already come sorted; other lists are sorted stably), which makes the
     receiver CSR free.  Receivers are padded into tables (rows, K) per
-    power-of-two degree bucket; the slots of all buckets, row-major, form one
-    padded slot space of size `n_slots`.  The sender side holds the stable sender
-    permutation of the pairs, its CSR starts, and tables of padded slots per
-    sender bucket (padding points at slot `n_slots`).  Sums over a receiver's
-    or a sender's pairs then become batched matmuls or row sums over these
-    tables, with no sort and no unbuffered scatter per call.
+    degree bucket (`_degree_buckets`); the slots of all buckets, row-major,
+    form one padded slot space of size `n_slots`, with `slot_sender` the
+    sender of each slot (n on padding).  The sender side holds the
+    stable sender permutation of the pairs, its CSR starts, and tables of
+    padded slots per sender bucket (padding points at slot `n_slots`).  Sums
+    over a receiver's or a sender's pairs then become batched matmuls or row
+    sums over these tables, with no sort and no unbuffered scatter per call.
+
+    The index also owns the slot workspace of the attention kernels: one
+    (n_slots + 1, ...) buffer per role (`slot_buffer`), the sender gather
+    buffer and the to-sender buffers, made on first use and reused by every
+    bucket and block, forward and backward, for as long as the graph lives.
+    A kernel call keeps nothing in them once it returns (a backward gathers
+    its sender slots again and sums the to-sender buffers before it ends), so
+    calls and backwards on one index may interleave in any order.
     """
 
     def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
@@ -639,18 +671,35 @@ class PairIndex:
 
         self.recv_buckets: list[_RecvBucket] = []
         pair_slot = np.empty(self.e, dtype=np.int64)
+        slot_sender = []
         lo = 0
         for rows, pos, valid in _degree_buckets(self.recv_starts):
             pair_slot[pos[valid]] = lo + np.flatnonzero(valid)
-            senders = np.where(valid, send[np.where(valid, pos, 0)], 0)
-            self.recv_buckets.append(_RecvBucket(rows, lo, valid, senders))
+            senders = send[np.where(valid, pos, 0)]
+            slot_sender.append(np.where(valid, senders, n).ravel())
+            self.recv_buckets.append(_RecvBucket(rows, lo, valid, np.where(valid, senders, 0)))
             lo += valid.size
         self.n_slots = lo
+        # (n_slots,) sender of each padded slot, n on padding
+        self.slot_sender = (np.concatenate(slot_sender) if slot_sender
+                            else np.zeros(0, dtype=np.int64))
         # (senders, (R, K) padded slots of each sender's pairs)
         self.send_buckets: list[tuple[np.ndarray, np.ndarray]] = []
         for rows, pos, valid in _degree_buckets(self.send_starts):
             pairs = self.send_perm[np.where(valid, pos, 0)]
             self.send_buckets.append((rows, np.where(valid, pair_slot[pairs], lo)))
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def slot_buffer(self, role: str, tail: tuple, dt) -> np.ndarray:
+        """The workspace buffer `role` of shape (n_slots + 1, *tail): one entry
+        per padded slot, plus the zero slot that sender-table padding points
+        at.  Writers fill bucket slots only, so the last slot stays zero."""
+        buf = self._buffers.get(role)
+        if buf is None or buf.shape[1:] != tail or buf.dtype != dt:
+            buf = np.empty((self.n_slots + 1,) + tail, dtype=dt)
+            buf[-1] = 0.0
+            self._buffers[role] = buf
+        return buf
 
 
 def _by_head(a: np.ndarray, heads: int) -> np.ndarray:
@@ -680,29 +729,26 @@ def _head_width(name: str, index: PairIndex, heads: int, *operands: Tensor) -> i
 
 def _slot_softmax(z: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Softmax over the pair slots (axis 2) of (R, H, K) logits; padding gets 0."""
-    zm = np.where(valid[:, None, :], z, -np.inf)
-    ex = np.exp(zm - zm.max(axis=2, keepdims=True))
-    return ex / ex.sum(axis=2, keepdims=True)
+    alpha = np.where(valid[:, None, :], z, -np.inf)
+    alpha -= alpha.max(axis=2, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=2, keepdims=True)
+    return alpha
 
 
-def _slot_buffer(index: PairIndex, heads: int, D: int, dt) -> np.ndarray:
-    """One (H, D) vector per padded slot, plus the zero slot padding points at."""
-    buf = np.empty((index.n_slots + 1, heads, D), dtype=dt)
-    buf[-1] = 0.0
-    return buf
-
-
-def _bucket_slots(buf: np.ndarray, b: _RecvBucket) -> np.ndarray:
-    """(R, H, K, D) view of a bucket's slots in a slot buffer."""
-    R, K = b.valid.shape
-    return buf[b.lo:b.lo + R * K].reshape(R, K, *buf.shape[1:]).transpose(0, 2, 1, 3)
+def _gather_slots(buf: np.ndarray, a: np.ndarray, b: _RecvBucket) -> np.ndarray:
+    """Rows of the (N', H, D) array `a` at the bucket's senders, written into
+    its slots of the slot buffer `buf`; returned as an (R, H, K, D) view."""
+    out = b.slots(buf)
+    np.take(a, b.senders, axis=0, out=out, mode="clip")
+    return out.transpose(0, 2, 1, 3)
 
 
 def _sender_sums(index: PairIndex, buf: np.ndarray) -> np.ndarray:
-    """Per sender, the sum of the slot-buffer vectors of its pairs."""
+    """Per sender, the sum of the slot-buffer entries of its pairs."""
     out = np.zeros((index.n,) + buf.shape[1:], dtype=buf.dtype)
     for rows, slots in index.send_buckets:
-        # one (R, H, D) gather per column keeps the temporaries small
+        # one (R, ...) gather per column keeps the temporaries small
         acc = buf[slots[:, 0]]
         for k in range(1, slots.shape[1]):
             acc += buf[slots[:, k]]
@@ -725,36 +771,44 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     n, d = q.data.shape
     dt = q.data.dtype
     inv_root = dt.type(1.0 / dt.type(np.sqrt(D)))
-    qh, kh, vh = (_by_head(t.data, heads) for t in (q, k, v))
+    qh = _by_head(q.data, heads) * inv_root  # the logits are then q' . k
+    kh, vh = _by_head(k.data, heads), _by_head(v.data, heads)
+    gather = index.slot_buffer("gather", (heads, D), dt)
     out = np.zeros((n, heads, D), dtype=dt)
-    saved = []
+    alphas = []
     for b in index.recv_buckets:
-        kb = kh[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
-        vb = vh[b.senders].transpose(0, 2, 1, 3)
-        alpha = _slot_softmax(np.matmul(kb, qh[b.rows][..., None])[..., 0] * inv_root, b.valid)
-        out[b.rows] = np.matmul(alpha[:, :, None, :], vb)[:, :, 0, :]
-        saved.append((kb, vb, alpha))
+        kb = _gather_slots(gather, kh, b)  # (R, H, K, D)
+        logits = np.matmul(qh[b.rows][:, :, None], kb.transpose(0, 1, 3, 2))[:, :, 0]
+        alpha = _slot_softmax(logits, b.valid)
+        out[b.rows] = np.matmul(alpha[:, :, None], _gather_slots(gather, vh, b))[:, :, 0]
+        alphas.append(alpha)
     result = Tensor(out.reshape(n, d))
 
     def bwd(g):
         gh = _by_head(g, heads)
         dq = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: the vectors each pair sends back to its sender
-        to_k = _slot_buffer(index, heads, D, dt)
-        to_v = _slot_buffer(index, heads, D, dt)
-        for b, (kb, vb, alpha) in zip(index.recv_buckets, saved):
-            gb, qb = gh[b.rows], qh[b.rows]
-            dw = np.matmul(vb, gb[..., None])[..., 0]
-            t = alpha * (dw - (alpha * dw).sum(axis=2, keepdims=True)) * inv_root
-            dq[b.rows] = np.matmul(t[:, :, None, :], kb)[:, :, 0]
-            np.matmul(t[..., None], qb[:, :, None, :], out=_bucket_slots(to_k, b))
-            np.matmul(alpha[..., None], gb[:, :, None, :], out=_bucket_slots(to_v, b))
-        if q.requires_grad:
-            q.accumulate_grad(dq.reshape(n, d))
+        # per padded slot: the vector each pair sends back to its sender, for
+        # k in the first pass over the buckets and for v in the second; the
+        # slots of k and v are gathered again rather than kept from the forward
+        to_sender = index.slot_buffer("to_sender", (heads, D), dt)
+        for b, alpha in zip(index.recv_buckets, alphas):
+            vb = _gather_slots(gather, vh, b)
+            dz = np.matmul(gh[b.rows][:, :, None], vb.transpose(0, 1, 3, 2))[:, :, 0]
+            dz -= (alpha * dz).sum(axis=2, keepdims=True)
+            dz *= alpha
+            dq[b.rows] = np.matmul(dz[:, :, None], _gather_slots(gather, kh, b))[:, :, 0]
+            np.multiply(dz[..., None], qh[b.rows][:, :, None],
+                        out=b.slots(to_sender).transpose(0, 2, 1, 3))
         if k.requires_grad:
-            k.accumulate_grad(_sender_sums(index, to_k).reshape(n, d))
+            k.accumulate_grad(_sender_sums(index, to_sender).reshape(n, d))
         if v.requires_grad:
-            v.accumulate_grad(_sender_sums(index, to_v).reshape(n, d))
+            for b, alpha in zip(index.recv_buckets, alphas):
+                np.multiply(alpha[..., None], gh[b.rows][:, :, None],
+                            out=b.slots(to_sender).transpose(0, 2, 1, 3))
+            v.accumulate_grad(_sender_sums(index, to_sender).reshape(n, d))
+        if q.requires_grad:
+            dq *= inv_root
+            q.accumulate_grad(dq.reshape(n, d))
 
     return _record(result, (q, k, v), bwd, macs=2 * index.e * d + index.e * heads)
 
@@ -786,75 +840,90 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     D = _head_width("implicit_edge_attention", index, heads, q, r, s)
     n, d = s.data.shape
     dt = s.data.dtype
-    root = dt.type(np.sqrt(D))
-    qh = _by_head(q.data, heads)
+    inv_root = dt.type(1.0 / dt.type(np.sqrt(D)))
+    qh = _by_head(q.data, heads) * inv_root  # q' = q / sqrt(D)
     rc = _centred(_by_head(r.data, heads))
     sc = _centred(_by_head(s.data, heads))
     rr = np.einsum("nhd,nhd->nh", rc, rc)
     ss = np.einsum("nhd,nhd->nh", sc, sc)
     qr = np.einsum("nhd,nhd->nh", qh, rc)
+    q_rc = np.stack([qh, rc], axis=2)  # (N', H, 2, D)
+    gather = index.slot_buffer("gather", (heads, D), dt)
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
     for b in index.recv_buckets:
-        S = sc[b.senders].transpose(0, 2, 1, 3)  # (R, H, K, D)
-        rcb = rc[b.rows]
-        dots = np.matmul(S, np.stack([qh[b.rows], rcb], axis=3))  # (R, H, K, 2)
-        var = (rr[b.rows][:, :, None] + ss[b.senders].transpose(0, 2, 1)
-               + dt.type(2.0) * dots[..., 1]) * dt.type(1.0 / D)
-        keep = var > SIGMA_FLOOR
-        sigma = np.sqrt(np.where(keep, var, dt.type(SIGMA_FLOOR)))
-        z = (qr[b.rows][:, :, None] + dots[..., 0]) / (sigma * root)
+        S = _gather_slots(gather, sc, b)  # (R, H, K, D)
+        # (R, H, 2, K): q'_i . s_c,j becomes the logit z, r_c,i . s_c,j sigma
+        dots = np.matmul(q_rc[b.rows], S.transpose(0, 1, 3, 2))
+        z, sigma = dots[:, :, 0], dots[:, :, 1]
+        sigma *= dt.type(2.0)
+        sigma += rr[b.rows][:, :, None]
+        sigma += ss[b.senders].transpose(0, 2, 1)
+        sigma *= dt.type(1.0 / D)
+        keep = sigma > SIGMA_FLOOR
+        np.sqrt(np.maximum(sigma, dt.type(SIGMA_FLOOR), out=sigma), out=sigma)
+        z += qr[b.rows][:, :, None]
+        z /= sigma
         alpha = _slot_softmax(z, b.valid)
         w = alpha / sigma
-        agg = np.matmul(w[:, :, None, :], S)[:, :, 0, :]
-        agg += rcb * w.sum(axis=2)[..., None]
-        saved.append((z, alpha, sigma, keep, w))
+        agg = np.matmul(w[:, :, None], S)[:, :, 0]
+        agg += rc[b.rows] * w.sum(axis=2)[..., None]
         out[b.rows] = agg
+        saved.append((dots, alpha, keep))
     result = Tensor(out.reshape(n, d))
 
     def bwd(g):
         gh = _by_head(g, heads)
+        g_rc = np.einsum("nhd,nhd->nh", gh, rc)
+        # what each pair sends back to its sender: w g_i + t q'_i + 2u r_c,i
+        g_q_rc = np.stack([gh, qh, rc], axis=2)  # (N', H, 3, D)
         dq = np.zeros((n, heads, D), dtype=dt)
         drc = np.zeros((n, heads, D), dtype=dt)
         # per padded slot: the vector each pair sends back to its sender, and
-        # the pair's share of d|s_c|^2
-        to_sender = _slot_buffer(index, heads, D, dt)
-        d_ss = np.zeros((index.n_slots + 1, heads), dtype=dt)
-        for b, (z, alpha, sigma, keep, w) in zip(index.recv_buckets, saved):
+        # 2u, the pair's share of d|s_c|^2 times 2
+        to_sender = index.slot_buffer("to_sender", (heads, D), dt)
+        to_ss = index.slot_buffer("to_ss", (heads,), dt)
+        for b, (dots, alpha, keep) in zip(index.recv_buckets, saved):
             R, K = b.valid.shape
+            z, sigma = dots[:, :, 0], dots[:, :, 1]
             # gathered again rather than kept: the forward's slots x d per
             # block would otherwise sit in memory until the reverse pass
-            S = sc[b.senders].transpose(0, 2, 1, 3)
-            gb = gh[b.rows]
-            rcb, qb = rc[b.rows], qh[b.rows]
-            ws = w.sum(axis=2)
-            dw = (np.matmul(S, gb[..., None])[..., 0]
-                  + np.einsum("rhd,rhd->rh", gb, rcb)[:, :, None])
-            da = dw / sigma
-            dz = alpha * (da - (alpha * da).sum(axis=2, keepdims=True))
-            t = dz / (sigma * root)
-            dsigma = -(dw * w + dz * z) / sigma
-            dvar = np.where(keep, dsigma / (dt.type(2.0) * sigma), dt.type(0.0))
-            dc = dvar * dt.type(2.0 / D)
-            # receiver side: sum_j t_ij s_c,j and sum_j dc_ij s_c,j
-            pair_sums = np.matmul(np.stack([t, dc], axis=2), S)  # (R, H, 2, D)
-            qr_grad = t.sum(axis=2)[..., None]
-            dq[b.rows] = qr_grad * rcb + pair_sums[:, :, 0]
-            drc[b.rows] = (gb * ws[..., None] + qr_grad * qb + pair_sums[:, :, 1]
-                           + dt.type(2.0 / D) * dvar.sum(axis=2)[..., None] * rcb)
-            d_ss[b.lo:b.lo + R * K] = (dvar * dt.type(1.0 / D)).transpose(0, 2, 1).reshape(
-                R * K, heads)
+            S = _gather_slots(gather, sc, b)
+            gb, rcb = gh[b.rows], rc[b.rows]
+            # the pair coefficients (w, t, 2u) of (g_i, q'_i, r_c,i)
+            coef = np.empty((R, heads, 3, K), dtype=dt)
+            w, t, u2 = coef[:, :, 0], coef[:, :, 1], coef[:, :, 2]
+            np.divide(alpha, sigma, out=w)
+            dw = np.matmul(gb[:, :, None], S.transpose(0, 1, 3, 2))[:, :, 0]
+            dw += g_rc[b.rows][:, :, None]
+            dz = dw / sigma
+            dz -= (alpha * dz).sum(axis=2, keepdims=True)
+            dz *= alpha
+            np.divide(dz, sigma, out=t)
+            # 2u = 2 dvar / D, with dvar = d sigma / (2 sigma) where the floor
+            # does not hold and d sigma = -(dw w + dz z) / sigma
+            np.divide(np.where(keep, dw * w + dz * z, dt.type(0.0)), sigma * sigma * dt.type(-D),
+                      out=u2)
+            # receiver side: sum_j t_ij s_c,j and sum_j 2u_ij s_c,j
+            pair_sums = np.matmul(coef[:, :, 1:], S)  # (R, H, 2, D)
+            t_sum = t.sum(axis=2)[..., None]
+            dq[b.rows] = t_sum * rcb + pair_sums[:, :, 0]
+            drc[b.rows] = (gb * w.sum(axis=2)[..., None] + t_sum * qh[b.rows]
+                           + pair_sums[:, :, 1] + u2.sum(axis=2)[..., None] * rcb)
             # (R, H, K, D) products written straight into the slots (R, K) of (H, D)
-            np.matmul(np.stack([w, t, dc], axis=3), np.stack([gb, qb, rcb], axis=2),
-                      out=_bucket_slots(to_sender, b))
-        dsc = _sender_sums(index, to_sender)
-        for rows, slots in index.send_buckets:
-            dsc[rows] += dt.type(2.0) * d_ss[slots].sum(axis=1)[..., None] * sc[rows]
+            np.matmul(coef.transpose(0, 1, 3, 2), g_q_rc[b.rows],
+                      out=b.slots(to_sender).transpose(0, 2, 1, 3))
+            b.slots(to_ss)[...] = u2.transpose(0, 2, 1)
         if q.requires_grad:
+            dq *= inv_root
             q.accumulate_grad(dq.reshape(n, d))
         if r.requires_grad:
             r.accumulate_grad(_centred(drc).reshape(n, d))
         if s.requires_grad:
+            dsc = _sender_sums(index, to_sender)
+            ss_sums = [np.bincount(index.slot_sender, weights=u, minlength=n + 1)[:n]
+                       for u in to_ss[:-1].T]
+            dsc += np.stack(ss_sums, axis=1).astype(dt)[..., None] * sc
             s.accumulate_grad(_centred(dsc).reshape(n, d))
 
     e = index.e

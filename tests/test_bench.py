@@ -119,6 +119,11 @@ class TestTiming:
         assert prof.wall_ms_median > 0 and prof.wall_ms_iqr >= 0
         assert prof.phase_macs == measure_macs(prof_cfg, 12, 30)
         assert prof.backbone == "tie" and prof.n == 12 and prof.e == 30
+        recv, send = synthesize_pairs(12, 30, seed=0)
+        index = T.PairIndex(recv, send, 12)
+        assert prof.slots_per_pair == index.n_slots / 30
+        assert time_iteration(cfg_for("gnn", d=16, heads=2, blocks=1), 12, 30, trials=5,
+                              warmup=0).slots_per_pair is None
 
 
 class TestBenchmarkContract:

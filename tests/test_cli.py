@@ -458,7 +458,8 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "WARNING" not in captured.out  # analytic == measured everywhere
         lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "backbone,n,e,macs,wall_ms_median,wall_ms_iqr,minor_faults"
+        assert lines[0] == ("backbone,n,e,macs,wall_ms_median,wall_ms_iqr,minor_faults,"
+                            "slots_per_pair")
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
 
     def test_bench_csv_reports_minor_faults(self, tmp_path, capsys):
@@ -473,6 +474,10 @@ class TestPipeline:
         assert len(rows) == 3
         for row in rows:
             assert re.fullmatch(r"\d+", row["minor_faults"]), row
+        # padded slots per pair of the attention backbones' pair index
+        spp = {row["backbone"]: row["slots_per_pair"] for row in rows}
+        assert spp["gnn"] == ""
+        assert all(1.0 <= float(spp[b]) < 2.0 for b in ("tie", "vanilla")), spp
 
     def test_bench_mac_mismatch_fails(self, tmp_path, capsys, monkeypatch):
         from particlesim import bench

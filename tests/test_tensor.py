@@ -231,6 +231,22 @@ class TestTape:
         assert by_scope["el"] == 8
         assert tape.total_macs() == 32
 
+    def test_backward_ms_by_scope(self):
+        with Tape() as tape:
+            a = Tensor(np.ones((2, 3)), requires_grad=True)
+            b = Tensor(np.ones((3, 4)))
+            with tape.scope("mm"):
+                c = T.matmul(a, b)
+            with tape.scope("el"):
+                d = T.mul(c, c)
+            loss = T.reduce_sum(d)
+            assert set(tape.backward_ms_by_scope().values()) == {0.0}
+            T.backward(loss, tape)
+        by_scope = tape.backward_ms_by_scope()
+        assert set(by_scope) == {"mm", "el", ""}
+        assert all(ms > 0.0 for ms in by_scope.values())
+        assert sum(by_scope.values()) == pytest.approx(sum(e.backward_ms for e in tape.entries))
+
     def test_zero_mac_ops(self):
         with Tape() as tape:
             a = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -10,7 +10,8 @@ from particlesim.tensor import Tape
 from particlesim.nn import ModelConfig
 from particlesim.attention import (ImplicitEdgeModel, VanillaTransformer,
                                    attach_abstract_pairs, build_model, SIGMA_FLOOR)
-from particlesim.particles import InputError
+from particlesim import worlds
+from particlesim.particles import InputError, build_neighbor_graph
 from particlesim.bench import synthesize_pairs
 from particlesim import verify as V
 from particlesim.verify import sigma_recovered
@@ -357,6 +358,94 @@ class TestPairIndex:
         assert np.bincount(recv)[n] == n  # the abstract row hears every particle
         assert index.n_slots <= 2 * e + n
         assert sum(slots.size for _, slots in index.send_buckets) <= 2 * e + n
+
+    def test_bucket_widths(self):
+        # powers of two up to 8, multiples of 8 above
+        degrees = np.array([0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 25, 40])
+        starts = np.concatenate(([0], np.cumsum(degrees)))
+        widths = {}
+        for rows, pos, valid in T._degree_buckets(starts):
+            assert np.array_equal(valid.sum(axis=1), degrees[rows])
+            widths.update((int(deg), pos.shape[1]) for deg in degrees[rows])
+        assert widths == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 24,
+                          24: 24, 25: 32, 40: 40}
+
+    def test_slots_per_pair_on_synthesized_pairs(self):
+        recv, send = synthesize_pairs(512, 8000, seed=1)
+        index = T.PairIndex(recv, send, 512)
+        assert index.n_slots / index.e <= 1.25  # power-of-two buckets: 1.43
+
+    def test_slots_per_pair_on_neighbor_graph(self):
+        spec = worlds.WorldSpec(kind="box_splash", counts=(1024,), dt=0.01)
+        graph = build_neighbor_graph(worlds.initial_state(spec, 0).positions, 0.1)
+        index = T.PairIndex(graph.receivers, graph.senders, 1024)
+        assert index.e > 10_000
+        assert index.n_slots / index.e <= 1.30  # power-of-two buckets: 1.43
+
+
+def _kernel_inputs(rng, rows, d, dt):
+    return [T.Tensor(rng.standard_normal((rows, d)).astype(dt), requires_grad=True)
+            for _ in range(3)]
+
+
+def _run_kernel(kernel, inputs, index, heads):
+    tape = Tape()
+    with tape:
+        out = kernel(*inputs, index, heads)
+    return tape, out
+
+
+class TestSlotWorkspace:
+    """Both kernels share one slot workspace per PairIndex; interleaved calls
+    on one index must equal the same calls on separate indexes, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [T.implicit_edge_attention, T.pair_attention])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("n_abstract", [0, 2])
+    def test_calls_on_one_index_equal_calls_on_separate_indexes(self, kernel, precision,
+                                                                n_abstract):
+        dt = T.DTYPES[precision]
+        n, d, heads = 40, 8, 2
+        recv, send = synthesize_pairs(n, 300, seed=47)
+        recv, send = attach_abstract_pairs(recv, send, np.arange(n) % 2 if n_abstract else None,
+                                           n, n_abstract)
+        rows = n + n_abstract
+        rng = np.random.default_rng(48)
+        inputs = [_kernel_inputs(rng, rows, d, dt) for _ in range(2)]
+        grads = [rng.standard_normal((rows, d)).astype(dt) for _ in range(2)]
+
+        def run(indexes):
+            tapes, outs = zip(*(_run_kernel(kernel, x, ix, heads)
+                                for x, ix in zip(inputs, indexes)))
+            for c in (1, 0):  # backwards in reverse order
+                tapes[c].entries[-1].backward_fn(grads[c])
+            found = [o.data.copy() for o in outs] + [t.grad for x in inputs for t in x]
+            for x in inputs:
+                for t in x:
+                    t.grad = None
+            return found
+
+        shared = T.PairIndex(recv, send, rows)
+        together = run([shared, shared])
+        apart = run([T.PairIndex(recv, send, rows) for _ in range(2)])
+        assert len(together) == 8
+        for a, b in zip(together, apart):
+            assert a.dtype == dt and np.array_equal(a, b)
+
+
+class TestNoPairs:
+    @pytest.mark.parametrize("backbone", ["tie", "vanilla", "gnn"])
+    def test_forward_and_backward_without_pairs(self, backbone):
+        cfg = ModelConfig(backbone=backbone, d_in=4, d=8, heads=2, blocks=2, mlp_hidden=8,
+                          precision="f64")
+        model = build_model(cfg, seed=49)
+        empty = np.zeros(0, np.int64)
+        with Tape() as tape:
+            out = model.forward(np.random.default_rng(50).standard_normal((5, 4)), empty, empty)
+            T.backward(T.reduce_sum(T.square(out)), tape)
+        assert out.data.shape == (5, 3) and np.isfinite(out.data).all()
+        grads = [p.grad for p in model.params().values() if p.grad is not None]
+        assert grads and all(np.isfinite(g).all() for g in grads)
 
 
 class TestVanillaTransformer:
