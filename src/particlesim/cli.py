@@ -241,7 +241,13 @@ def _restore_model(model_dir, ds: RolloutDataset):
     params = T.load_checkpoint(os.path.join(model_dir, "final.manifest.json"),
                                os.path.join(model_dir, "final.blob.bin"))
     model.load_params(params)
-    return model, config, P.load_norm_stats(os.path.join(model_dir, "norm_stats.json"))
+    stats_path = os.path.join(model_dir, "norm_stats.json")
+    stats = P.load_norm_stats(stats_path)
+    width = 6 + ds.d_a  # position, velocity, attributes
+    if stats.mean.shape != (width,) or stats.std.shape != (width,):
+        raise OSError(f"normalization stats {stats_path} have mean/std of shapes "
+                      f"{stats.mean.shape}/{stats.std.shape}; the dataset has {width} channels")
+    return model, config, stats
 
 
 def cmd_eval(args) -> int:

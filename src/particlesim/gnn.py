@@ -77,11 +77,9 @@ class ExplicitEdgeGnn:
         checked."""
         sample_rows(len(x_np), samples)
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[self.cfg.precision]))
-        with T.scope("encode"):
-            v, e = self.encode(x, recv, send)
+        v, e = self.encode(x, recv, send)
         for l in range(self.cfg.blocks):
-            with T.scope("propagate"):
-                v, e = self.propagate(v, e, recv, send, l)
+            v, e = self.propagate(v, e, recv, send, l)
         with T.scope("decode"):
             return self.dec(v)
 

@@ -84,7 +84,6 @@ class Tensor:
 @dataclass
 class TapeEntry:
     out: Tensor
-    parents: tuple
     backward_fn: Callable[[np.ndarray], None]
     macs: int
     scope: str
@@ -163,7 +162,7 @@ def _record(out: Tensor, parents: tuple, backward_fn, macs: int = 0) -> Tensor:
     out.requires_grad = any(p.requires_grad for p in parents)
     tape = active_tape()
     if tape is not None:
-        tape.entries.append(TapeEntry(out, parents, backward_fn, macs, tape._scope))
+        tape.entries.append(TapeEntry(out, backward_fn, macs, tape._scope))
     return out
 
 
@@ -200,28 +199,21 @@ _SCATTER_BLOCK = 32
 def _scatter_add_rows(acc: np.ndarray, idx: np.ndarray, values: np.ndarray):
     """acc[idx[i]] += values[i] for all i, with duplicate indices summed.
 
-    For large row batches a stable sort + reduceat is far faster than
-    np.add.at; both paths are deterministic.
+    A stable sort + reduceat: far faster than np.add.at on large row batches,
+    and deterministic.  `idx` must be non-empty.
     """
-    if values.ndim == 1:
-        acc += np.bincount(idx, weights=values, minlength=acc.shape[0]).astype(
-            acc.dtype, copy=False)
-        return
-    if values.shape[0] > 64:
-        order = np.argsort(idx, kind="stable")
-        si = idx[order]
-        starts = np.flatnonzero(np.diff(si, prepend=si[0] - 1))
-        rows = si[starts]
-        flat = acc.reshape(acc.shape[0], -1)
-        values = values.reshape(values.shape[0], -1)
-        # reduceat along axis 0 slows down sharply on wide rows with a
-        # power-of-two stride; contiguous blocks of at most 32 columns keep it
-        # fast and sum the same elements in the same order.
-        for lo in range(0, values.shape[1], _SCATTER_BLOCK):
-            hi = lo + _SCATTER_BLOCK
-            flat[rows, lo:hi] += np.add.reduceat(values[order, lo:hi], starts, axis=0)
-    else:
-        np.add.at(acc, idx, values)
+    order = np.argsort(idx, kind="stable")
+    si = idx[order]
+    starts = np.flatnonzero(np.diff(si, prepend=si[0] - 1))
+    rows = si[starts]
+    flat = acc.reshape(acc.shape[0], -1)
+    values = values.reshape(values.shape[0], -1)
+    # reduceat along axis 0 slows down sharply on wide rows with a
+    # power-of-two stride; contiguous blocks of at most 32 columns keep it
+    # fast and sum the same elements in the same order.
+    for lo in range(0, values.shape[1], _SCATTER_BLOCK):
+        hi = lo + _SCATTER_BLOCK
+        flat[rows, lo:hi] += np.add.reduceat(values[order, lo:hi], starts, axis=0)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -940,33 +932,31 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     instead of dividing by zero.
     """
     _check_dtype(x, gain, shift)
-    data = x.data if x.data.ndim == 2 else x.data[None, :]
-    d = data.shape[1]
-    if d < 2:
-        raise ShapeError("layer_norm requires at least 2 features")
+    if x.data.ndim != 2 or x.data.shape[1] < 2:
+        raise ShapeError(f"layer_norm requires 2-D input with at least 2 features, "
+                         f"got shape {x.data.shape}")
+    d = x.data.shape[1]
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise ShapeError(f"layer_norm gain/shift must have shape ({d},)")
-    mean = data.mean(axis=1, keepdims=True)
-    xm = data - mean
+    mean = x.data.mean(axis=1, keepdims=True)
+    xm = x.data - mean
     var = (xm * xm).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + data.dtype.type(LAYER_NORM_EPS))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
     xhat = xm * inv
-    y = gain.data * xhat + shift.data
-    out = Tensor(y if x.data.ndim == 2 else y[0])
+    out = Tensor(gain.data * xhat + shift.data)
 
     def bwd(g):
-        g2 = g if g.ndim == 2 else g[None, :]
         if shift.requires_grad:
-            shift.accumulate_grad(g2.sum(axis=0))
+            shift.accumulate_grad(g.sum(axis=0))
         if gain.requires_grad:
-            gain.accumulate_grad((g2 * xhat).sum(axis=0))
+            gain.accumulate_grad((g * xhat).sum(axis=0))
         if x.requires_grad:
-            gh = g2 * gain.data
+            gh = g * gain.data
             gx = inv * (gh - gh.mean(axis=1, keepdims=True)
                         - xhat * (gh * xhat).mean(axis=1, keepdims=True))
-            x.accumulate_grad(gx if x.data.ndim == 2 else gx[0])
+            x.accumulate_grad(gx)
 
-    return _record(out, (x, gain, shift), bwd, macs=2 * data.size)
+    return _record(out, (x, gain, shift), bwd, macs=2 * x.data.size)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -1003,9 +993,10 @@ def save_checkpoint(params: dict, manifest_path, blob_path):
 
 
 def load_checkpoint(manifest_path, blob_path) -> dict:
-    """Read a checkpoint written by `save_checkpoint`; a malformed manifest
-    raises CheckpointError naming the missing key, and a blob whose SHA-256
-    differs from the manifest's raises CheckpointError."""
+    """Read a checkpoint written by `save_checkpoint`.  CheckpointError names
+    the missing key of a malformed manifest, the tensor of an entry with an
+    unknown precision or a byte span that does not fit its shape or the
+    blob, and the files of a blob whose SHA-256 differs from the manifest's."""
     with open(blob_path, "rb") as f:
         blob = f.read()
     try:
@@ -1019,9 +1010,18 @@ def load_checkpoint(manifest_path, blob_path) -> dict:
                                   f"of {manifest_path}")
         out = {}
         for e in manifest["tensors"]:
+            if e["precision"] not in DTYPES:
+                raise CheckpointError(f"checkpoint tensor {e['name']!r} has unknown "
+                                      f"precision {e['precision']!r}")
             dt = np.dtype(DTYPES[e["precision"]]).newbyteorder("<")
-            arr = np.frombuffer(blob, dtype=dt,
-                                count=int(np.prod(e["shape"])) if e["shape"] else 1,
+            count = int(np.prod(e["shape"]))
+            if e["nbytes"] != count * dt.itemsize:
+                raise CheckpointError(f"checkpoint tensor {e['name']!r}: {e['nbytes']} bytes "
+                                      f"do not hold shape {e['shape']}")
+            if e["offset"] < 0 or e["offset"] + e["nbytes"] > manifest["total_bytes"]:
+                raise CheckpointError(f"checkpoint tensor {e['name']!r} runs past the "
+                                      f"{manifest['total_bytes']}-byte blob")
+            arr = np.frombuffer(blob, dtype=dt, count=count,
                                 offset=e["offset"]).reshape(e["shape"])
             out[e["name"]] = Tensor(arr.astype(DTYPES[e["precision"]]).copy(),
                                     requires_grad=True)

@@ -99,6 +99,9 @@ class TrainConfig:
             raise ValueError("invalid training hyperparameters")
         if self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("batch size must be positive, epochs non-negative")
+        for name in ("steps_per_epoch", "valid_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"train.{name} must be >= 1, got {getattr(self, name)}")
 
 
 class PlateauScheduler:
@@ -171,19 +174,29 @@ def make_batch(ds: RolloutDataset, rollouts: list, trans, history: int,
             np.concatenate(targets))
 
 
+def _forward(model, ds: RolloutDataset, rollouts: list, trans, stats: P.NormStats):
+    """(prediction, normalized target) of one `make_batch` forward over `trans`."""
+    x, recv, send, target = make_batch(ds, rollouts, trans, model.cfg.history, stats,
+                                       model.cfg.radius)
+    pred = model.forward(x, recv, send, np.tile(ds.material_ids, len(trans)),
+                         samples=len(trans))
+    return pred, target
+
+
+def _valid_predictions(model, ds: RolloutDataset, stats: P.NormStats, trans, chunk: int):
+    """(transition, normalized prediction, normalized target) of each
+    validation transition in `trans`, `chunk` of them per forward."""
+    for lo in range(0, len(trans), chunk):
+        part = trans[lo:lo + chunk]
+        pred, target = _forward(model, ds, ds.valid, part, stats)
+        yield from zip(part, np.split(pred.data, len(part)), np.split(target, len(part)))
+
+
 def evaluate_loss(model, ds: RolloutDataset, stats, trans, batch_size: int) -> float:
     """Mean over the validation transitions `trans` of the per-sample MSE,
     one forward per `batch_size` of them."""
-    total = 0.0
-    for lo in range(0, len(trans), batch_size):
-        chunk = trans[lo:lo + batch_size]
-        x, recv, send, target = make_batch(ds, ds.valid, chunk, model.cfg.history, stats,
-                                           model.cfg.radius)
-        pred = model.forward(x, recv, send, np.tile(ds.material_ids, len(chunk)),
-                             samples=len(chunk))
-        for p, t in zip(np.split(pred.data, len(chunk)), np.split(target, len(chunk))):
-            total += mse(p, t)
-    return total / len(trans)
+    return sum(mse(pred, target) for _, pred, target
+               in _valid_predictions(model, ds, stats, trans, batch_size)) / len(trans)
 
 
 def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
@@ -203,20 +216,18 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
     valid_trans = _transitions(ds, "valid", model.cfg.history, cfg.valid_samples, cfg.seed + 1)
     sched = PlateauScheduler(cfg.lr, cfg.lr_decay, cfg.patience)
     optim = Adam(model.params(), cfg.lr)
-    batch_ids = np.tile(ds.material_ids, cfg.batch_size)
     history = []
     last_good = {k: t.data.copy() for k, t in model.params().items()}
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
             idxs = rng.integers(0, len(train_trans), size=cfg.batch_size)
-            x, recv, send, target = make_batch(ds, ds.train, [train_trans[i] for i in idxs],
-                                               model.cfg.history, stats, model.cfg.radius)
             optim.zero_grad()
             with Tape() as tape:
                 # every sample has the same particle count, so the MSE over
                 # the stacked rows is the mean of the per-sample losses
-                pred = model.forward(x, recv, send, batch_ids, samples=cfg.batch_size)
+                pred, target = _forward(model, ds, ds.train, [train_trans[i] for i in idxs],
+                                        stats)
                 loss = mse_loss(pred, target)
                 if not np.isfinite(loss.item()):
                     if out_dir is not None:
@@ -225,7 +236,6 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
                 T.backward(loss, tape)
             epoch_loss += loss.item()
             optim.step()
-            optim.lr = sched.lr
         last_good = {k: t.data.copy() for k, t in model.params().items()}
         valid_loss = (evaluate_loss(model, ds, stats, valid_trans, cfg.batch_size)
                       if valid_trans else np.nan)
@@ -233,7 +243,7 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
         optim.lr = lr_next
         history.append({
             "epoch": epoch,
-            "train_loss": epoch_loss / max(cfg.steps_per_epoch, 1),
+            "train_loss": epoch_loss / cfg.steps_per_epoch,
             "valid_loss": valid_loss,
             "lr": lr_next,
         })
@@ -273,41 +283,35 @@ class EvalReport:
         return asdict(self)
 
 
-def one_step_eval(model, ds: RolloutDataset, stats: P.NormStats,
-                  max_samples: int = 200, seed: int = 0) -> EvalReport:
-    """M3SE of single-step predictions on the validation split (world units)."""
-    trans = _transitions(ds, "valid", model.cfg.history, max_samples, seed)
+def _one_step_report(ds: RolloutDataset, predictions) -> EvalReport:
+    """Scores of (validation transition, predicted next velocity in world
+    units) pairs against the ground truth."""
     scores = []
     per_mat: dict[int, list] = {}
-    for ri, t in trans:
-        frames = ds.valid[ri]
-        x, graph, _ = make_sample(ds, frames, t, model.cfg.history, stats, model.cfg.radius)
-        pred_norm = model.forward(x, graph.receivers, graph.senders, ds.material_ids).data
-        pred = P.denormalize_velocity(pred_norm, stats)
-        truth = frames[t + 1, :, 3:6].astype(np.float64)
+    for (ri, t), pred in predictions:
+        truth = ds.valid[ri][t + 1, :, 3:6].astype(np.float64)
         scores.append(m3se(pred, truth, ds.material_ids))
         diff = ((pred - truth) ** 2).sum(axis=-1)
         for k in np.unique(ds.material_ids):
             per_mat.setdefault(int(k), []).append(float(diff[ds.material_ids == k].mean()))
-    return EvalReport(
-        per_material={k: float(np.mean(v)) for k, v in per_mat.items()},
-        m3se_mean=float(np.mean(scores)),
-        m3se_std=float(np.std(scores)),
-    )
+    return EvalReport(per_material={k: float(np.mean(v)) for k, v in per_mat.items()},
+                      m3se_mean=float(np.mean(scores)), m3se_std=float(np.std(scores)))
+
+
+def one_step_eval(model, ds: RolloutDataset, stats: P.NormStats,
+                  max_samples: int = 200, seed: int = 0) -> EvalReport:
+    """M3SE of single-step predictions on the validation split (world units)."""
+    trans = _transitions(ds, "valid", model.cfg.history, max_samples, seed)
+    preds = _valid_predictions(model, ds, stats, trans, 1)
+    return _one_step_report(ds, ((tr, P.denormalize_velocity(p, stats)) for tr, p, _ in preds))
 
 
 def constant_velocity_eval(ds: RolloutDataset, history: int = 1,
                            max_samples: int = 200, seed: int = 0) -> EvalReport:
     """Baseline that predicts the next velocity equals the current one."""
     trans = _transitions(ds, "valid", history, max_samples, seed)
-    scores = []
-    for ri, t in trans:
-        frames = ds.valid[ri]
-        pred = frames[t, :, 3:6].astype(np.float64)
-        truth = frames[t + 1, :, 3:6].astype(np.float64)
-        scores.append(m3se(pred, truth, ds.material_ids))
-    return EvalReport(per_material={}, m3se_mean=float(np.mean(scores)),
-                      m3se_std=float(np.std(scores)))
+    return _one_step_report(ds, (((ri, t), ds.valid[ri][t, :, 3:6].astype(np.float64))
+                                 for ri, t in trans))
 
 
 def rollout(model, ds: RolloutDataset, stats: P.NormStats, rollout_idx: int,
@@ -318,31 +322,22 @@ def rollout(model, ds: RolloutDataset, stats: P.NormStats, rollout_idx: int,
     H = model.cfg.history
     if n_steps > frames.shape[0] - H:
         raise ValueError(f"rollout of {n_steps} steps exceeds ground truth length")
-    ph = [frames[H - 1 - i, :, 0:3].astype(np.float64) for i in range(H)]
-    qh = [frames[H - 1 - i, :, 3:6].astype(np.float64) for i in range(H)]
-    pred_frames = np.empty((n_steps, frames.shape[1], 6), dtype=np.float32)
+    # each prediction overwrites its ground-truth frame, so `make_sample`
+    # reads the next step's history from the predicted frames
+    work = frames[:H + n_steps].astype(np.float64)
     per_step = []
-    divergent = False
-    for step in range(n_steps):
-        t = H - 1 + step
-        x = P.assemble_inputs(ph, qh, ds.attributes, stats)
-        graph = P.build_neighbor_graph(ph[0], model.cfg.radius)
-        q_hat = P.denormalize_velocity(
-            model.forward(x, graph.receivers, graph.senders, ds.material_ids).data, stats)
+    for t in range(H - 1, H - 1 + n_steps):
+        pred, _ = _forward(model, ds, [work], [(0, t)], stats)
+        q_hat = P.denormalize_velocity(pred.data, stats)
         if not np.isfinite(q_hat).all():
-            divergent = True
-            pred_frames = pred_frames[:step]
             break
-        p_next = P.integrate_positions(ph[0], q_hat, ds.spec.dt)
-        truth = frames[t + 1, :, 3:6].astype(np.float64)
-        per_step.append(m3se(q_hat, truth, ds.material_ids))
-        pred_frames[step, :, 0:3] = p_next
-        pred_frames[step, :, 3:6] = q_hat
-        ph = [p_next] + ph[:-1]
-        qh = [q_hat] + qh[:-1]
+        per_step.append(m3se(q_hat, frames[t + 1, :, 3:6].astype(np.float64), ds.material_ids))
+        work[t + 1, :, 0:3] = P.integrate_positions(work[t, :, 0:3], q_hat, ds.spec.dt)
+        work[t + 1, :, 3:6] = q_hat
+    pred_frames = work[H:H + len(per_step)].astype(np.float32)
     report = EvalReport(per_material={}, m3se_mean=float(np.mean(per_step)) if per_step else np.nan,
                         m3se_std=float(np.std(per_step)) if per_step else np.nan,
-                        per_step=per_step, divergent=divergent)
+                        per_step=per_step, divergent=len(per_step) < n_steps)
     if out_path is not None:
         write_rollout_file(pred_frames, out_path)
     return pred_frames, report

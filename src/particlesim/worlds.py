@@ -99,17 +99,24 @@ def _kinematic_mask(spec: WorldSpec) -> np.ndarray:
     return np.zeros(spec.n, dtype=bool)
 
 
-def _spring_forces(spec: WorldSpec, p: np.ndarray, v: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _spring_pairs(spec: WorldSpec, p: np.ndarray, ids: np.ndarray):
+    """Dense spring geometry: (diff, dist with an infinite diagonal, the
+    pairs within force_radius, per-pair stiffness)."""
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
     within = dist < spec.force_radius
-    if not within.any():
-        return np.zeros_like(p)
     k = np.full(dist.shape, spec.stiffness)
     if spec.kind == "box_wash":
         rigid_pair = (ids[:, None] == 1) & (ids[None, :] == 1)
         k = np.where(rigid_pair, spec.stiffness * spec.rigid_stiffness_factor, k)
+    return diff, dist, within, k
+
+
+def _spring_forces(spec: WorldSpec, p: np.ndarray, v: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    diff, dist, within, k = _spring_pairs(spec, p, ids)
+    if not within.any():
+        return np.zeros_like(p)
     safe = np.where(within, dist, 1.0)
     dirs = diff / safe[:, :, None]
     stretch = np.where(within, dist - spec.rest_length, 0.0)
@@ -152,9 +159,7 @@ def step_oracle(spec: WorldSpec, state: SystemState, return_diag: bool = False):
         sides = np.sign(p[:, 0] - 0.5 * (spec.box_lo[0] + spec.box_hi[0]))
         v_new[kin] = 0.0
         v_new[kin, 0] = direction * spec.plate_speed * sides[kin]
-        gravity_impulse = spec.dt * g * (~kin).sum()
 
-    wall_impulse = np.zeros(3)
     v_before_walls = v_new.copy()
     if spec.kind in ("box_splash", "box_wash", "grip_block"):
         lo = np.asarray(spec.box_lo, dtype=np.float64).copy()
@@ -387,14 +392,7 @@ def read_dataset(path) -> RolloutDataset:
 
 def spring_potential_energy(spec: WorldSpec, p: np.ndarray, ids: np.ndarray) -> float:
     """Total pair potential of the active springs (test instrumentation)."""
-    diff = p[:, None, :] - p[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    within = dist < spec.force_radius
-    k = np.full(dist.shape, spec.stiffness)
-    if spec.kind == "box_wash":
-        rigid_pair = (ids[:, None] == 1) & (ids[None, :] == 1)
-        k = np.where(rigid_pair, spec.stiffness * spec.rigid_stiffness_factor, k)
+    _, dist, within, k = _spring_pairs(spec, p, ids)
     stretch = np.where(within, dist - spec.rest_length, 0.0)
     # ordered pairs double-count each spring; 1/2 k s^2 per undirected pair
     return float(0.25 * (k * stretch * stretch)[within].sum())

@@ -355,6 +355,42 @@ class TestExitCodes:
         assert self.eval_copied_model(tmp_path, pipeline_dir, drop_digest) == 5
         assert "sha256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [({"precision": "f16"}, "unknown precision"),
+                                              ({"shape": [4096, 4096]}, "do not hold shape")])
+    def test_checkpoint_manifest_entry_off_the_blob_is_io_error(self, tmp_path, capsys,
+                                                                pipeline_dir, edit, message):
+        def edit_entry(man, blob):
+            manifest = json.loads(man.read_text())
+            manifest["tensors"][0].update(edit)
+            man.write_text(json.dumps(manifest))
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, edit_entry) == 5
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_norm_stats_of_the_wrong_width_is_io_error(self, tmp_path, capsys, pipeline_dir,
+                                                       command):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        stats = json.loads((model / "norm_stats.json").read_text())
+        (model / "norm_stats.json").write_text(json.dumps(
+            {"mean": stats["mean"][:2], "std": stats["std"][:2]}))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out),
+                     "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--model-dir", str(model)]) == 5
+        err = capsys.readouterr().err
+        assert "norm_stats.json" in err and "7 channels" in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ["steps_per_epoch", "valid_samples"])
+    def test_zero_steps_or_valid_samples_is_bad_args(self, tmp_path, capsys, pipeline_dir, key):
+        out = tmp_path / "m"
+        assert main(["train", "--out", str(out), "--data", str(pipeline_dir / "data" / "dataset")]
+                    + SMALL_MODEL + SMALL_TRAIN + ["--set", f"train.{key}=0"]) == 2
+        assert f"train.{key} must be >= 1" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
     def test_model_dir_without_norm_stats_is_io_error(self, tmp_path, capsys, pipeline_dir):
         def drop_stats(man, blob):
             os.remove(man.parent / "norm_stats.json")

@@ -1,6 +1,8 @@
 """Forward-value oracles for the tensor primitives, tape accounting, and the
 checkpoint format."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,18 @@ class TestScatterAddRows:
         np.add.at(at, idx, values)
         assert np.allclose(acc, at, atol=1e-4)
 
+    @pytest.mark.parametrize("shape", [(50,), (200,), (1, 4), (64, 3), (40, 2, 5)])
+    def test_short_and_flat_inputs_match_add_at(self, shape):
+        # vectors and batches of at most 64 rows take the sort + reduceat path too
+        rng = np.random.default_rng(shape[0])
+        idx = rng.integers(0, 7, size=shape[0])
+        values = rng.standard_normal(shape)
+        acc = rng.standard_normal((7,) + shape[1:])
+        at = acc.copy()
+        T._scatter_add_rows(acc, idx, values)
+        np.add.at(at, idx, values)
+        assert np.abs(acc - at).max() <= 1e-12
+
 
 class TestSoftmax:
     def test_masked_vector_example(self):
@@ -215,6 +229,10 @@ class TestLayerNorm:
     def test_single_feature_rejected(self):
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor(np.ones((3, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            T.layer_norm(Tensor(np.arange(4.0)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 class TestTape:
@@ -399,6 +417,23 @@ class TestCheckpoint:
             load_checkpoint(man, blob)
         man.write_text(good.replace('"offset"', '"start"'))
         with pytest.raises(CheckpointError, match="offset"):
+            load_checkpoint(man, blob)
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"precision": "f16"}, "unknown precision 'f16'"),
+        ({"shape": [2, 3]}, "do not hold shape"),
+        ({"shape": [3, 2], "nbytes": 48}, "runs past"),
+        ({"offset": 40}, "runs past"),
+        ({"offset": -8}, "runs past"),
+    ])
+    def test_manifest_entry_outside_the_blob_names_the_tensor(self, tmp_path, edit, message):
+        # the SHA-256 covers the blob only, so a manifest entry can still be wrong
+        man, blob = tmp_path / "m.json", tmp_path / "b.bin"
+        save_checkpoint({"a": Tensor(np.ones(3)), "w": Tensor(np.ones((2, 2)))}, man, blob)
+        manifest = json.loads(man.read_text())
+        manifest["tensors"][1].update(edit)
+        man.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"'w'.*{message}"):
             load_checkpoint(man, blob)
 
 

@@ -11,7 +11,7 @@ from particlesim.attention import build_model
 from particlesim.worlds import WorldSpec, generate_dataset
 from particlesim.bench import synthesize_pairs
 from particlesim.training import (mse, mse_loss, m3se, Adam, PlateauScheduler,
-                                  TrainConfig, fit, one_step_eval,
+                                  TrainConfig, EvalReport, fit, one_step_eval,
                                   constant_velocity_eval, rollout,
                                   dataset_norm_stats, DivergenceError,
                                   make_sample, make_batch, evaluate_loss,
@@ -387,13 +387,22 @@ class TestEvaluation:
         rep = constant_velocity_eval(shared_dataset, max_samples=6)
         assert np.isfinite(rep.m3se_mean) and rep.m3se_mean > 0
 
+    def test_constant_velocity_baseline_per_material(self, two_material_dataset):
+        ds = two_material_dataset
+        rep = constant_velocity_eval(ds, history=2, max_samples=5, seed=3)
+        per_mat = {0: [], 1: []}
+        for ri, t in _transitions(ds, "valid", 2, 5, seed=3):
+            frames = ds.valid[ri].astype(np.float64)
+            err = ((frames[t, :, 3:6] - frames[t + 1, :, 3:6]) ** 2).sum(axis=-1)
+            for k in per_mat:
+                per_mat[k].append(err[ds.material_ids == k].mean())
+        assert rep.per_material.keys() == per_mat.keys()
+        for k, v in per_mat.items():
+            assert rep.per_material[k] == pytest.approx(np.mean(v), rel=1e-12)
+        assert rep.m3se_mean == pytest.approx(
+            np.mean([(a + b) / 2 for a, b in zip(per_mat[0], per_mat[1])]), rel=1e-12)
+
     def test_perfect_predictions_score_zero(self, shared_dataset):
-        class OracleModel:
-            cfg = tiny_config()
-
-            def forward(self, x, recv, send, ids=None):
-                raise NotImplementedError
-
         frames = shared_dataset.valid[0]
         truth = frames[1, :, 3:6].astype(np.float64)
         assert m3se(truth, truth, shared_dataset.material_ids) == 0.0
@@ -446,6 +455,128 @@ class TestEvaluation:
         assert np.array(rep.per_step).tobytes() == np.array(oracle_rep.per_step).tobytes()
 
 
+def reference_one_step_eval(model, ds, stats, max_samples=200, seed=0):
+    """The per-sample `one_step_eval` loop: one `make_sample` forward per
+    transition."""
+    trans = _transitions(ds, "valid", model.cfg.history, max_samples, seed)
+    scores = []
+    per_mat: dict[int, list] = {}
+    for ri, t in trans:
+        frames = ds.valid[ri]
+        x, graph, _ = make_sample(ds, frames, t, model.cfg.history, stats, model.cfg.radius)
+        pred_norm = model.forward(x, graph.receivers, graph.senders, ds.material_ids).data
+        pred = P.denormalize_velocity(pred_norm, stats)
+        truth = frames[t + 1, :, 3:6].astype(np.float64)
+        scores.append(m3se(pred, truth, ds.material_ids))
+        diff = ((pred - truth) ** 2).sum(axis=-1)
+        for k in np.unique(ds.material_ids):
+            per_mat.setdefault(int(k), []).append(float(diff[ds.material_ids == k].mean()))
+    return EvalReport(per_material={k: float(np.mean(v)) for k, v in per_mat.items()},
+                      m3se_mean=float(np.mean(scores)), m3se_std=float(np.std(scores)))
+
+
+def reference_rollout(model, ds, stats, rollout_idx, n_steps, split="valid"):
+    """The per-step rollout loop: its own position/velocity history lists,
+    inputs and graph built directly from them."""
+    frames = getattr(ds, split)[rollout_idx]
+    H = model.cfg.history
+    ph = [frames[H - 1 - i, :, 0:3].astype(np.float64) for i in range(H)]
+    qh = [frames[H - 1 - i, :, 3:6].astype(np.float64) for i in range(H)]
+    pred_frames = np.empty((n_steps, frames.shape[1], 6), dtype=np.float32)
+    per_step = []
+    divergent = False
+    for step in range(n_steps):
+        t = H - 1 + step
+        x = P.assemble_inputs(ph, qh, ds.attributes, stats)
+        graph = P.build_neighbor_graph(ph[0], model.cfg.radius)
+        q_hat = P.denormalize_velocity(
+            model.forward(x, graph.receivers, graph.senders, ds.material_ids).data, stats)
+        if not np.isfinite(q_hat).all():
+            divergent = True
+            pred_frames = pred_frames[:step]
+            break
+        p_next = P.integrate_positions(ph[0], q_hat, ds.spec.dt)
+        truth = frames[t + 1, :, 3:6].astype(np.float64)
+        per_step.append(m3se(q_hat, truth, ds.material_ids))
+        pred_frames[step, :, 0:3] = p_next
+        pred_frames[step, :, 3:6] = q_hat
+        ph = [p_next] + ph[:-1]
+        qh = [q_hat] + qh[:-1]
+    return pred_frames, per_step, divergent
+
+
+@pytest.fixture(scope="module")
+def two_material_dataset():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return generate_dataset(WorldSpec(kind="box_wash", counts=(8, 6)), 3, 2, 9, seed=4)
+
+
+# (backbone, abstract rows): the three backbones, and TIE with per-sample abstract rows
+EVAL_MODELS = [("tie", 0), ("tie", 2), ("vanilla", 0), ("gnn", 0)]
+
+
+def eval_model(backbone, n_abstract, history, ds):
+    return build_model(tiny_config(backbone=backbone, n_abstract=n_abstract, history=history,
+                                   d_in=P.input_dim(history, ds.d_a), radius=0.12,
+                                   precision="f32"), seed=2)
+
+
+class TestOnePathEqualsPerSampleLoops:
+    """`one_step_eval` and `rollout` go through `make_batch`; their outputs
+    equal the per-sample loops bit for bit."""
+
+    @pytest.mark.parametrize("history", [1, 2])
+    @pytest.mark.parametrize("backbone,n_abstract", EVAL_MODELS)
+    def test_one_step_eval(self, two_material_dataset, backbone, n_abstract, history):
+        ds = two_material_dataset
+        model = eval_model(backbone, n_abstract, history, ds)
+        stats = dataset_norm_stats(ds)
+        got = one_step_eval(model, ds, stats, max_samples=6, seed=1).to_json()
+        want = reference_one_step_eval(model, ds, stats, max_samples=6, seed=1).to_json()
+        assert got == want
+        assert set(got["per_material"]) == {0, 1}
+
+    @pytest.mark.parametrize("history", [1, 2])
+    @pytest.mark.parametrize("backbone,n_abstract", EVAL_MODELS)
+    def test_rollout(self, two_material_dataset, backbone, n_abstract, history):
+        ds = two_material_dataset
+        model = eval_model(backbone, n_abstract, history, ds)
+        stats = dataset_norm_stats(ds)
+        n_steps = ds.n_frames - history
+        frames, rep = rollout(model, ds, stats, 1, n_steps)
+        want_frames, want_steps, want_divergent = reference_rollout(model, ds, stats, 1, n_steps)
+        assert frames.dtype == want_frames.dtype and frames.tobytes() == want_frames.tobytes()
+        assert np.array(rep.per_step).tobytes() == np.array(want_steps).tobytes()
+        assert not rep.divergent and not want_divergent and len(rep.per_step) == n_steps
+
+    def test_divergent_rollout_is_truncated_alike(self, two_material_dataset):
+        class NanAfter:
+            """Sets every weight to NaN before its third forward."""
+            def __init__(self, inner):
+                self.inner, self.cfg, self.calls = inner, inner.cfg, 0
+
+            def forward(self, *args, **kw):
+                self.calls += 1
+                if self.calls == 3:
+                    for p in self.inner.params().values():
+                        p.data = np.full_like(p.data, np.nan)
+                return self.inner.forward(*args, **kw)
+
+        ds = two_material_dataset
+        stats = dataset_norm_stats(ds)
+        runs = []
+        for run in (rollout, reference_rollout):
+            model = NanAfter(eval_model("tie", 0, 2, ds))
+            runs.append(run(model, ds, stats, 0, 5))
+        (frames, rep), (want_frames, want_steps, want_divergent) = runs
+        assert frames.shape == want_frames.shape == (2, 14, 6)
+        assert frames.tobytes() == want_frames.tobytes()
+        assert np.array(rep.per_step).tobytes() == np.array(want_steps).tobytes()
+        assert rep.divergent and want_divergent
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("kw", [{"lr": "x"}, {"epochs": 2.5}, {"seed": True},
                                     {"lr_decay": None}])
@@ -460,3 +591,8 @@ class TestTrainConfig:
             TrainConfig(lr_decay=1.5)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("key", ["steps_per_epoch", "valid_samples"])
+    def test_zero_steps_or_valid_samples_rejected(self, key):
+        with pytest.raises(ValueError, match=f"train.{key} must be >= 1"):
+            TrainConfig(**{key: 0})
