@@ -5,8 +5,10 @@ One JSON config file with dotted-key overrides; every run writes a
 resolved-config snapshot next to its outputs.  Exit codes: 0 success,
 2 bad arguments, 3 verification failure (an oracle suite, or analytic MACs
 differing from the tape's in `bench`), 4 divergence (of training, or a
-non-finite score for report.json), 5 I/O error (a dataset without
-validation rollouts included, for train, eval and rollout).
+non-finite score for report.json, or of the reference world that gen-data
+steps), 5 I/O error (a dataset without validation rollouts included, for
+train, eval and rollout, and a norm_stats.json with a non-finite entry or
+a std below particles.STD_FLOOR).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .nn import ModelConfig, BACKBONES, check_field_types
 from . import particles as P
 from .worlds import (WorldSpec, RolloutDataset, generate_dataset, write_dataset,
-                     read_dataset, MetadataError, TruncationError, ChecksumError)
+                     read_dataset, BlowUpError, MetadataError, TruncationError, ChecksumError)
 from .attention import build_model
 from .training import (TrainConfig, fit, one_step_eval, constant_velocity_eval,
                        rollout, DivergenceError)
@@ -384,6 +386,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DivergenceError as e:
         print(f"training diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except BlowUpError as e:
+        print(f"reference world blew up: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except (MetadataError, TruncationError, ChecksumError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -173,14 +173,20 @@ def save_norm_stats(stats: NormStats, path):
 
 
 def load_norm_stats(path) -> NormStats:
-    """Stats written by save_norm_stats, bit-exact; a malformed file raises OSError."""
+    """Stats written by save_norm_stats, bit-exact.  A malformed file, or one
+    with a non-finite entry or a std below STD_FLOOR, raises OSError."""
     try:
         with open(path) as f:
             raw = json.load(f)
-        return NormStats(np.asarray(raw["mean"], dtype=np.float64),
-                         np.asarray(raw["std"], dtype=np.float64))
+        stats = NormStats(np.asarray(raw["mean"], dtype=np.float64),
+                          np.asarray(raw["std"], dtype=np.float64))
     except (ValueError, KeyError, TypeError) as e:
         raise OSError(f"malformed normalization stats {path}: {e}") from e
+    if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+            and (stats.std >= STD_FLOOR).all()):
+        raise OSError(f"normalization stats {path} hold a non-finite entry or a std "
+                      f"below {STD_FLOOR}")
+    return stats
 
 
 def normalize_frame(positions, velocities, stats: NormStats):

@@ -193,29 +193,6 @@ def backward(loss: Tensor, tape: Tape):
 # primitives
 # ---------------------------------------------------------------------------
 
-_SCATTER_BLOCK = 32
-
-
-def _scatter_add_rows(acc: np.ndarray, idx: np.ndarray, values: np.ndarray):
-    """acc[idx[i]] += values[i] for all i, with duplicate indices summed.
-
-    A stable sort + reduceat: far faster than np.add.at on large row batches,
-    and deterministic.  `idx` must be non-empty.
-    """
-    order = np.argsort(idx, kind="stable")
-    si = idx[order]
-    starts = np.flatnonzero(np.diff(si, prepend=si[0] - 1))
-    rows = si[starts]
-    flat = acc.reshape(acc.shape[0], -1)
-    values = values.reshape(values.shape[0], -1)
-    # reduceat along axis 0 slows down sharply on wide rows with a
-    # power-of-two stride; contiguous blocks of at most 32 columns keep it
-    # fast and sum the same elements in the same order.
-    for lo in range(0, values.shape[1], _SCATTER_BLOCK):
-        hi = lo + _SCATTER_BLOCK
-        flat[rows, lo:hi] += np.add.reduceat(values[order, lo:hi], starts, axis=0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtype(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -378,10 +355,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            if idx.size:
-                _scatter_add_rows(full, idx, g)
-            a.accumulate_grad(full)
+            a.accumulate_grad(_row_sums(_RowSums(idx, a.data.shape[0]), g))
 
     return _record(out, (a,), bwd)
 
@@ -391,11 +365,7 @@ def segment_sum(a: Tensor, seg_ids: np.ndarray, num_segments: int) -> Tensor:
     seg_ids = np.asarray(seg_ids, dtype=np.int64)
     if a.data.shape[0] != seg_ids.shape[0]:
         raise ShapeError(f"segment_sum: {a.data.shape[0]} rows vs {seg_ids.shape[0]} ids")
-    shape = (num_segments,) + a.data.shape[1:]
-    acc = np.zeros(shape, dtype=a.data.dtype)
-    if seg_ids.size:
-        _scatter_add_rows(acc, seg_ids, a.data)
-    out = Tensor(acc)
+    out = Tensor(_row_sums(_RowSums(seg_ids, num_segments), a.data))
 
     def bwd(g):
         if a.requires_grad:
@@ -610,6 +580,40 @@ def _degree_buckets(starts: np.ndarray):
         yield rows, starts[rows, None] + cols, cols < deg[rows, None]
 
 
+class _RowSums:
+    """Plan of the sums out[r] = sum of values[at[i]] over the i with idx[i] = r,
+    r < n, added in index order (`at` defaults to the identity).  `buckets`
+    holds per `_degree_buckets` bucket its rows (R,) in degree order,
+    descending, the (R, K) table of their value positions, and the list m:
+    column k holds entries for the first m[k] rows only."""
+
+    def __init__(self, idx: np.ndarray, n: int, at: Optional[np.ndarray] = None):
+        deg = np.bincount(idx, minlength=n)
+        starts = np.concatenate(([0], np.cumsum(deg)))
+        entries = np.argsort(idx, kind="stable")  # by row, in index order within a row
+        if at is not None:
+            entries = at[entries]
+        by_degree = np.argsort(-deg, kind="stable")  # sorts the rows of every bucket
+        self.n, self.buckets = n, []
+        for ranks, _, valid in _degree_buckets(np.concatenate(([0], np.cumsum(deg[by_degree])))):
+            rows = by_degree[ranks]
+            pos = starts[rows, None] + np.arange(valid.shape[1])
+            self.buckets.append((rows, entries.take(pos, mode="clip"), valid.sum(axis=0).tolist()))
+
+
+def _row_sums(plan: _RowSums, values: np.ndarray) -> np.ndarray:
+    """Per output row of `plan`, the sum of its rows of `values`, added in
+    index order; rows without entries get zero."""
+    out = np.zeros((plan.n,) + values.shape[1:], dtype=values.dtype)
+    for rows, table, m in plan.buckets:
+        # one (m[k], ...) gather per column keeps the temporaries small
+        acc = values[table[:, 0]]
+        for k in range(1, table.shape[1]):
+            acc[:m[k]] += values[table[:m[k], k]]
+        out[rows] = acc
+    return out
+
+
 @dataclass
 class _RecvBucket:
     rows: np.ndarray    # (R,) receivers
@@ -631,14 +635,13 @@ class PairIndex:
     receiver CSR free.  Receivers are padded into tables (rows, K) per
     degree bucket (`_degree_buckets`); the slots of all buckets, row-major,
     form one padded slot space of size `n_slots`, with `slot_sender` the
-    sender of each slot (n on padding).  The sender side holds the
-    stable sender permutation of the pairs, its CSR starts, and tables of
-    padded slots per sender bucket (padding points at slot `n_slots`).  Sums
-    over a receiver's or a sender's pairs then become batched matmuls or row
-    sums over these tables, with no sort and no unbuffered scatter per call.
+    sender of each slot (n on padding).  The sender side, `by_sender`, is
+    the `_RowSums` plan of each sender's slots in pair order.  Sums over a
+    receiver's or a sender's pairs then become batched matmuls or row sums
+    over these tables, with no sort and no unbuffered scatter per call.
 
     The index also owns the slot workspace of the attention kernels: one
-    (n_slots + 1, ...) buffer per role (`slot_buffer`), the sender gather
+    (n_slots, ...) buffer per role (`slot_buffer`), the sender gather
     buffer and the to-sender buffers, made on first use and reused by every
     bucket and block, forward and backward, for as long as the graph lives.
     A kernel call keeps nothing in them once it returns (a backward gathers
@@ -658,8 +661,6 @@ class PairIndex:
             recv, send = recv[order], send[order]
         self.n, self.e = n, recv.size
         self.recv_starts = np.concatenate(([0], np.cumsum(np.bincount(recv, minlength=n))))
-        self.send_perm = np.argsort(send, kind="stable")
-        self.send_starts = np.concatenate(([0], np.cumsum(np.bincount(send, minlength=n))))
 
         self.recv_buckets: list[_RecvBucket] = []
         pair_slot = np.empty(self.e, dtype=np.int64)
@@ -675,21 +676,15 @@ class PairIndex:
         # (n_slots,) sender of each padded slot, n on padding
         self.slot_sender = (np.concatenate(slot_sender) if slot_sender
                             else np.zeros(0, dtype=np.int64))
-        # (senders, (R, K) padded slots of each sender's pairs)
-        self.send_buckets: list[tuple[np.ndarray, np.ndarray]] = []
-        for rows, pos, valid in _degree_buckets(self.send_starts):
-            pairs = self.send_perm[np.where(valid, pos, 0)]
-            self.send_buckets.append((rows, np.where(valid, pair_slot[pairs], lo)))
+        self.by_sender = _RowSums(send, n, at=pair_slot)
         self._buffers: dict[str, np.ndarray] = {}
 
     def slot_buffer(self, role: str, tail: tuple, dt) -> np.ndarray:
-        """The workspace buffer `role` of shape (n_slots + 1, *tail): one entry
-        per padded slot, plus the zero slot that sender-table padding points
-        at.  Writers fill bucket slots only, so the last slot stays zero."""
+        """The workspace buffer `role` of shape (n_slots, *tail), one entry per
+        padded slot; its contents are left to the caller."""
         buf = self._buffers.get(role)
         if buf is None or buf.shape[1:] != tail or buf.dtype != dt:
-            buf = np.empty((self.n_slots + 1,) + tail, dtype=dt)
-            buf[-1] = 0.0
+            buf = np.empty((self.n_slots,) + tail, dtype=dt)
             self._buffers[role] = buf
         return buf
 
@@ -736,18 +731,6 @@ def _gather_slots(buf: np.ndarray, a: np.ndarray, b: _RecvBucket) -> np.ndarray:
     return out.transpose(0, 2, 1, 3)
 
 
-def _sender_sums(index: PairIndex, buf: np.ndarray) -> np.ndarray:
-    """Per sender, the sum of the slot-buffer entries of its pairs."""
-    out = np.zeros((index.n,) + buf.shape[1:], dtype=buf.dtype)
-    for rows, slots in index.send_buckets:
-        # one (R, ...) gather per column keeps the temporaries small
-        acc = buf[slots[:, 0]]
-        for k in range(1, slots.shape[1]):
-            acc += buf[slots[:, k]]
-        out[rows] = acc
-    return out
-
-
 def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int) -> Tensor:
     """Fused softmax-aggregate of dot-product attention over all heads.
 
@@ -792,12 +775,12 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
             np.multiply(dz[..., None], qh[b.rows][:, :, None],
                         out=b.slots(to_sender).transpose(0, 2, 1, 3))
         if k.requires_grad:
-            k.accumulate_grad(_sender_sums(index, to_sender).reshape(n, d))
+            k.accumulate_grad(_row_sums(index.by_sender, to_sender).reshape(n, d))
         if v.requires_grad:
             for b, alpha in zip(index.recv_buckets, alphas):
                 np.multiply(alpha[..., None], gh[b.rows][:, :, None],
                             out=b.slots(to_sender).transpose(0, 2, 1, 3))
-            v.accumulate_grad(_sender_sums(index, to_sender).reshape(n, d))
+            v.accumulate_grad(_row_sums(index.by_sender, to_sender).reshape(n, d))
         if q.requires_grad:
             dq *= inv_root
             q.accumulate_grad(dq.reshape(n, d))
@@ -912,9 +895,10 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         if r.requires_grad:
             r.accumulate_grad(_centred(drc).reshape(n, d))
         if s.requires_grad:
-            dsc = _sender_sums(index, to_sender)
+            dsc = _row_sums(index.by_sender, to_sender)
+            # bincount per head: 2-5x faster than the tables on (H,) rows (0.11-0.47 vs 0.30-1.0 ms)
             ss_sums = [np.bincount(index.slot_sender, weights=u, minlength=n + 1)[:n]
-                       for u in to_ss[:-1].T]
+                       for u in to_ss.T]
             dsc += np.stack(ss_sums, axis=1).astype(dt)[..., None] * sc
             s.accumulate_grad(_centred(dsc).reshape(n, d))
 

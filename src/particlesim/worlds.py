@@ -65,8 +65,18 @@ class WorldSpec:
             setattr(self, name, tuple(getattr(self, name)))
         if self.kind not in WORLD_KINDS:
             raise InputError(f"unknown world kind {self.kind!r}")
-        if any(c < 1 for c in self.counts):
-            raise InputError("particle counts must be >= 1")
+        if not self.counts or any(c < 1 for c in self.counts):
+            raise InputError(f"counts must name at least one material, each of >= 1 "
+                             f"particles, got {list(self.counts)}")
+        if self.kind in ("grip_block", "box_wash") and len(self.counts) != 2:
+            raise InputError(f"counts of a {self.kind} world must name exactly 2 materials, "
+                             f"got {list(self.counts)}")
+        for name in ("gravity", "box_lo", "box_hi"):
+            if len(getattr(self, name)) != 3:
+                raise InputError(f"{name} must have 3 components, got {list(getattr(self, name))}")
+        if any(lo >= hi for lo, hi in zip(self.box_lo, self.box_hi)):
+            raise InputError(f"box_lo must be below box_hi on every axis, got "
+                             f"{list(self.box_lo)} and {list(self.box_hi)}")
         for name in ("dt", "stiffness", "rest_length", "force_radius", "spacing"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand pipeline, config overrides, and exit
-codes (0 ok, 2 bad arguments, 3 verification failure, 5 i/o error)."""
+codes (0 ok, 2 bad arguments, 3 verification failure, 4 divergence, 5 i/o
+error)."""
 
 import argparse
 import csv
@@ -178,6 +179,22 @@ class TestExitCodes:
     def test_dataset_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):
         assert main(["gen-data", "--out", str(tmp_path), "--set", override]) == 2
         assert f"{override.split('.')[1].split('=')[0]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ("dataset.counts=[]", "counts"), ("dataset.kind=box_wash", "counts"),
+        ("dataset.kind=grip_block", "counts"), ("dataset.gravity=[0,-9.8]", "gravity"),
+        ("dataset.box_lo=[0,0]", "box_lo"), ("dataset.box_hi=[1,1,1,1]", "box_hi"),
+        ("dataset.box_lo=[0,1,0]", "box_lo")])
+    def test_malformed_world_is_bad_args(self, tmp_path, capsys, override, key):
+        assert main(["gen-data", "--out", str(tmp_path)] + SMALL_DATA
+                    + ["--set", override]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "dataset").exists()
+
+    def test_reference_world_blow_up_is_divergence(self, tmp_path, capsys):
+        assert main(["gen-data", "--out", str(tmp_path)] + SMALL_DATA
+                    + ["--set", "dataset.stiffness=1e12"]) == 4
+        assert "reference world blew up" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ['bench.d="x"', 'bench.e_values=["x"]'])
     def test_bench_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):
@@ -381,6 +398,24 @@ class TestExitCodes:
                      "--model-dir", str(model)]) == 5
         err = capsys.readouterr().err
         assert "norm_stats.json" in err and "7 channels" in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    @pytest.mark.parametrize("key, value", [("std", 0.0), ("mean", float("nan")),
+                                            ("std", -1.0), ("std", float("inf"))])
+    def test_corrupt_norm_stats_is_io_error(self, tmp_path, capsys, pipeline_dir, command,
+                                            key, value):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        stats = json.loads((model / "norm_stats.json").read_text())
+        stats[key][4] = value
+        (model / "norm_stats.json").write_text(json.dumps(stats))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out),
+                     "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--model-dir", str(model)]) == 5
+        err = capsys.readouterr().err
+        assert "norm_stats.json" in err and "non-finite entry or a std below" in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("key", ["steps_per_epoch", "valid_samples"])

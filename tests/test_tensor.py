@@ -133,36 +133,57 @@ class TestShapes:
             T.head_matmul(Tensor(a), Tensor(w), 2)
 
 
-class TestScatterAddRows:
-    def test_wide_rows_blocked(self):
+def add_at_f64(idx, values, n):
+    ref = np.zeros((n,) + values.shape[1:])
+    np.add.at(ref, idx, values.astype(np.float64))
+    return ref
+
+
+class TestRowSums:
+    def test_wide_f32_rows_match_add_at(self):
         rng = np.random.default_rng(3)
         idx = rng.integers(0, 300, size=8000)
         values = rng.standard_normal((8000, 128)).astype(np.float32)
-        acc = np.zeros((300, 128), dtype=np.float32)
-        T._scatter_add_rows(acc, idx, values)
-
-        order = np.argsort(idx, kind="stable")
-        si = idx[order]
-        starts = np.flatnonzero(np.diff(si, prepend=si[0] - 1))
-        single = np.zeros_like(acc)
-        single[si[starts]] += np.add.reduceat(values[order], starts, axis=0)
-        assert acc.tobytes() == single.tobytes()
-
-        at = np.zeros_like(acc)
-        np.add.at(at, idx, values)
-        assert np.allclose(acc, at, atol=1e-4)
+        got = T._row_sums(T._RowSums(idx, 300), values)
+        assert got.dtype == np.float32
+        # a sequential f32 sum of k terms is off by at most (k - 1) eps sum|v|
+        bound = (np.bincount(idx).max() - 1) * np.finfo(np.float32).eps
+        assert np.all(np.abs(got - add_at_f64(idx, values, 300))
+                      <= bound * add_at_f64(idx, np.abs(values), 300))
 
     @pytest.mark.parametrize("shape", [(50,), (200,), (1, 4), (64, 3), (40, 2, 5)])
-    def test_short_and_flat_inputs_match_add_at(self, shape):
-        # vectors and batches of at most 64 rows take the sort + reduceat path too
+    def test_flat_short_and_3d_inputs_match_add_at(self, shape):
         rng = np.random.default_rng(shape[0])
         idx = rng.integers(0, 7, size=shape[0])
         values = rng.standard_normal(shape)
-        acc = rng.standard_normal((7,) + shape[1:])
-        at = acc.copy()
-        T._scatter_add_rows(acc, idx, values)
-        np.add.at(at, idx, values)
-        assert np.abs(acc - at).max() <= 1e-12
+        got = T._row_sums(T._RowSums(idx, 7), values)
+        assert got.shape == (7,) + shape[1:]
+        assert np.abs(got - add_at_f64(idx, values, 7)).max() <= 1e-12
+
+    def test_empty_index(self):
+        got = T._row_sums(T._RowSums(np.zeros(0, np.int64), 5), np.zeros((0, 3)))
+        assert got.shape == (5, 3) and not got.any()
+
+    def test_rows_without_entries_get_zero(self):
+        rng = np.random.default_rng(4)
+        idx = rng.choice([1, 3, 7], size=40)
+        values = rng.standard_normal((40, 6))
+        got = T._row_sums(T._RowSums(idx, 10), values)
+        assert not got[[0, 2, 4, 5, 6, 8, 9]].any()
+        assert np.abs(got - add_at_f64(idx, values, 10)).max() <= 1e-12
+
+    def test_cancelling_f32_sums_add_in_index_order(self):
+        # 1e8 + 1 rounds back to 1e8 in f32, so a sequential sum of row 0 drops
+        # every 1; a pairwise or blocked sum keeps some of them
+        values = np.array([1e8] + [1.0] * 62 + [-1e8] + [3.0] * 20, dtype=np.float32)
+        idx = np.r_[np.zeros(64, np.int64), np.full(20, 2)]
+        order = np.random.default_rng(5).permutation(idx.size)
+        idx, values = idx[order], values[order]
+        expect = np.zeros(3, dtype=np.float32)
+        for i in range(idx.size):
+            expect[idx[i]] += values[i]
+        got = T._row_sums(T._RowSums(idx, 3), values)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestSoftmax:

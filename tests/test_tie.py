@@ -320,13 +320,10 @@ class TestFusedAttention:
 
 
 class TestPairIndex:
-    def test_csr_and_sender_permutation(self):
+    def test_receiver_csr(self):
         recv, send = synthesize_pairs(40, 300, seed=43)
         index = T.PairIndex(recv, send, 40)
-        assert np.array_equal(index.send_perm, np.argsort(send, kind="stable"))
         assert np.array_equal(np.diff(index.recv_starts), np.bincount(recv, minlength=40))
-        assert np.array_equal(send[index.send_perm][index.send_starts[:-1][
-            np.diff(index.send_starts) > 0]], np.flatnonzero(np.bincount(send, minlength=40)))
 
     def test_tables_cover_every_pair_once(self):
         recv, send = synthesize_pairs(30, 200, seed=44)
@@ -336,17 +333,28 @@ class TestPairIndex:
             rows = np.broadcast_to(b.rows[:, None], b.valid.shape)
             got += list(zip(rows[b.valid].tolist(), b.senders[b.valid].tolist()))
         assert sorted(got) == sorted(zip(recv.tolist(), send.tolist()))
-        # every sender's table points at exactly the slots of its own pairs
-        slot_sender = np.full(index.n_slots, -1)
+
+    @pytest.mark.parametrize("abstract", [False, True])
+    def test_sender_plan_holds_each_pair_slot_once_in_pair_order(self, abstract):
+        n = 30
+        recv, send = synthesize_pairs(n, 200, seed=44)
+        if abstract:
+            recv, send = attach_abstract_pairs(recv, send, np.zeros(n, np.int64), n, 1,
+                                               bidirectional=True)
+            n += 1
+        index = T.PairIndex(recv, send, n)
+        # the pair (in receiver order) held by each padded slot, -1 on padding
+        slot_pair = np.full(index.n_slots, -1)
         for b in index.recv_buckets:
-            slot_sender[b.lo:b.lo + b.valid.size] = np.where(b.valid, b.senders, -1).ravel()
-        seen = []
-        for rows, slots in index.send_buckets:
-            valid = slots < index.n_slots
-            owners = np.broadcast_to(rows[:, None], slots.shape)[valid]
-            assert np.array_equal(slot_sender[slots[valid]], owners)
-            seen.append(slots[valid])
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.flatnonzero(slot_sender >= 0))
+            pairs = index.recv_starts[b.rows][:, None] + np.arange(b.valid.shape[1])
+            slot_pair[b.lo:b.lo + b.valid.size] = np.where(b.valid, pairs, -1).ravel()
+        send = send[np.argsort(recv, kind="stable")]
+        seen = {}
+        for rows, table, m in index.by_sender.buckets:
+            for a, row in enumerate(rows):
+                seen[int(row)] = slot_pair[table[a, :sum(mk > a for mk in m)]]
+        for j in range(n):
+            assert np.array_equal(seen.get(j, []), np.flatnonzero(send == j))
 
     def test_degree_n_row_does_not_widen_the_others(self):
         n = 1024
@@ -356,8 +364,9 @@ class TestPairIndex:
         index = T.PairIndex(recv, send, n + 1)
         e = recv.size
         assert np.bincount(recv)[n] == n  # the abstract row hears every particle
+        assert np.bincount(send)[n] == n  # and every particle hears it
         assert index.n_slots <= 2 * e + n
-        assert sum(slots.size for _, slots in index.send_buckets) <= 2 * e + n
+        assert sum(table.size for _, table, _ in index.by_sender.buckets) <= 2 * e + n
 
     def test_bucket_widths(self):
         # powers of two up to 8, multiples of 8 above

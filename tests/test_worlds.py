@@ -141,6 +141,21 @@ class TestWorldSpec:
         with pytest.raises(InputError):
             WorldSpec(dt=-0.1)
 
+    @pytest.mark.parametrize("kw, key", [
+        (dict(counts=()), "counts"),
+        (dict(kind="box_wash", counts=(8,)), "counts"),
+        (dict(kind="box_wash", counts=(4, 4, 4)), "counts"),
+        (dict(kind="grip_block", counts=(8,)), "counts"),
+        (dict(gravity=(0.0, -9.8)), "gravity"),
+        (dict(box_lo=(0.0, 0.0)), "box_lo"),
+        (dict(box_hi=(1.0, 1.0, 1.0, 1.0)), "box_hi"),
+        (dict(box_lo=(0.0, 1.0, 0.0)), "box_lo"),
+        (dict(box_hi=(1.0, 1.0, -1.0)), "box_hi"),
+    ])
+    def test_malformed_world_names_the_key(self, kw, key):
+        with pytest.raises(InputError, match=key):
+            WorldSpec(**kw)
+
     def test_material_ids(self):
         spec = WorldSpec(kind="box_wash", counts=(3, 2))
         assert spec.material_ids().tolist() == [0, 0, 0, 1, 1]
