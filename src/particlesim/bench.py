@@ -5,7 +5,8 @@ Accounting convention: a MAC is one multiply inside a linear-algebra
 primitive.  matmul (m,k)x(k,n) costs m*k*n; elementwise mul/div/scale/square
 and row/column scaling cost one MAC per output element; layer_norm costs two
 per element (inverse-std scaling plus gain); additions, gathers, reductions,
-softmaxes, and sqrt cost zero; the fused attention kernels
+softmaxes, and sqrt cost zero; the fused MLP (`mlp`) counts its two
+products, as two matmuls would; the fused attention kernels
 (`pair_attention`, `implicit_edge_attention`) count the products their
 docstrings list.  The tape tallies the same convention during
 a real forward pass, so the analytic formulas must match the instrumented
@@ -18,6 +19,7 @@ import csv
 import os
 import resource
 import time
+import tracemalloc
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -43,6 +45,7 @@ class CostProfile:
     wall_ms_median: float = 0.0
     wall_ms_iqr: float = 0.0
     minor_faults: int = 0  # median over trials of the minor page faults of one iteration
+    peak_alloc_mb: float = 0.0  # tracemalloc peak of one more, untimed iteration
     # padded slots per pair of the forward's `tensor.PairIndex`; None for the
     # GNN, which builds none
     slots_per_pair: float | None = None
@@ -126,27 +129,44 @@ def measure_macs(cfg: ModelConfig, n: int, e: int, seed: int = 0) -> dict:
 def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
                    warmup: int = 2, seed: int = 0) -> CostProfile:
     """Median and interquartile range over trials of the wall time of one
-    forward+backward iteration, and the median of its minor page faults
-    (`ru_minflt` of this process); the forward MACs per phase come from the
-    last timed tape.  The attention backbones also report the slots per pair
-    of the pair index their forward builds over the same pairs."""
+    forward+backward iteration, the median of its minor page faults
+    (`ru_minflt` of this process), and the `tracemalloc` allocation peak of
+    one more iteration, run untimed after the trials; the forward MACs per
+    phase come from the last timed tape.  The attention backbones also
+    report the slots per pair of the pair index their forward builds over
+    the same pairs."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
     model, x, recv, send = _setup(cfg, n, e, seed)
-    times, faults = [], []
-    for i in range(warmup + trials):
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t0 = time.perf_counter()
+
+    def iteration() -> Tape:
         with Tape() as tape:
             pred = model.forward(x, recv, send)
             loss = T.scale(T.reduce_sum(T.square(pred)), 1.0 / n)
             T.backward(loss, tape)
+        return tape
+
+    times, faults = [], []
+    for i in range(warmup + trials):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        tape = iteration()
         if i >= warmup:
             times.append((time.perf_counter() - t0) * 1000.0)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         for p in model.params().values():
             p.grad = None
     phases = _forward_phase_macs(tape)
+    tracing = tracemalloc.is_tracing()  # a caller's own tracing is left running
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        iteration()
+        peak_alloc = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     q1, median, q3 = np.percentile(times, [25, 50, 75])
     slots_per_pair = None
     if cfg.backbone != "gnn":
@@ -157,7 +177,8 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
         blocks=cfg.blocks, heads=cfg.heads,
         analytic_macs=count_macs(cfg, n, e)["total"], measured_macs=phases["total"],
         phase_macs=phases, wall_ms_median=float(median), wall_ms_iqr=float(q3 - q1),
-        minor_faults=int(np.median(faults)), slots_per_pair=slots_per_pair,
+        minor_faults=int(np.median(faults)), peak_alloc_mb=peak_alloc / 2**20,
+        slots_per_pair=slots_per_pair,
     )
 
 
@@ -166,8 +187,9 @@ def write_bench_csv(profiles: list[CostProfile], path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["backbone", "n", "e", "macs", "wall_ms_median", "wall_ms_iqr",
-                         "minor_faults", "slots_per_pair"])
+                         "minor_faults", "peak_alloc_mb", "slots_per_pair"])
         for p in profiles:
             writer.writerow([p.backbone, p.n, p.e, p.measured_macs,
                              f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}", p.minor_faults,
+                             f"{p.peak_alloc_mb:.3f}",
                              "" if p.slots_per_pair is None else f"{p.slots_per_pair:.4f}"])

@@ -51,7 +51,7 @@ class ExplicitEdgeGnn:
         with T.scope("encode_edge"):
             xi = T.gather_rows(x, recv)
             xj = T.gather_rows(x, send)
-            e = self.enc_e(T.concat([xi, xj], axis=1))
+            e = self.enc_e([xi, xj])
         return v, e
 
     def propagate(self, v: Tensor, e: Tensor, recv: np.ndarray, send: np.ndarray,
@@ -60,13 +60,11 @@ class ExplicitEdgeGnn:
         with T.scope("edge_update"):
             vi = T.gather_rows(v, recv)
             vj = T.gather_rows(v, send)
-            edge_in = T.concat([vi, vj, e], axis=1)
-            e_new = T.layer_norm(self.prop_e[layer](edge_in),
+            e_new = T.layer_norm(self.prop_e[layer]([vi, vj, e]),
                                  self.ln_e_gain[layer], self.ln_e_shift[layer])
         with T.scope("node_update"):
             agg = T.segment_sum(e_new, recv, n)
-            node_in = T.concat([v, agg], axis=1)
-            v_new = T.layer_norm(self.prop_v[layer](node_in),
+            v_new = T.layer_norm(self.prop_v[layer]([v, agg]),
                                  self.ln_v_gain[layer], self.ln_v_shift[layer])
         return v_new, e_new
 

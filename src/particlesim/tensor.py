@@ -3,8 +3,9 @@
 The primitive set is the minimal closure needed by the simulation models:
 matrix products (also per head, over column blocks), elementwise arithmetic,
 relu, concat/slice/gather, segment reductions, masked and segmented softmax,
-layer norm, and two fused attention kernels over a per-graph `PairIndex`:
-dot-product `pair_attention` and normalized `implicit_edge_attention`.
+layer norm, the fused two-layer perceptron `mlp` over input column blocks,
+and two fused attention kernels over a per-graph `PairIndex`: dot-product
+`pair_attention` and normalized `implicit_edge_attention`.
 Everything is numpy-backed; two precision modes (f32, f64) are supported
 and never mixed inside one graph.
 """
@@ -319,6 +320,50 @@ def relu(a: Tensor) -> Tensor:
             a.accumulate_grad(g * (a.data > 0))
 
     return _record(out, (a,), bwd)
+
+
+def mlp(xs: list[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer perceptron relu(sum_k x_k W1_k + b1) W2 + b2 over the input
+    column blocks xs, W1_k the row block of w1 facing x_k, so the inputs are
+    never joined.  Only the hidden h = relu(.) is kept for the backward; its
+    relu mask is h > 0.  MACs: the two products, m * in * hid + m * hid * out."""
+    _check_dtype(*xs, w1, b1, w2, b2)
+    m = xs[0].data.shape[0]
+    offsets = np.cumsum([0] + [x.data.shape[-1] for x in xs]).tolist()
+    (n_in, hid), n_out = w1.data.shape, w2.data.shape[-1]
+    if (any(x.data.ndim != 2 or x.data.shape[0] != m for x in xs) or offsets[-1] != n_in
+            or b1.data.shape != (hid,) or w2.data.shape != (hid, n_out)
+            or b2.data.shape != (n_out,)):
+        raise ShapeError(f"mlp: inputs {[x.data.shape for x in xs]} vs layers "
+                         f"{w1.data.shape} {b1.data.shape} {w2.data.shape} {b2.data.shape}")
+    rows_of = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    h = xs[0].data @ w1.data[rows_of[0]]
+    for x, rows_k in zip(xs[1:], rows_of[1:]):
+        h += x.data @ w1.data[rows_k]
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = Tensor(h @ w2.data)
+    out.data += b2.data
+
+    def bwd(g):
+        if b2.requires_grad:
+            b2.accumulate_grad(g.sum(axis=0))
+        if w2.requires_grad:
+            w2.accumulate_grad(h.T @ g)
+        gh = g @ w2.data.T
+        np.multiply(gh, h > 0, out=gh)
+        if b1.requires_grad:
+            b1.accumulate_grad(gh.sum(axis=0))
+        if w1.requires_grad:
+            dw1 = np.empty_like(w1.data)
+            for x, rows_k in zip(xs, rows_of):
+                np.matmul(x.data.T, gh, out=dw1[rows_k])
+            w1.accumulate_grad(dw1)
+        for x, rows_k in zip(xs, rows_of):
+            if x.requires_grad:
+                x.accumulate_grad(gh @ w1.data[rows_k].T)
+
+    return _record(out, (*xs, w1, b1, w2, b2), bwd, macs=m * n_in * hid + m * hid * n_out)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

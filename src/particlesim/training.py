@@ -3,9 +3,11 @@ training loop, and recursive rollout evaluation."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -175,12 +177,13 @@ def make_batch(ds: RolloutDataset, rollouts: list, trans, history: int,
 
 
 def _forward(model, ds: RolloutDataset, rollouts: list, trans, stats: P.NormStats):
-    """(prediction, normalized target) of one `make_batch` forward over `trans`."""
+    """(prediction, normalized target, neighbor pair count) of one
+    `make_batch` forward over `trans`."""
     x, recv, send, target = make_batch(ds, rollouts, trans, model.cfg.history, stats,
                                        model.cfg.radius)
     pred = model.forward(x, recv, send, np.tile(ds.material_ids, len(trans)),
                          samples=len(trans))
-    return pred, target
+    return pred, target, len(recv)
 
 
 def _valid_predictions(model, ds: RolloutDataset, stats: P.NormStats, trans, chunk: int):
@@ -188,7 +191,7 @@ def _valid_predictions(model, ds: RolloutDataset, stats: P.NormStats, trans, chu
     validation transition in `trans`, `chunk` of them per forward."""
     for lo in range(0, len(trans), chunk):
         part = trans[lo:lo + chunk]
-        pred, target = _forward(model, ds, ds.valid, part, stats)
+        pred, target, _ = _forward(model, ds, ds.valid, part, stats)
         yield from zip(part, np.split(pred.data, len(part)), np.split(target, len(part)))
 
 
@@ -205,7 +208,8 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
     Deterministic given (seed, config, dataset).  On a non-finite loss the
     last good parameters are checkpointed (if out_dir is set) and a
     DivergenceError is raised.  With out_dir, the training NormStats go to
-    norm_stats.json first, so every checkpoint of the run has them.
+    norm_stats.json first, so every checkpoint of the run has them, and
+    steps.jsonl gets one line per optimizer step (`_log_step`).
     """
     stats = dataset_norm_stats(ds)
     if out_dir is not None:
@@ -218,39 +222,59 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
     optim = Adam(model.params(), cfg.lr)
     history = []
     last_good = {k: t.data.copy() for k, t in model.params().items()}
-    for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        for _ in range(cfg.steps_per_epoch):
-            idxs = rng.integers(0, len(train_trans), size=cfg.batch_size)
-            optim.zero_grad()
-            with Tape() as tape:
-                # every sample has the same particle count, so the MSE over
-                # the stacked rows is the mean of the per-sample losses
-                pred, target = _forward(model, ds, ds.train, [train_trans[i] for i in idxs],
-                                        stats)
-                loss = mse_loss(pred, target)
-                if not np.isfinite(loss.item()):
-                    if out_dir is not None:
-                        _save_model(dict_to_tensors(last_good), out_dir, "last_good")
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-                T.backward(loss, tape)
-            epoch_loss += loss.item()
-            optim.step()
-        last_good = {k: t.data.copy() for k, t in model.params().items()}
-        valid_loss = (evaluate_loss(model, ds, stats, valid_trans, cfg.batch_size)
-                      if valid_trans else np.nan)
-        lr_next = sched.update(valid_loss)
-        optim.lr = lr_next
-        history.append({
-            "epoch": epoch,
-            "train_loss": epoch_loss / cfg.steps_per_epoch,
-            "valid_loss": valid_loss,
-            "lr": lr_next,
-        })
+    with (open(os.path.join(out_dir, "steps.jsonl"), "w") if out_dir is not None
+          else contextlib.nullcontext()) as step_log:
+        for epoch in range(cfg.epochs):
+            epoch_loss = 0.0
+            for step in range(cfg.steps_per_epoch):
+                t0 = time.perf_counter()
+                idxs = rng.integers(0, len(train_trans), size=cfg.batch_size)
+                optim.zero_grad()
+                with Tape() as tape:
+                    # every sample has the same particle count, so the MSE over
+                    # the stacked rows is the mean of the per-sample losses
+                    pred, target, pairs = _forward(model, ds, ds.train,
+                                                   [train_trans[i] for i in idxs], stats)
+                    loss = mse_loss(pred, target)
+                    if not np.isfinite(loss.item()):
+                        if out_dir is not None:
+                            _save_model(dict_to_tensors(last_good), out_dir, "last_good")
+                        raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                    T.backward(loss, tape)
+                epoch_loss += loss.item()
+                optim.step()
+                if step_log is not None:
+                    _log_step(step_log, optim, epoch, epoch * cfg.steps_per_epoch + step,
+                              loss.item(), pairs / cfg.batch_size, t0)
+            last_good = {k: t.data.copy() for k, t in model.params().items()}
+            valid_loss = (evaluate_loss(model, ds, stats, valid_trans, cfg.batch_size)
+                          if valid_trans else np.nan)
+            lr_next = sched.update(valid_loss)
+            optim.lr = lr_next
+            history.append({
+                "epoch": epoch,
+                "train_loss": epoch_loss / cfg.steps_per_epoch,
+                "valid_loss": valid_loss,
+                "lr": lr_next,
+            })
     if out_dir is not None:
         write_history(history, os.path.join(out_dir, "history.csv"))
         _save_model(model.params(), out_dir, "final")
     return history, stats
+
+
+def _log_step(f, optim: Adam, epoch: int, step: int, loss: float, pairs_per_sample: float,
+              t0: float):
+    """One steps.jsonl line, written after the Adam update: the step's epoch,
+    its index over the run, its loss, the global L2 norm of the gradients
+    the update used, its lr, the wall ms since `t0` (the step's start) and
+    the neighbor pairs per sample."""
+    grad_sq = sum(float(np.vdot(g, g)) for g in
+                  (p.grad.astype(np.float64) for p in optim.params.values() if p.grad is not None))
+    f.write(json.dumps({"epoch": epoch, "step": step, "loss": loss,
+                        "grad_norm": float(np.sqrt(grad_sq)), "lr": optim.lr,
+                        "step_ms": (time.perf_counter() - t0) * 1000.0,
+                        "pairs_per_sample": pairs_per_sample}) + "\n")
 
 
 def dict_to_tensors(arrays: dict) -> dict:
@@ -327,7 +351,7 @@ def rollout(model, ds: RolloutDataset, stats: P.NormStats, rollout_idx: int,
     work = frames[:H + n_steps].astype(np.float64)
     per_step = []
     for t in range(H - 1, H - 1 + n_steps):
-        pred, _ = _forward(model, ds, [work], [(0, t)], stats)
+        pred, _, _ = _forward(model, ds, [work], [(0, t)], stats)
         q_hat = P.denormalize_velocity(pred.data, stats)
         if not np.isfinite(q_hat).all():
             break

@@ -74,6 +74,11 @@ class TestPrimitiveGradients:
         a = Tensor(np.array([[1.5, -2.0], [0.3, -0.7]]), requires_grad=True)
         finite_diff_check(lambda a: scalarize(T.relu(a)), [a])
 
+    def test_mlp_over_three_input_blocks(self):
+        blocks = [leaf((5, w), 40 + k) for k, w in enumerate((3, 2, 4))]
+        params = [leaf((9, 6), 43), leaf((6,), 44), leaf((6, 3), 45), leaf((3,), 46)]
+        finite_diff_check(lambda a, b, c, *p: scalarize(T.mlp([a, b, c], *p)), blocks + params)
+
     def test_concat_rows_cols(self):
         a, b = leaf((2, 3), 7), leaf((2, 3), 8)
         finite_diff_check(lambda a, b: scalarize(T.concat([a, b], axis=1)), [a, b])

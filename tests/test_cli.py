@@ -530,7 +530,7 @@ class TestPipeline:
         assert "WARNING" not in captured.out  # analytic == measured everywhere
         lines = (out / "bench.csv").read_text().strip().splitlines()
         assert lines[0] == ("backbone,n,e,macs,wall_ms_median,wall_ms_iqr,minor_faults,"
-                            "slots_per_pair")
+                            "peak_alloc_mb,slots_per_pair")
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
 
     def test_bench_csv_reports_minor_faults(self, tmp_path, capsys):
@@ -545,6 +545,7 @@ class TestPipeline:
         assert len(rows) == 3
         for row in rows:
             assert re.fullmatch(r"\d+", row["minor_faults"]), row
+            assert float(row["peak_alloc_mb"]) > 0.0, row
         # padded slots per pair of the attention backbones' pair index
         spp = {row["backbone"]: row["slots_per_pair"] for row in rows}
         assert spp["gnn"] == ""

@@ -88,6 +88,18 @@ class TestPracticeMode:
         for name, p in model.params().items():
             assert p.grad is not None, f"no gradient for {name}"
 
+    def test_tape_entries_per_forward(self):
+        # one fused MLP per encoder, edge and node update and decoder; the
+        # concat/matmul/add/relu form recorded 89 entries at this shape
+        cfg = ModelConfig(backbone="gnn", d_in=7, d=128, heads=4, blocks=4,
+                          mlp_hidden=256, precision="f32")
+        model = ExplicitEdgeGnn(cfg, seed=0)
+        recv, send = synthesize_pairs(512, 8000, seed=0)
+        x = np.random.default_rng(42).standard_normal((512, 7))
+        with Tape() as tape:
+            model.forward(x, recv, send)
+        assert len(tape.entries) <= 40
+
     def test_backbone_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ExplicitEdgeGnn(ModelConfig(backbone="tie", d=8, heads=1), seed=0)

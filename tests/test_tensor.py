@@ -13,7 +13,7 @@ from particlesim.tensor import (Tensor, Tape, ShapeError, ContractError, Checkpo
 from particlesim import verify as V
 from particlesim.attention import build_model
 from particlesim.bench import synthesize_pairs
-from particlesim.nn import ModelConfig, ParamStore
+from particlesim.nn import Mlp, ModelConfig, ParamStore
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,6 +131,99 @@ class TestShapes:
         assert tape.total_macs() == 5 * 6 * 2
         with pytest.raises(ShapeError):
             T.head_matmul(Tensor(a), Tensor(w), 2)
+
+
+def composed_mlp(xs, w1, b1, w2, b2):
+    """The oracle of `T.mlp`: the same perceptron from concat, matmul, add and relu."""
+    x = xs[0] if len(xs) == 1 else T.concat(xs, axis=1)
+    return T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
+
+
+def mlp_operands(widths, seed, precision="f64", m=9, hid=6, d_out=4, frozen=()):
+    """Input blocks of `widths` (those in `frozen` without gradient) and the
+    four layer parameters of one perceptron."""
+    rng = np.random.default_rng(seed)
+    xs = [Tensor(rng.standard_normal((m, w)), precision, requires_grad=k not in frozen)
+          for k, w in enumerate(widths)]
+    params = [Tensor(rng.standard_normal(shape), precision, requires_grad=True)
+              for shape in ((sum(widths), hid), (hid,), (hid, d_out), (d_out,))]
+    return xs, params
+
+
+def run_mlp(fn, xs, params, upstream):
+    """Output and the gradients of every input block and parameter (None
+    where none flows) of fn(xs, *params), handed `upstream` as the output's
+    gradient."""
+    for t in xs + params:
+        t.grad = None
+    with Tape() as tape:
+        out = fn(xs, *params)
+    out.grad = upstream
+    for entry in reversed(tape.entries):
+        if entry.out.grad is not None and entry.out.requires_grad:
+            entry.backward_fn(entry.out.grad)
+    return [out.data] + [t.grad for t in xs + params]
+
+
+class TestMlp:
+    @pytest.mark.parametrize("widths,frozen", [([5], ()), ([3, 4, 2], ()), ([3, 4, 2], (1,))],
+                             ids=["one block", "three blocks", "block without gradient"])
+    def test_matches_composed_form(self, widths, frozen):
+        xs, params = mlp_operands(widths, seed=len(widths) + len(frozen), frozen=frozen)
+        # a read-only upstream gradient: no backward may write into it
+        upstream = np.random.default_rng(7).standard_normal((9, 4))
+        upstream.flags.writeable = False
+        fused = run_mlp(T.mlp, xs, params, upstream)
+        composed = run_mlp(composed_mlp, xs, params, upstream)
+        for k in frozen:
+            assert fused[1 + k] is None and composed[1 + k] is None
+        for got, want in zip(fused, composed):
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    def test_rows_with_negative_pre_activation(self):
+        xs, params = mlp_operands([3, 4, 2], seed=11)
+        params[1].data[:] = -0.5  # b1
+        for x in xs:
+            x.data[[0, 4]] = 0.0  # rows 0 and 4: every pre-activation is b1
+        upstream = np.random.default_rng(12).standard_normal((9, 4))
+        fused = run_mlp(T.mlp, xs, params, upstream)
+        composed = run_mlp(composed_mlp, xs, params, upstream)
+        for got, want in zip(fused, composed):
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+        assert np.array_equal(fused[0][[0, 4]], np.broadcast_to(params[3].data, (2, 4)))
+        for gx in fused[1:4]:
+            assert not gx[[0, 4]].any()
+
+    def test_single_block_f32_mlp_is_bit_equal_to_the_composed_form(self):
+        store = ParamStore("f32", seed=3)
+        layer = Mlp(store, "mlp", 7, 32, 16)
+        params = [layer.w1, layer.b1, layer.w2, layer.b2]
+        x = Tensor(np.random.default_rng(4).standard_normal((50, 7)), "f32", requires_grad=True)
+        upstream = np.random.default_rng(5).standard_normal((50, 16)).astype(np.float32)
+        fused = run_mlp(lambda xs, *p: layer(xs[0]), [x], params, upstream)
+        composed = run_mlp(composed_mlp, [x], params, upstream)
+        assert all(got.dtype == np.float32 for got in fused)
+        for got, want in zip(fused, composed):
+            assert np.array_equal(got, want)
+
+    def test_one_tape_entry_with_the_macs_of_its_two_products(self):
+        xs, params = mlp_operands([3, 4, 2], seed=13)
+        with Tape() as tape:
+            T.mlp(xs, *params)
+        assert len(tape.entries) == 1
+        assert tape.total_macs() == 9 * 9 * 6 + 9 * 6 * 4
+
+    def test_shape_and_precision_errors(self):
+        xs, params = mlp_operands([3, 4], seed=14)
+        with pytest.raises(ShapeError):  # blocks 3 + 3 wide against w1's 7 rows
+            T.mlp([xs[0], xs[0]], *params)
+        with pytest.raises(ShapeError):  # row counts differ
+            T.mlp([xs[0], Tensor(np.ones((2, 4)))], *params)
+        with pytest.raises(ShapeError):  # b1 of the output width
+            T.mlp(xs, params[0], params[3], params[2], params[3])
+        with pytest.raises(ShapeError):  # mixed precision
+            T.mlp([xs[0], Tensor(xs[1].data, "f32")], *params)
 
 
 def add_at_f64(idx, values, n):

@@ -1,5 +1,7 @@
 """Losses, optimizer, learning-rate schedule, and the training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,31 @@ class TestFit:
         assert (tmp_path / "history.csv").exists()
         assert (tmp_path / "final.manifest.json").exists()
         assert (tmp_path / "final.blob.bin").exists()
+
+    def test_step_log_has_one_finite_line_per_step(self, shared_dataset, tmp_path):
+        model = build_model(tiny_config(), seed=0)
+        cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=2, valid_samples=2)
+        history, _ = fit(model, shared_dataset, cfg, out_dir=tmp_path)
+        lines = (tmp_path / "steps.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert len(rows) == cfg.epochs * cfg.steps_per_epoch
+        keys = {"epoch", "step", "loss", "grad_norm", "lr", "step_ms", "pairs_per_sample"}
+        assert all(set(row) == keys for row in rows)
+        assert [row["step"] for row in rows] == list(range(6))
+        assert [row["epoch"] for row in rows] == [0, 0, 0, 1, 1, 1]
+        assert all(np.isfinite(row[k]) for row in rows for k in keys)
+        assert all(row["grad_norm"] > 0 and row["step_ms"] > 0 and row["pairs_per_sample"] > 0
+                   for row in rows)
+        assert [row["lr"] for row in rows[:3]] == [cfg.lr] * 3
+        assert rows[3]["lr"] == history[0]["lr"]
+        epoch_loss = sum(row["loss"] for row in rows[:3]) / 3
+        assert epoch_loss == pytest.approx(history[0]["train_loss"], rel=1e-12)
+
+    def test_no_step_log_without_out_dir(self, shared_dataset, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fit(build_model(tiny_config(), seed=0), shared_dataset,
+            TrainConfig(epochs=1, steps_per_epoch=2, batch_size=2, valid_samples=2))
+        assert not any(tmp_path.iterdir())
 
     def test_norm_stats_file_round_trips_bit_exactly(self, shared_dataset, tmp_path):
         model = build_model(tiny_config(), seed=0)
