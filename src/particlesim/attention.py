@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, SIGMA_FLOOR
+from .tensor import Tensor
 from .nn import OUT_DIM, ModelConfig, ParamStore, Mlp
 from .particles import InputError, sample_rows
 
@@ -41,6 +41,8 @@ def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.n
     """
     if n_abstract == 0:
         return recv, send
+    if material_ids is None:
+        raise InputError("abstract particles need material ids")
     material_ids = np.asarray(material_ids, dtype=np.int64)
     if material_ids.shape[0] != n:
         raise InputError(f"got {material_ids.shape[0]} material ids for {n} particles")

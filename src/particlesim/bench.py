@@ -20,12 +20,12 @@ import os
 import resource
 import time
 import tracemalloc
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tape, Tensor
+from .tensor import Tape
 from .nn import OUT_DIM, ModelConfig
 from .attention import build_model
 

@@ -59,9 +59,11 @@ class ModelConfig:
         if self.precision not in T.DTYPES:
             raise ValueError(f"precision must be one of {', '.join(T.DTYPES)}, "
                              f"got {self.precision!r}")
-        for name in ("d", "heads", "blocks", "history"):
+        for name in ("d", "heads", "blocks", "history", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_abstract < 0:
+            raise ValueError(f"n_abstract must not be negative, got {self.n_abstract}")
         if self.d % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -604,33 +603,20 @@ def segment_softmax(logits: Tensor, seg_ids: np.ndarray, num_segments: int) -> T
 _SMALL_WIDTH = np.array([0, 1, 2, 4, 4, 8, 8, 8, 8])
 
 
-def _degree_buckets(starts: np.ndarray):
-    """Rows of a CSR layout grouped by padded width; rows of degree 0 are left out.
-
-    A row of degree k pads to the power of two at or above k up to 8, and to
-    the multiple of 8 at or above k beyond that.  Every row pads to less than
-    twice its degree, so one row of degree N does not widen the others, and
-    rows of degree above 8 pad by at most 7 slots: neighbor-search and
-    `bench.synthesize_pairs` graphs of mean degree 15-20 take about 1.25 slots
-    per pair.
-
-    Yields (rows, pos, valid) with pos[a, k] = starts[rows[a]] + k and
-    valid[a, k] = k < degree.
-    """
-    deg = np.diff(starts)
-    width = np.where(deg > 8, (deg + 7) // 8 * 8, _SMALL_WIDTH[np.minimum(deg, 8)])
-    for k in np.unique(width[deg > 0]):
-        rows = np.flatnonzero(width == k)
-        cols = np.arange(k)
-        yield rows, starts[rows, None] + cols, cols < deg[rows, None]
-
-
 class _RowSums:
     """Plan of the sums out[r] = sum of values[at[i]] over the i with idx[i] = r,
-    r < n, added in index order (`at` defaults to the identity).  `buckets`
-    holds per `_degree_buckets` bucket its rows (R,) in degree order,
-    descending, the (R, K) table of their value positions, and the list m:
-    column k holds entries for the first m[k] rows only."""
+    r < n, added in index order (`at` defaults to the identity), and the one
+    padded layout of a list of rows.  A row of degree k pads to the power of
+    two at or above k up to 8, and to the multiple of 8 at or above k beyond
+    that.  Every row pads to less than twice its degree, so one row of degree
+    N does not widen the others, and rows of degree above 8 pad by at most 7
+    slots: neighbor-search and `bench.synthesize_pairs` graphs of mean degree
+    15-20 take about 1.25 slots per entry.
+
+    `buckets` holds per padded width K, ascending, its rows (R,) in degree
+    order, descending (rows of degree 0 are left out), the (R, K) table of
+    their value positions in index order, and the list m: column k holds
+    entries for the first m[k] rows only.  Padding repeats a valid position."""
 
     def __init__(self, idx: np.ndarray, n: int, at: Optional[np.ndarray] = None):
         deg = np.bincount(idx, minlength=n)
@@ -638,12 +624,14 @@ class _RowSums:
         entries = np.argsort(idx, kind="stable")  # by row, in index order within a row
         if at is not None:
             entries = at[entries]
+        width = np.where(deg > 8, (deg + 7) // 8 * 8, _SMALL_WIDTH[np.minimum(deg, 8)])
         by_degree = np.argsort(-deg, kind="stable")  # sorts the rows of every bucket
         self.n, self.buckets = n, []
-        for ranks, _, valid in _degree_buckets(np.concatenate(([0], np.cumsum(deg[by_degree])))):
-            rows = by_degree[ranks]
-            pos = starts[rows, None] + np.arange(valid.shape[1])
-            self.buckets.append((rows, entries.take(pos, mode="clip"), valid.sum(axis=0).tolist()))
+        for k in np.unique(width[deg > 0]):
+            rows = by_degree[width[by_degree] == k]
+            cols = np.arange(k)
+            m = (cols < deg[rows, None]).sum(axis=0).tolist()
+            self.buckets.append((rows, entries.take(starts[rows, None] + cols, mode="clip"), m))
 
 
 def _row_sums(plan: _RowSums, values: np.ndarray) -> np.ndarray:
@@ -661,10 +649,12 @@ def _row_sums(plan: _RowSums, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _RecvBucket:
-    rows: np.ndarray    # (R,) receivers
-    lo: int             # first padded slot of the bucket
-    valid: np.ndarray   # (R, K) slot holds a pair
-    senders: np.ndarray  # (R, K) sender of each slot (0 on padding)
+    """One padded width of the receiver layout: its receivers in degree order,
+    descending, each with its pairs in pair-list order."""
+    rows: np.ndarray     # (R,) receivers
+    lo: int              # first padded slot of the bucket
+    valid: np.ndarray    # (R, K) slot holds a pair
+    senders: np.ndarray  # (R, K) sender of each slot (n on padding)
 
     def slots(self, buf: np.ndarray) -> np.ndarray:
         """(R, K, ...) view of the bucket's slots in a slot buffer."""
@@ -675,15 +665,15 @@ class _RecvBucket:
 class PairIndex:
     """Receiver- and sender-side layouts of one pair list, built once per graph.
 
-    Pairs are taken in receiver order (neighbor search and abstract pairs
-    already come sorted; other lists are sorted stably), which makes the
-    receiver CSR free.  Receivers are padded into tables (rows, K) per
-    degree bucket (`_degree_buckets`); the slots of all buckets, row-major,
-    form one padded slot space of size `n_slots`, with `slot_sender` the
-    sender of each slot (n on padding).  The sender side, `by_sender`, is
-    the `_RowSums` plan of each sender's slots in pair order.  Sums over a
-    receiver's or a sender's pairs then become batched matmuls or row sums
-    over these tables, with no sort and no unbuffered scatter per call.
+    Both sides are `_RowSums` plans, so one width rule pads them.  The
+    receiver side, `recv_buckets`, is the plan over the receivers: its tables
+    (rows, K), row-major and bucket after bucket, form one padded slot space
+    of size `n_slots`, each receiver's pairs in pair-list order (any order of
+    the list works), with `slot_sender` the sender of each slot (n on
+    padding).  The sender side, `by_sender`, is the plan of each sender's
+    slots in pair order.  Sums over a receiver's or a sender's pairs then
+    become batched matmuls or row sums over these tables, with no sort and no
+    unbuffered scatter per call.
 
     The index also owns the slot workspace of the attention kernels: one
     (n_slots, ...) buffer per role (`slot_buffer`), the sender gather
@@ -701,26 +691,19 @@ class PairIndex:
             raise ShapeError(f"pair index: receivers {recv.shape} vs senders {send.shape}")
         if recv.size and (min(recv.min(), send.min()) < 0 or max(recv.max(), send.max()) >= n):
             raise ShapeError(f"pair index: particle index outside [0, {n})")
-        if np.any(np.diff(recv) < 0):
-            order = np.argsort(recv, kind="stable")
-            recv, send = recv[order], send[order]
         self.n, self.e = n, recv.size
-        self.recv_starts = np.concatenate(([0], np.cumsum(np.bincount(recv, minlength=n))))
-
         self.recv_buckets: list[_RecvBucket] = []
         pair_slot = np.empty(self.e, dtype=np.int64)
-        slot_sender = []
         lo = 0
-        for rows, pos, valid in _degree_buckets(self.recv_starts):
-            pair_slot[pos[valid]] = lo + np.flatnonzero(valid)
-            senders = send[np.where(valid, pos, 0)]
-            slot_sender.append(np.where(valid, senders, n).ravel())
-            self.recv_buckets.append(_RecvBucket(rows, lo, valid, np.where(valid, senders, 0)))
+        for rows, table, m in _RowSums(recv, n).buckets:
+            valid = np.arange(rows.size)[:, None] < m
+            pair_slot[table[valid]] = lo + np.flatnonzero(valid)
+            self.recv_buckets.append(_RecvBucket(rows, lo, valid, np.where(valid, send[table], n)))
             lo += valid.size
         self.n_slots = lo
         # (n_slots,) sender of each padded slot, n on padding
-        self.slot_sender = (np.concatenate(slot_sender) if slot_sender
-                            else np.zeros(0, dtype=np.int64))
+        self.slot_sender = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                          + [b.senders.ravel() for b in self.recv_buckets])
         self.by_sender = _RowSums(send, n, at=pair_slot)
         self._buffers: dict[str, np.ndarray] = {}
 
@@ -878,7 +861,7 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         z, sigma = dots[:, :, 0], dots[:, :, 1]
         sigma *= dt.type(2.0)
         sigma += rr[b.rows][:, :, None]
-        sigma += ss[b.senders].transpose(0, 2, 1)
+        sigma += ss.take(b.senders, axis=0, mode="clip").transpose(0, 2, 1)
         sigma *= dt.type(1.0 / D)
         keep = sigma > SIGMA_FLOOR
         np.sqrt(np.maximum(sigma, dt.type(SIGMA_FLOOR), out=sigma), out=sigma)

@@ -6,7 +6,6 @@ linear in it)."""
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from particlesim import tensor as T

@@ -146,7 +146,8 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("override", ["model.heads=0", "model.d=0", "model.history=0",
-                                          "model.blocks=0"])
+                                          "model.blocks=0", "model.mlp_hidden=0",
+                                          "model.n_abstract=-1"])
     def test_non_positive_model_size_is_bad_args(self, tmp_path, capsys, pipeline_dir,
                                                   override):
         code = main(["train", "--out", str(tmp_path / "m"),

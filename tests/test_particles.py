@@ -1,7 +1,5 @@
 """Neighbor search (sorted cell list vs brute force) and input normalization."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from particlesim import tensor as T
-from particlesim.tensor import Tape
+from particlesim.tensor import SIGMA_FLOOR, Tape
 from particlesim.nn import ModelConfig
 from particlesim.attention import (ImplicitEdgeModel, VanillaTransformer,
-                                   attach_abstract_pairs, build_model, SIGMA_FLOOR)
+                                   attach_abstract_pairs, build_model)
 from particlesim import worlds
 from particlesim.particles import InputError, build_neighbor_graph
 from particlesim.bench import synthesize_pairs
@@ -320,10 +320,14 @@ class TestFusedAttention:
 
 
 class TestPairIndex:
-    def test_receiver_csr(self):
+    def test_receiver_degrees(self):
         recv, send = synthesize_pairs(40, 300, seed=43)
         index = T.PairIndex(recv, send, 40)
-        assert np.array_equal(np.diff(index.recv_starts), np.bincount(recv, minlength=40))
+        deg = np.zeros(40, dtype=np.int64)
+        for b in index.recv_buckets:
+            assert np.array_equal(deg[b.rows], np.zeros(b.rows.size))  # each receiver once
+            deg[b.rows] = b.valid.sum(axis=1)
+        assert np.array_equal(deg, np.bincount(recv, minlength=40))
 
     def test_tables_cover_every_pair_once(self):
         recv, send = synthesize_pairs(30, 200, seed=44)
@@ -343,18 +347,29 @@ class TestPairIndex:
                                                bidirectional=True)
             n += 1
         index = T.PairIndex(recv, send, n)
-        # the pair (in receiver order) held by each padded slot, -1 on padding
+        # the pair held by each padded slot, -1 on padding, from the receiver plan
         slot_pair = np.full(index.n_slots, -1)
-        for b in index.recv_buckets:
-            pairs = index.recv_starts[b.rows][:, None] + np.arange(b.valid.shape[1])
-            slot_pair[b.lo:b.lo + b.valid.size] = np.where(b.valid, pairs, -1).ravel()
-        send = send[np.argsort(recv, kind="stable")]
+        for b, (rows, table, _) in zip(index.recv_buckets, T._RowSums(recv, n).buckets):
+            assert np.array_equal(rows, b.rows)
+            slot_pair[b.lo:b.lo + b.valid.size] = np.where(b.valid, table, -1).ravel()
         seen = {}
         for rows, table, m in index.by_sender.buckets:
             for a, row in enumerate(rows):
                 seen[int(row)] = slot_pair[table[a, :sum(mk > a for mk in m)]]
         for j in range(n):
             assert np.array_equal(seen.get(j, []), np.flatnonzero(send == j))
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_receiver_slots_hold_pairs_in_list_order(self, permuted):
+        recv, send = synthesize_pairs(30, 200, seed=46)
+        if permuted:
+            perm = np.random.default_rng(46).permutation(recv.size)
+            recv, send = recv[perm], send[perm]
+        index = T.PairIndex(recv, send, 30)
+        for b in index.recv_buckets:
+            for row, senders, valid in zip(b.rows, b.senders, b.valid):
+                assert np.array_equal(senders[valid], send[recv == row])
+                assert np.all(senders[~valid] == 30)  # n on padding
 
     def test_degree_n_row_does_not_widen_the_others(self):
         n = 1024
@@ -369,13 +384,15 @@ class TestPairIndex:
         assert sum(table.size for _, table, _ in index.by_sender.buckets) <= 2 * e + n
 
     def test_bucket_widths(self):
-        # powers of two up to 8, multiples of 8 above
-        degrees = np.array([0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 25, 40])
-        starts = np.concatenate(([0], np.cumsum(degrees)))
+        # powers of two up to 8, multiples of 8 above; rows of degree 0 are left out
+        degrees = np.array([0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 25, 40, 3])
+        plan = T._RowSums(np.repeat(np.arange(degrees.size), degrees), degrees.size)
         widths = {}
-        for rows, pos, valid in T._degree_buckets(starts):
+        for rows, table, m in plan.buckets:
+            assert np.all(np.diff(degrees[rows]) <= 0)  # degree order, descending
+            valid = np.arange(rows.size)[:, None] < m
             assert np.array_equal(valid.sum(axis=1), degrees[rows])
-            widths.update((int(deg), pos.shape[1]) for deg in degrees[rows])
+            widths.update((int(deg), table.shape[1]) for deg in degrees[rows])
         assert widths == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 24,
                           24: 24, 25: 32, 40: 40}
 
@@ -566,6 +583,13 @@ class TestAbstractParticles:
         assert again.tobytes() == baseline.tobytes()
         assert "abstract_bank" not in model.params()
 
+    @pytest.mark.parametrize("backbone", ["tie", "vanilla"])
+    def test_abstract_rows_without_material_ids(self, backbone):
+        model = self.make(2, backbone)
+        recv, send = synthesize_pairs(4, 6, seed=33)
+        with pytest.raises(InputError, match="material ids"):
+            model.forward(np.zeros((4, 5)), recv, send)
+
     def test_abstract_changes_predictions(self):
         with_bank = self.make(2, seed=30)
         rng = np.random.default_rng(31)
@@ -582,6 +606,12 @@ class TestConfigValidation:
     def test_heads_must_divide_d(self):
         with pytest.raises(ValueError):
             ModelConfig(backbone="tie", d=10, heads=3)
+
+    @pytest.mark.parametrize("key,value", [("mlp_hidden", 0), ("mlp_hidden", -3),
+                                           ("n_abstract", -1)])
+    def test_size_out_of_range(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ModelConfig(backbone="tie", d=8, heads=2, **{key: value})
 
     def test_backbone_mismatch(self):
         with pytest.raises(ValueError):
