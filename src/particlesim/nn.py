@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -22,7 +23,9 @@ def _fits(value, annotation: str) -> bool:
         item = annotation[len("tuple["):-len(", ...]")]
         return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
     kind = _FIELD_TYPES[annotation]
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    # JSON reads NaN and Infinity, so a float must also be finite
+    return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            and (annotation != "float" or abs(value) < math.inf))
 
 
 def check_field_types(fields, values: dict) -> None:
@@ -30,12 +33,14 @@ def check_field_types(fields, values: dict) -> None:
     fit its annotation (config files and --set overrides arrive as untyped
     JSON).  `fields` is a dataclass or a {name: annotation} map; keys it does
     not name are skipped.  Annotations are int, float, bool, str or
-    tuple[<one of those>, ...].  A bool is not a number here."""
+    tuple[<one of those>, ...].  A bool is not a number here, and a float
+    must be finite."""
     if not isinstance(fields, dict):
         fields = {f.name: f.type for f in dataclasses.fields(fields)}
     for name, value in values.items():
         if name in fields and not _fits(value, fields[name]):
-            raise ValueError(f"{name} must be {fields[name]}, got {value!r}")
+            kind = fields[name].replace("float", "finite float")
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -62,6 +67,8 @@ class ModelConfig:
         for name in ("d", "heads", "blocks", "history", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.radius <= 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
         if self.n_abstract < 0:
             raise ValueError(f"n_abstract must not be negative, got {self.n_abstract}")
         if self.d % self.heads != 0:

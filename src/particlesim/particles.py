@@ -49,14 +49,9 @@ class NeighborGraph:
         return set(zip(self.receivers.tolist(), self.senders.tolist()))
 
 
-def _sort_pairs(recv: np.ndarray, send: np.ndarray):
-    order = np.lexsort((send, recv))
-    return recv[order], send[order]
-
-
 def _check_search_inputs(positions: np.ndarray, radius: float):
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise InputError(f"radius must be positive and finite, got {radius}")
     if not np.isfinite(positions).all():
         raise InputError("non-finite positions in neighbor search")
 
@@ -99,20 +94,23 @@ def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
     send = order[np.arange(ends[-1] if n else 0) + np.repeat(first - ends + count, count)]
     d = positions[recv] - positions[send]
     close = (np.einsum("ij,ij->i", d, d) < radius * radius) & (recv != send)
-    recv, send = _sort_pairs(recv[close], send[close])
-    return NeighborGraph(recv, send, radius)
+    recv, send = recv[close], send[close]
+    by_pair = np.lexsort((send, recv))
+    return NeighborGraph(recv[by_pair], send[by_pair], radius)
 
 
 def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
-    """O(N^2) reference scan used as the oracle for the cell list."""
+    """The same pairs by an O(N^2) scan: the oracle for the cell list, and
+    the spring search of the reference worlds (`worlds`), which are small.
+    `np.nonzero` returns them in row-major, that is (receiver, sender),
+    order."""
     _check_search_inputs(positions, radius)
     diff = positions[:, None, :] - positions[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     mask = dist2 < radius * radius
     np.fill_diagonal(mask, False)
     recv, send = np.nonzero(mask)
-    recv, send = _sort_pairs(recv.astype(np.int64), send.astype(np.int64))
-    return NeighborGraph(recv, send, radius)
+    return NeighborGraph(recv.astype(np.int64), send.astype(np.int64), radius)
 
 
 def integrate_positions(p: np.ndarray, q_hat: np.ndarray, dt: float) -> np.ndarray:

@@ -1,11 +1,17 @@
-"""Brute-force reference integrator for small multi-material particle worlds,
-rollout generation, and binary dataset serialization.
+"""Reference integrator for small multi-material particle worlds, rollout
+generation, and binary dataset serialization.
 
 The worlds are spring-damper systems stepped with semi-implicit Euler:
 pairwise short-range spring-damper forces, gravity, and wall impulses.
 They stand in for the simulation engine that produced the learning targets;
 any deterministic local-interaction integrator exercises the same model
 pathways (multi-material systems, moving boundaries, stiff clusters).
+
+The springs are the pairs within force_radius that
+`particles.brute_force_neighbor_graph` finds.  Each particle's spring force
+is the sum of its pairs' forces in sender order, the order in which the
+dense (N, N) sum, kept in tests/test_worlds.py as the oracle, adds them;
+both give the same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .nn import check_field_types
-from .particles import SystemState, InputError
+from .particles import SystemState, InputError, brute_force_neighbor_graph
 
 WORLD_KINDS = ("drop_merge", "box_splash", "grip_block", "box_wash")
 
@@ -77,7 +83,8 @@ class WorldSpec:
         if any(lo >= hi for lo, hi in zip(self.box_lo, self.box_hi)):
             raise InputError(f"box_lo must be below box_hi on every axis, got "
                              f"{list(self.box_lo)} and {list(self.box_hi)}")
-        for name in ("dt", "stiffness", "rest_length", "force_radius", "spacing"):
+        for name in ("dt", "stiffness", "rest_length", "force_radius", "spacing",
+                     "wall_period"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
         if self.damping < 0 or self.restitution < 0:
@@ -109,31 +116,28 @@ def _kinematic_mask(spec: WorldSpec) -> np.ndarray:
     return np.zeros(spec.n, dtype=bool)
 
 
-def _spring_pairs(spec: WorldSpec, p: np.ndarray, ids: np.ndarray):
-    """Dense spring geometry: (diff, dist with an infinite diagonal, the
-    pairs within force_radius, per-pair stiffness)."""
-    diff = p[:, None, :] - p[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    within = dist < spec.force_radius
+def _springs(spec: WorldSpec, p: np.ndarray, ids: np.ndarray):
+    """The springs: the pairs (i, j) of `brute_force_neighbor_graph` at
+    force_radius, in its (receiver, sender) order, with p_i - p_j, its
+    length and the pair's stiffness."""
+    graph = brute_force_neighbor_graph(p, spec.force_radius)
+    i, j = graph.receivers, graph.senders
+    diff = p[i] - p[j]
+    dist = np.sqrt(np.einsum("ek,ek->e", diff, diff))
     k = np.full(dist.shape, spec.stiffness)
     if spec.kind == "box_wash":
-        rigid_pair = (ids[:, None] == 1) & (ids[None, :] == 1)
-        k = np.where(rigid_pair, spec.stiffness * spec.rigid_stiffness_factor, k)
-    return diff, dist, within, k
+        k[(ids[i] == 1) & (ids[j] == 1)] *= spec.rigid_stiffness_factor
+    return i, j, diff, dist, k
 
 
 def _spring_forces(spec: WorldSpec, p: np.ndarray, v: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    diff, dist, within, k = _spring_pairs(spec, p, ids)
-    if not within.any():
-        return np.zeros_like(p)
-    safe = np.where(within, dist, 1.0)
-    dirs = diff / safe[:, :, None]
-    stretch = np.where(within, dist - spec.rest_length, 0.0)
-    f_spring = -(k * stretch)[:, :, None] * dirs
-    vrel = np.einsum("ijk,ijk->ij", v[:, None, :] - v[None, :, :], dirs)
-    f_damp = -spec.damping * np.where(within, vrel, 0.0)[:, :, None] * dirs
-    return (np.where(within[:, :, None], f_spring + f_damp, 0.0)).sum(axis=1)
+    i, j, diff, dist, k = _springs(spec, p, ids)
+    dirs = diff / dist[:, None]
+    f_spring = -(k * (dist - spec.rest_length))[:, None] * dirs
+    vrel = np.einsum("ek,ek->e", v[i] - v[j], dirs)
+    f = f_spring - spec.damping * vrel[:, None] * dirs
+    # each particle's pair forces, added in sender order
+    return np.stack([np.bincount(i, f[:, ax], len(p)) for ax in range(3)], axis=1)
 
 
 def _wall_position(spec: WorldSpec, step: int) -> float:
@@ -402,7 +406,7 @@ def read_dataset(path) -> RolloutDataset:
 
 def spring_potential_energy(spec: WorldSpec, p: np.ndarray, ids: np.ndarray) -> float:
     """Total pair potential of the active springs (test instrumentation)."""
-    _, dist, within, k = _spring_pairs(spec, p, ids)
-    stretch = np.where(within, dist - spec.rest_length, 0.0)
+    _, _, _, dist, k = _springs(spec, p, ids)
+    stretch = dist - spec.rest_length
     # ordered pairs double-count each spring; 1/2 k s^2 per undirected pair
-    return float(0.25 * (k * stretch * stretch)[within].sum())
+    return float(0.25 * (k * stretch * stretch).sum())

@@ -185,7 +185,7 @@ class TestExitCodes:
         ("dataset.counts=[]", "counts"), ("dataset.kind=box_wash", "counts"),
         ("dataset.kind=grip_block", "counts"), ("dataset.gravity=[0,-9.8]", "gravity"),
         ("dataset.box_lo=[0,0]", "box_lo"), ("dataset.box_hi=[1,1,1,1]", "box_hi"),
-        ("dataset.box_lo=[0,1,0]", "box_lo")])
+        ("dataset.box_lo=[0,1,0]", "box_lo"), ("dataset.wall_period=0", "wall_period")])
     def test_malformed_world_is_bad_args(self, tmp_path, capsys, override, key):
         assert main(["gen-data", "--out", str(tmp_path)] + SMALL_DATA
                     + ["--set", override]) == 2
@@ -196,6 +196,28 @@ class TestExitCodes:
         assert main(["gen-data", "--out", str(tmp_path)] + SMALL_DATA
                     + ["--set", "dataset.stiffness=1e12"]) == 4
         assert "reference world blew up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override", [
+        ("train", "train.lr=NaN"), ("train", "model.radius=NaN"),
+        ("train", "model.radius=Infinity"), ("gen-data", "dataset.dt=NaN"),
+        ("gen-data", "dataset.force_radius=NaN")])
+    def test_non_finite_number_is_bad_args(self, tmp_path, capsys, pipeline_dir, command,
+                                           override):
+        # Python's json reads NaN and Infinity
+        extra = ([] if command == "gen-data"
+                 else ["--data", str(pipeline_dir / "data" / "dataset")])
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--set", override] + extra) == 2
+        key = override.split(".")[1].split("=")[0]
+        assert f"error: {key} must be finite float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_radius_is_bad_args_before_any_output(self, tmp_path, capsys, pipeline_dir):
+        out = tmp_path / "m"
+        assert main(["train", "--out", str(out), "--radius", "0",
+                     "--data", str(pipeline_dir / "data" / "dataset")]) == 2
+        assert "radius must be positive" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("override", ['bench.d="x"', 'bench.e_values=["x"]'])
     def test_bench_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):

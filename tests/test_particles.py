@@ -116,8 +116,9 @@ class TestNeighborGraph:
     def test_invalid_inputs(self, search):
         with pytest.raises(InputError):
             search(np.zeros((1, 3)), -1.0)
-        with pytest.raises(InputError):
-            search(np.zeros((1, 3)), 0.0)
+        for radius in (0.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="radius"):
+                search(np.zeros((1, 3)), radius)
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(InputError):
                 search(np.array([[bad, 0, 0], [0, 0, 0]]), 0.1)

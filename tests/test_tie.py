@@ -608,10 +608,16 @@ class TestConfigValidation:
             ModelConfig(backbone="tie", d=10, heads=3)
 
     @pytest.mark.parametrize("key,value", [("mlp_hidden", 0), ("mlp_hidden", -3),
-                                           ("n_abstract", -1)])
+                                           ("n_abstract", -1), ("radius", 0.0),
+                                           ("radius", -0.1)])
     def test_size_out_of_range(self, key, value):
         with pytest.raises(ValueError, match=key):
             ModelConfig(backbone="tie", d=8, heads=2, **{key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_radius(self, value):
+        with pytest.raises(ValueError, match="radius must be finite float"):
+            ModelConfig(backbone="tie", d=8, heads=2, radius=value)
 
     def test_backbone_mismatch(self):
         with pytest.raises(ValueError):

@@ -124,12 +124,78 @@ class TestStepOracle:
         with pytest.raises(BlowUpError):
             step_oracle(spec, s0)
 
+    def test_non_finite_state_fails_in_the_spring_search(self):
+        spec = lone_particle_spec()
+        s0 = state_of(spec, [[np.nan, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
+        with pytest.raises(InputError, match="non-finite positions"):
+            step_oracle(spec, s0)
+
     def test_count_mismatch(self):
         spec = lone_particle_spec()
         bad = state_of(WorldSpec(kind="drop_merge", counts=(2,)),
                        np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(InputError):
             step_oracle(spec, bad)
+
+
+def dense_springs(spec, p, ids):
+    """The dense spring geometry the pair list replaced: (diff, dist with an
+    infinite diagonal, the pairs within force_radius, per-pair stiffness)."""
+    diff = p[:, None, :] - p[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    within = dist < spec.force_radius
+    k = np.full(dist.shape, spec.stiffness)
+    if spec.kind == "box_wash":
+        rigid_pair = (ids[:, None] == 1) & (ids[None, :] == 1)
+        k = np.where(rigid_pair, spec.stiffness * spec.rigid_stiffness_factor, k)
+    return diff, dist, within, k
+
+
+def dense_spring_forces(spec, p, v, ids):
+    diff, dist, within, k = dense_springs(spec, p, ids)
+    if not within.any():
+        return np.zeros_like(p)
+    safe = np.where(within, dist, 1.0)
+    dirs = diff / safe[:, :, None]
+    stretch = np.where(within, dist - spec.rest_length, 0.0)
+    f_spring = -(k * stretch)[:, :, None] * dirs
+    vrel = np.einsum("ijk,ijk->ij", v[:, None, :] - v[None, :, :], dirs)
+    f_damp = -spec.damping * np.where(within, vrel, 0.0)[:, :, None] * dirs
+    return (np.where(within[:, :, None], f_spring + f_damp, 0.0)).sum(axis=1)
+
+
+def dense_potential_energy(spec, p, ids):
+    _, dist, within, k = dense_springs(spec, p, ids)
+    stretch = np.where(within, dist - spec.rest_length, 0.0)
+    return float(0.25 * (k * stretch * stretch)[within].sum())
+
+
+class TestDenseSpringOracle:
+    """The pair-list springs equal the dense (N, N) form bit for bit, so the
+    generated datasets do not depend on which one ran."""
+
+    def assert_matches_dense(self, spec, seed, n_frames):
+        state = initial_state(spec, seed)
+        ids = state.material_ids
+        for _ in range(n_frames):
+            p, v = state.positions, state.velocities
+            got = W._spring_forces(spec, p, v, ids)
+            want = dense_spring_forces(spec, p, v, ids)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert spring_potential_energy(spec, p, ids) == dense_potential_energy(spec, p, ids)
+            state = step_oracle(spec, state)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind, counts", [
+        ("drop_merge", (64,)), ("box_splash", (64,)), ("grip_block", (48, 32)),
+        ("box_wash", (48, 24))])
+    def test_four_worlds(self, kind, counts, seed):
+        self.assert_matches_dense(WorldSpec(kind=kind, counts=counts), seed, 25)
+
+    def test_box_splash_256(self):
+        self.assert_matches_dense(WorldSpec(kind="box_splash", counts=(256,)), 0, 25)
 
 
 class TestWorldSpec:
@@ -151,9 +217,18 @@ class TestWorldSpec:
         (dict(box_hi=(1.0, 1.0, 1.0, 1.0)), "box_hi"),
         (dict(box_lo=(0.0, 1.0, 0.0)), "box_lo"),
         (dict(box_hi=(1.0, 1.0, -1.0)), "box_hi"),
+        (dict(wall_period=0.0), "wall_period"),
     ])
     def test_malformed_world_names_the_key(self, kw, key):
         with pytest.raises(InputError, match=key):
+            WorldSpec(**kw)
+
+    @pytest.mark.parametrize("kw, key", [
+        (dict(dt=float("nan")), "dt"), (dict(force_radius=float("inf")), "force_radius"),
+        (dict(gravity=(0.0, float("nan"), 0.0)), "gravity"),
+    ])
+    def test_non_finite_number_names_the_key(self, kw, key):
+        with pytest.raises(ValueError, match=f"{key} must be"):
             WorldSpec(**kw)
 
     def test_material_ids(self):
