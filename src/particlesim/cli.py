@@ -84,9 +84,14 @@ _DATASET_EXTRA = {"train_rollouts": "int", "valid_rollouts": "int", "seed": "int
 _BENCH_TYPES = {"n": "int", "e_values": "tuple[int, ...]", "d": "int", "blocks": "int",
                 "heads": "int", "trials": "int"}
 _WORLD_FIELDS = {f.name for f in dataclasses.fields(WorldSpec)}
-# d_in is derived from the dataset (`_model_config`), so a config may not set it
-_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)} - {"d_in"}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+# the keys each config section may hold; d_in is derived from the dataset
+# (`_model_config`), so a config may not set it
+_SECTION_KEYS = {
+    "dataset": _WORLD_FIELDS | _DATASET_EXTRA.keys(),
+    "model": {f.name for f in dataclasses.fields(ModelConfig)} - {"d_in"},
+    "train": {f.name for f in dataclasses.fields(TrainConfig)},
+    "bench": _BENCH_TYPES.keys(),
+}
 
 
 class BadConfig(ValueError):
@@ -104,21 +109,12 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 
 def _validate(config: dict):
-    for key in config:
-        if key not in DEFAULT_CONFIG:
-            raise BadConfig(f"unknown config section {key!r}")
-    for key in config.get("dataset", {}):
-        if key not in _WORLD_FIELDS | _DATASET_EXTRA.keys():
-            raise BadConfig(f"unknown dataset key {key!r}")
-    for key in config.get("model", {}):
-        if key not in _MODEL_FIELDS:
-            raise BadConfig(f"unknown model key {key!r}")
-    for key in config.get("train", {}):
-        if key not in _TRAIN_FIELDS:
-            raise BadConfig(f"unknown train key {key!r}")
-    for key in config.get("bench", {}):
-        if key not in _BENCH_TYPES:
-            raise BadConfig(f"unknown bench key {key!r}")
+    for section, body in config.items():
+        if section not in _SECTION_KEYS:
+            raise BadConfig(f"unknown config section {section!r}")
+        for key in body:
+            if key not in _SECTION_KEYS[section]:
+                raise BadConfig(f"unknown {section} key {key!r}")
     check_field_types(_DATASET_EXTRA, config.get("dataset", {}))
     check_field_types(_BENCH_TYPES, config.get("bench", {}))
 
@@ -148,6 +144,11 @@ def load_config(args) -> dict:
             raise BadConfig(f"config file not found: {args.config}") from e
         except json.JSONDecodeError as e:
             raise BadConfig(f"malformed config {args.config}: {e}") from e
+        if not isinstance(user, dict):
+            raise BadConfig(f"config {args.config} is not a JSON object")
+        for section, body in user.items():
+            if not isinstance(body, dict):
+                raise BadConfig(f"config {args.config}: section {section!r} is not an object")
         config = _deep_merge(config, user)
     for text in args.set or []:
         section, key, value = _parse_override(text)

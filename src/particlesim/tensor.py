@@ -669,19 +669,20 @@ class PairIndex:
     receiver side, `recv_buckets`, is the plan over the receivers: its tables
     (rows, K), row-major and bucket after bucket, form one padded slot space
     of size `n_slots`, each receiver's pairs in pair-list order (any order of
-    the list works), with `slot_sender` the sender of each slot (n on
-    padding).  The sender side, `by_sender`, is the plan of each sender's
-    slots in pair order.  Sums over a receiver's or a sender's pairs then
-    become batched matmuls or row sums over these tables, with no sort and no
-    unbuffered scatter per call.
+    the list works).  The sender side, `by_sender`, is the plan of each
+    sender's slots in pair order.  Sums over a receiver's or a sender's pairs
+    then become batched matmuls or row sums over these tables, with no sort
+    and no unbuffered scatter per call.
 
     The index also owns the slot workspace of the attention kernels: one
-    (n_slots, ...) buffer per role (`slot_buffer`), the sender gather
-    buffer and the to-sender buffers, made on first use and reused by every
-    bucket and block, forward and backward, for as long as the graph lives.
-    A kernel call keeps nothing in them once it returns (a backward gathers
-    its sender slots again and sums the to-sender buffers before it ends), so
-    calls and backwards on one index may interleave in any order.
+    (n_slots, ...) buffer per role (`slot_buffer`), made on first use and
+    reused by every bucket and block, forward and backward, for as long as
+    the graph lives.  "gather" holds sender rows; "to_sender" holds per
+    pair one vector of all it returns to its sender, (2, H, D) in
+    `pair_attention` and (H, D + 1) in `implicit_edge_attention`, summed by
+    one `_row_sums(by_sender, ...)` per backward.  A kernel call keeps
+    nothing in them once it returns, so calls and backwards on one index
+    may interleave in any order.
     """
 
     def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
@@ -701,9 +702,6 @@ class PairIndex:
             self.recv_buckets.append(_RecvBucket(rows, lo, valid, np.where(valid, send[table], n)))
             lo += valid.size
         self.n_slots = lo
-        # (n_slots,) sender of each padded slot, n on padding
-        self.slot_sender = np.concatenate([np.zeros(0, dtype=np.int64)]
-                                          + [b.senders.ravel() for b in self.recv_buckets])
         self.by_sender = _RowSums(send, n, at=pair_slot)
         self._buffers: dict[str, np.ndarray] = {}
 
@@ -790,25 +788,25 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     def bwd(g):
         gh = _by_head(g, heads)
         dq = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: the vector each pair sends back to its sender, for
-        # k in the first pass over the buckets and for v in the second; the
-        # slots of k and v are gathered again rather than kept from the forward
-        to_sender = index.slot_buffer("to_sender", (heads, D), dt)
+        # per padded slot: what each pair sends back to its sender, dz q'_i for
+        # k in half 0 and alpha g_i for v in half 1; the slots of k and v are
+        # gathered again rather than kept from the forward
+        to_sender = index.slot_buffer("to_sender", (2, heads, D), dt)
         for b, alpha in zip(index.recv_buckets, alphas):
             vb = _gather_slots(gather, vh, b)
             dz = np.matmul(gh[b.rows][:, :, None], vb.transpose(0, 1, 3, 2))[:, :, 0]
             dz -= (alpha * dz).sum(axis=2, keepdims=True)
             dz *= alpha
             dq[b.rows] = np.matmul(dz[:, :, None], _gather_slots(gather, kh, b))[:, :, 0]
-            np.multiply(dz[..., None], qh[b.rows][:, :, None],
-                        out=b.slots(to_sender).transpose(0, 2, 1, 3))
-        if k.requires_grad:
-            k.accumulate_grad(_row_sums(index.by_sender, to_sender).reshape(n, d))
-        if v.requires_grad:
-            for b, alpha in zip(index.recv_buckets, alphas):
-                np.multiply(alpha[..., None], gh[b.rows][:, :, None],
-                            out=b.slots(to_sender).transpose(0, 2, 1, 3))
-            v.accumulate_grad(_row_sums(index.by_sender, to_sender).reshape(n, d))
+            slots = b.slots(to_sender).transpose(0, 2, 3, 1, 4)  # (R, 2, H, K, D)
+            np.multiply(dz[..., None], qh[b.rows][:, :, None], out=slots[:, 0])
+            np.multiply(alpha[..., None], gh[b.rows][:, :, None], out=slots[:, 1])
+        if k.requires_grad or v.requires_grad:
+            dkv = _row_sums(index.by_sender, to_sender)
+            if k.requires_grad:
+                k.accumulate_grad(dkv[:, 0].reshape(n, d))
+            if v.requires_grad:
+                v.accumulate_grad(dkv[:, 1].reshape(n, d))
         if q.requires_grad:
             dq *= inv_root
             q.accumulate_grad(dq.reshape(n, d))
@@ -882,10 +880,9 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         g_q_rc = np.stack([gh, qh, rc], axis=2)  # (N', H, 3, D)
         dq = np.zeros((n, heads, D), dtype=dt)
         drc = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: the vector each pair sends back to its sender, and
-        # 2u, the pair's share of d|s_c|^2 times 2
-        to_sender = index.slot_buffer("to_sender", (heads, D), dt)
-        to_ss = index.slot_buffer("to_ss", (heads,), dt)
+        # per padded slot: the vector each pair sends back to its sender in
+        # columns :D, and in column D 2u, the pair's share of d|s_c|^2 times 2
+        to_sender = index.slot_buffer("to_sender", (heads, D + 1), dt)
         for b, (dots, alpha, keep) in zip(index.recv_buckets, saved):
             R, K = b.valid.shape
             z, sigma = dots[:, :, 0], dots[:, :, 1]
@@ -913,21 +910,18 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
             dq[b.rows] = t_sum * rcb + pair_sums[:, :, 0]
             drc[b.rows] = (gb * w.sum(axis=2)[..., None] + t_sum * qh[b.rows]
                            + pair_sums[:, :, 1] + u2.sum(axis=2)[..., None] * rcb)
-            # (R, H, K, D) products written straight into the slots (R, K) of (H, D)
-            np.matmul(coef.transpose(0, 1, 3, 2), g_q_rc[b.rows],
-                      out=b.slots(to_sender).transpose(0, 2, 1, 3))
-            b.slots(to_ss)[...] = u2.transpose(0, 2, 1)
+            # (R, H, K, D) products written straight into the slots, 2u beside them
+            slots = b.slots(to_sender).transpose(0, 2, 1, 3)  # (R, H, K, D + 1)
+            np.matmul(coef.transpose(0, 1, 3, 2), g_q_rc[b.rows], out=slots[..., :D])
+            slots[..., D] = u2
         if q.requires_grad:
             dq *= inv_root
             q.accumulate_grad(dq.reshape(n, d))
         if r.requires_grad:
             r.accumulate_grad(_centred(drc).reshape(n, d))
         if s.requires_grad:
-            dsc = _row_sums(index.by_sender, to_sender)
-            # bincount per head: 2-5x faster than the tables on (H,) rows (0.11-0.47 vs 0.30-1.0 ms)
-            ss_sums = [np.bincount(index.slot_sender, weights=u, minlength=n + 1)[:n]
-                       for u in to_ss.T]
-            dsc += np.stack(ss_sums, axis=1).astype(dt)[..., None] * sc
+            sums = _row_sums(index.by_sender, to_sender)
+            dsc = sums[..., :D] + sums[..., D:] * sc
             s.accumulate_grad(_centred(dsc).reshape(n, d))
 
     e = index.e
@@ -1004,34 +998,56 @@ def save_checkpoint(params: dict, manifest_path, blob_path):
         f.write(blob)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_checkpoint(manifest_path, blob_path) -> dict:
     """Read a checkpoint written by `save_checkpoint`.  CheckpointError names
-    the missing key of a malformed manifest, the tensor of an entry with an
-    unknown precision or a byte span that does not fit its shape or the
-    blob, and the files of a blob whose SHA-256 differs from the manifest's."""
+    the manifest of one that is not a JSON object, lacks a key or whose
+    `tensors` is not a list of objects; the tensor of an entry with a name
+    that is not a string, an unknown precision, a shape that is not a list
+    of non-negative ints, an offset or nbytes that is not an int, or a byte
+    span that does not fit its shape or the blob; and the files of a blob
+    whose SHA-256 differs from the manifest's."""
     with open(blob_path, "rb") as f:
         blob = f.read()
     try:
         with open(manifest_path) as f:
             manifest = json.load(f)
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"checkpoint manifest {manifest_path} is not a JSON object")
         if len(blob) != manifest["total_bytes"]:
             raise CheckpointError(f"checkpoint blob is {len(blob)} bytes, "
                                   f"manifest says {manifest['total_bytes']}")
         if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
             raise CheckpointError(f"checkpoint blob {blob_path} fails the SHA-256 "
                                   f"of {manifest_path}")
+        entries = manifest["tensors"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise CheckpointError(f"checkpoint manifest {manifest_path}: 'tensors' is not "
+                                  "a list of objects")
         out = {}
-        for e in manifest["tensors"]:
-            if e["precision"] not in DTYPES:
-                raise CheckpointError(f"checkpoint tensor {e['name']!r} has unknown "
-                                      f"precision {e['precision']!r}")
+        for e in entries:
+            where = f"checkpoint tensor {e['name']!r} of {manifest_path}"
+            if not isinstance(e["name"], str):
+                raise CheckpointError(f"{where}: the name is not a string")
+            if not isinstance(e["precision"], str) or e["precision"] not in DTYPES:
+                raise CheckpointError(f"{where} has unknown precision {e['precision']!r}")
+            if not (isinstance(e["shape"], list)
+                    and all(_is_int(x) and x >= 0 for x in e["shape"])):
+                raise CheckpointError(f"{where}: shape {e['shape']!r} is not a list of "
+                                      "non-negative ints")
+            if not (_is_int(e["offset"]) and _is_int(e["nbytes"])):
+                raise CheckpointError(f"{where}: offset {e['offset']!r} and nbytes "
+                                      f"{e['nbytes']!r} must be ints")
             dt = np.dtype(DTYPES[e["precision"]]).newbyteorder("<")
             count = int(np.prod(e["shape"]))
             if e["nbytes"] != count * dt.itemsize:
-                raise CheckpointError(f"checkpoint tensor {e['name']!r}: {e['nbytes']} bytes "
+                raise CheckpointError(f"{where}: {e['nbytes']} bytes "
                                       f"do not hold shape {e['shape']}")
             if e["offset"] < 0 or e["offset"] + e["nbytes"] > manifest["total_bytes"]:
-                raise CheckpointError(f"checkpoint tensor {e['name']!r} runs past the "
+                raise CheckpointError(f"{where} runs past the "
                                       f"{manifest['total_bytes']}-byte blob")
             arr = np.frombuffer(blob, dtype=dt, count=count,
                                 offset=e["offset"]).reshape(e["shape"])

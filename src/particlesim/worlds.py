@@ -371,6 +371,8 @@ def read_dataset(path) -> RolloutDataset:
         raise MetadataError(f"missing {meta_path}") from e
     except json.JSONDecodeError as e:
         raise MetadataError(f"malformed {meta_path}: {e}") from e
+    if not isinstance(meta, dict):
+        raise MetadataError(f"{meta_path} is not a JSON object")
     required = {"name", "kind", "n", "k", "dt", "n_frames", "counts", "material_ids", "world_spec"}
     missing = required - meta.keys()
     if missing:

@@ -275,6 +275,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "material_ids" in err and str(bad) in err
 
+    def test_meta_json_that_is_not_an_object_is_io_error(self, tmp_path, capsys, pipeline_dir):
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline_dir / "data" / "dataset", bad)
+        (bad / "meta.json").write_text("[1, 2]")
+        code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
+        assert code == 5
+        assert str(bad / "meta.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, named", [('{"model": 5}', "'model'"),
+                                                ('{"train": [1]}', "'train'"),
+                                                ("[1]", "not a JSON object")])
+    def test_config_file_that_is_not_an_object_is_bad_args(self, tmp_path, capsys, content,
+                                                            named):
+        cf = tmp_path / "c.json"
+        cf.write_text(content)
+        assert main(["gen-data", "--out", str(tmp_path / "o"), "--config", str(cf)]) == 2
+        err = capsys.readouterr().err
+        assert str(cf) in err and named in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("backbone", ["gnn", "vanilla", "tie"])
     def test_linear_mode_is_unknown_model_key(self, tmp_path, capsys, pipeline_dir, backbone):
         code = main(["train", "--out", str(tmp_path / "m"),
@@ -406,6 +426,40 @@ class TestExitCodes:
 
         assert self.eval_copied_model(tmp_path, pipeline_dir, edit_entry) == 5
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [lambda m: [m], lambda m: {**m, "tensors": {}},
+                                      lambda m: {**m, "tensors": [1]}],
+                             ids=["list", "tensors an object", "entry an int"])
+    def test_checkpoint_manifest_of_the_wrong_type_is_io_error(self, tmp_path, capsys,
+                                                               pipeline_dir, edit):
+        def replace(man, blob):
+            man.write_text(json.dumps(edit(json.loads(man.read_text()))))
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, replace) == 5
+        assert "final.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [({"shape": "ab"}, "shape 'ab'"),
+                                              ({"shape": [2, -1]}, "shape [2, -1]"),
+                                              ({"shape": [2.0, 3]}, "shape [2.0, 3]"),
+                                              ({"offset": 1.5}, "offset 1.5"),
+                                              ({"nbytes": "8"}, "nbytes '8'"),
+                                              ({"offset": True}, "offset True"),
+                                              ({"precision": ["f32"]}, "unknown precision"),
+                                              ({"name": ["x"]}, "not a string")])
+    def test_checkpoint_manifest_entry_of_the_wrong_type_is_io_error(self, tmp_path, capsys,
+                                                                     pipeline_dir, edit,
+                                                                     message):
+        names = []
+
+        def edit_entry(man, blob):
+            manifest = json.loads(man.read_text())
+            manifest["tensors"][0].update(edit)
+            names.append(manifest["tensors"][0]["name"])
+            man.write_text(json.dumps(manifest))
+
+        assert self.eval_copied_model(tmp_path, pipeline_dir, edit_entry) == 5
+        err = capsys.readouterr().err
+        assert message in err and repr(names[0]) in err and "final.manifest.json" in err
 
     @pytest.mark.parametrize("command", ["eval", "rollout"])
     def test_norm_stats_of_the_wrong_width_is_io_error(self, tmp_path, capsys, pipeline_dir,

@@ -284,6 +284,26 @@ class TestFusedAttention:
         assert V.run_attention_suite(["implicit edge"]) <= 1e-10
         assert V.run_attention_suite(["pair", "shared pair"]) <= 1e-10
 
+    @pytest.mark.parametrize("trained", ["k", "v"])
+    def test_pair_attention_with_only_k_or_only_v_trained(self, trained):
+        # one sender sum yields dk and dv together; the constant one gets neither
+        recv, send = synthesize_pairs(12, 50, seed=51)
+        rng = np.random.default_rng(52)
+        q, k, v, upstream = (rng.standard_normal((12, 8)) for _ in range(4))
+        results = []
+        for fused in (True, False):
+            tq, tk, tv = (T.Tensor(x.copy(), requires_grad=name in ("q", trained))
+                          for name, x in zip("qkv", (q, k, v)))
+            with Tape() as tape:
+                out = (T.pair_attention(tq, tk, tv, T.PairIndex(recv, send, 12), 2) if fused
+                       else V.composed_pair_attention(tq, tk, tv, recv, send, 2))
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(upstream))), tape)
+            trained_t, constant = (tk, tv) if trained == "k" else (tv, tk)
+            assert constant.grad is None
+            results.append([out.data, tq.grad, trained_t.grad])
+        for fused, composed in zip(*results):
+            np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-10)
+
     def test_unsorted_pairs_give_the_same_output(self):
         rng = np.random.default_rng(40)
         q, a, b = (T.Tensor(rng.standard_normal((6, 4))) for _ in range(3))
@@ -425,11 +445,8 @@ class TestSlotWorkspace:
     """Both kernels share one slot workspace per PairIndex; interleaved calls
     on one index must equal the same calls on separate indexes, bit for bit."""
 
-    @pytest.mark.parametrize("kernel", [T.implicit_edge_attention, T.pair_attention])
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("n_abstract", [0, 2])
-    def test_calls_on_one_index_equal_calls_on_separate_indexes(self, kernel, precision,
-                                                                n_abstract):
+    @staticmethod
+    def check_calls_on_one_index(kernels, precision, n_abstract):
         dt = T.DTYPES[precision]
         n, d, heads = 40, 8, 2
         recv, send = synthesize_pairs(n, 300, seed=47)
@@ -442,7 +459,7 @@ class TestSlotWorkspace:
 
         def run(indexes):
             tapes, outs = zip(*(_run_kernel(kernel, x, ix, heads)
-                                for x, ix in zip(inputs, indexes)))
+                                for kernel, x, ix in zip(kernels, inputs, indexes)))
             for c in (1, 0):  # backwards in reverse order
                 tapes[c].entries[-1].backward_fn(grads[c])
             found = [o.data.copy() for o in outs] + [t.grad for x in inputs for t in x]
@@ -457,6 +474,20 @@ class TestSlotWorkspace:
         assert len(together) == 8
         for a, b in zip(together, apart):
             assert a.dtype == dt and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kernel", [T.implicit_edge_attention, T.pair_attention])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("n_abstract", [0, 2])
+    def test_calls_on_one_index_equal_calls_on_separate_indexes(self, kernel, precision,
+                                                                n_abstract):
+        self.check_calls_on_one_index((kernel, kernel), precision, n_abstract)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("n_abstract", [0, 2])
+    def test_implicit_edge_and_pair_calls_on_one_index(self, precision, n_abstract):
+        # the two kernels lay their to-sender slots out differently
+        self.check_calls_on_one_index((T.implicit_edge_attention, T.pair_attention),
+                                      precision, n_abstract)
 
 
 class TestNoPairs:
