@@ -1,5 +1,6 @@
-"""Particle system state, fixed-radius neighbor search by a sorted cell list,
-velocity integration, and dataset normalization statistics."""
+"""Particle system state, fixed-radius neighbor search (an O(N^2) scan for
+small systems, a sorted cell list for large ones), velocity integration, and
+dataset normalization statistics."""
 
 from __future__ import annotations
 
@@ -56,22 +57,39 @@ def _check_search_inputs(positions: np.ndarray, radius: float):
         raise InputError("non-finite positions in neighbor search")
 
 
+# The largest system searched by the O(N^2) scan, at the measured crossover:
+# on box_splash states (1 BLAS thread, 2-vCPU VM) the scan is the faster
+# search up to N = 256 and the cell list from N = 288, at both radius 0.1 (the
+# model's) and 0.09 (the worlds' springs); README, "Neighbor search".
+SCAN_MAX_N = 256
+
+
+def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
+    """All directed pairs (i, j), i != j, with ||p_i - p_j|| < radius, as
+    int64 arrays sorted by (receiver, sender): the one search of training,
+    rollout and the reference worlds.  Systems of up to SCAN_MAX_N particles
+    take `brute_force_neighbor_graph`, larger ones
+    `cell_list_neighbor_graph`; both return the same arrays."""
+    small = positions.shape[0] <= SCAN_MAX_N
+    return (brute_force_neighbor_graph if small else cell_list_neighbor_graph)(positions, radius)
+
+
 # (dx, dy) of the 9 cell columns around a cell; each column spans dz = -1..1
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
 
 
-def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
-    """All directed pairs (i, j), i != j, with ||p_i - p_j|| < radius.
+def cell_list_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
+    """The pairs of `build_neighbor_graph` by a sorted cell list, its search
+    for large systems.
 
-    A sorted cell list with cell size = radius.  Particles are sorted by cell
-    key; the 27 cells around a particle are 9 runs of consecutive keys, found
-    by `searchsorted`; the candidates in them are filtered by distance.  On
-    each axis the cell index c = floor(p / radius) is replaced by its rank
-    among the distinct values of {c - 1, c, c + 1}: adjacent cells keep ranks
-    one apart, and every rank is below 3N, so the int64 key is exact however
-    far apart the particles are (for N up to about 700k).  The result equals
-    `brute_force_neighbor_graph` element for element: int64 arrays sorted by
-    (receiver, sender).
+    Cells have size = radius.  Particles are sorted by cell key; the 27
+    cells around a particle are 9 runs of consecutive keys, found by
+    `searchsorted`; the candidates in them are filtered by distance.  On each
+    axis the cell index c = floor(p / radius) is replaced by its rank among
+    the distinct values of {c - 1, c, c + 1}: adjacent cells keep ranks one
+    apart, and every rank is below 3N, so the int64 key is exact however far
+    apart the particles are (for N up to about 700k).  The result equals
+    `brute_force_neighbor_graph` element for element.
     """
     _check_search_inputs(positions, radius)
     n = positions.shape[0]
@@ -90,20 +108,21 @@ def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
     first = np.searchsorted(sorted_keys, column_keys - 1, "left").ravel()
     count = np.searchsorted(sorted_keys, column_keys + 1, "right").ravel() - first
     ends = np.cumsum(count)
-    recv = order[np.repeat(np.tile(np.arange(n), len(_COLUMNS)), count)]
-    send = order[np.arange(ends[-1] if n else 0) + np.repeat(first - ends + count, count)]
-    d = positions[recv] - positions[send]
+    # candidates as positions in key order; particle ids only for kept pairs
+    recv = np.repeat(np.tile(np.arange(n), len(_COLUMNS)), count)
+    send = np.arange(ends[-1] if n else 0) + np.repeat(first - ends + count, count)
+    sorted_positions = positions[order]
+    d = sorted_positions[recv] - sorted_positions[send]
     close = (np.einsum("ij,ij->i", d, d) < radius * radius) & (recv != send)
-    recv, send = recv[close], send[close]
-    by_pair = np.lexsort((send, recv))
+    recv, send = order[recv[close]], order[send[close]]
+    by_pair = np.argsort(recv * n + send)
     return NeighborGraph(recv[by_pair], send[by_pair], radius)
 
 
 def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
-    """The same pairs by an O(N^2) scan: the oracle for the cell list, and
-    the spring search of the reference worlds (`worlds`), which are small.
-    `np.nonzero` returns them in row-major, that is (receiver, sender),
-    order."""
+    """The pairs of `build_neighbor_graph` by an O(N^2) scan: its search
+    for small systems, and the oracle for the cell list.  `np.nonzero`
+    returns them in row-major, that is (receiver, sender), order."""
     _check_search_inputs(positions, radius)
     diff = positions[:, None, :] - positions[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)

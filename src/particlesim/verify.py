@@ -279,7 +279,7 @@ def run_neighbor_suite(n_configs: int = 50, max_n: int = 1024, seed: int = 0) ->
         n = int(rng.integers(2, max_n + 1))
         cases.append((rng.uniform(0.0, 1.0, size=(n, 3)), float(rng.uniform(0.02, np.sqrt(3.0)))))
     for p, radius in cases:
-        fast = P.build_neighbor_graph(p, radius)
+        fast = P.cell_list_neighbor_graph(p, radius)
         slow = P.brute_force_neighbor_graph(p, radius)
         if not (np.array_equal(fast.receivers, slow.receivers)
                 and np.array_equal(fast.senders, slow.senders)):

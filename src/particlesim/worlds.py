@@ -8,10 +8,11 @@ any deterministic local-interaction integrator exercises the same model
 pathways (multi-material systems, moving boundaries, stiff clusters).
 
 The springs are the pairs within force_radius that
-`particles.brute_force_neighbor_graph` finds.  Each particle's spring force
-is the sum of its pairs' forces in sender order, the order in which the
-dense (N, N) sum, kept in tests/test_worlds.py as the oracle, adds them;
-both give the same bits.
+`particles.build_neighbor_graph` finds, the search the model uses: an
+O(N^2) scan for small worlds, a cell list for large ones.  Each particle's
+spring force is the sum of its pairs' forces in sender order, the order in
+which the dense (N, N) sum, kept in tests/test_worlds.py as the oracle, adds
+them; both give the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .nn import check_field_types
-from .particles import SystemState, InputError, brute_force_neighbor_graph
+from .particles import SystemState, InputError, build_neighbor_graph
 
 WORLD_KINDS = ("drop_merge", "box_splash", "grip_block", "box_wash")
 
@@ -117,10 +118,12 @@ def _kinematic_mask(spec: WorldSpec) -> np.ndarray:
 
 
 def _springs(spec: WorldSpec, p: np.ndarray, ids: np.ndarray):
-    """The springs: the pairs (i, j) of `brute_force_neighbor_graph` at
+    """The springs: the pairs (i, j) of `build_neighbor_graph` at
     force_radius, in its (receiver, sender) order, with p_i - p_j, its
-    length and the pair's stiffness."""
-    graph = brute_force_neighbor_graph(p, spec.force_radius)
+    length and the pair's stiffness.  The name is bound at import, so a
+    wrapper installed on `particles.build_neighbor_graph` sees the model's
+    searches only."""
+    graph = build_neighbor_graph(p, spec.force_radius)
     i, j = graph.receivers, graph.senders
     diff = p[i] - p[j]
     dist = np.sqrt(np.einsum("ek,ek->e", diff, diff))
@@ -267,7 +270,9 @@ def initial_state(spec: WorldSpec, seed: int) -> SystemState:
                        _lattice(spec.counts[1], spec.spacing, c_rigid, rng)])
         v = np.zeros_like(p)
         v[:spec.counts[0]] += rng.uniform(-0.2, 0.2, size=3)
-    p = np.clip(p, lo + 1e-3, hi - 1e-3) if spec.kind != "drop_merge" else p
+    if spec.kind != "drop_merge" and ((p < lo + 1e-3) | (p > hi - 1e-3)).any():
+        raise InputError(f"{spec.kind} counts {list(spec.counts)} at spacing {spec.spacing} "
+                         f"do not fit in the box; lower spacing or counts")
     return SystemState(p, v, attrs, ids, 0)
 
 
@@ -309,6 +314,9 @@ class RolloutDataset:
 
 def generate_dataset(spec: WorldSpec, n_train: int, n_valid: int, n_frames: int,
                      seed: int = 0, name: str = "") -> RolloutDataset:
+    for split, count in (("train", n_train), ("valid", n_valid)):
+        if count < 0:
+            raise InputError(f"{split} rollout count must be >= 0, got {count}")
     ds = RolloutDataset(name or spec.kind, spec, n_frames, spec.material_ids())
     for i in range(n_train):
         ds.train.append(generate_rollout(spec, seed * 100003 + i, n_frames))

@@ -192,6 +192,24 @@ class TestExitCodes:
         assert f"error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "dataset").exists()
 
+    @pytest.mark.parametrize("key", ["train_rollouts", "valid_rollouts"])
+    def test_negative_rollout_count_is_bad_args(self, tmp_path, capsys, key):
+        assert main(["gen-data", "--out", str(tmp_path)] + SMALL_DATA
+                    + ["--set", f"dataset.{key}=-3"]) == 2
+        assert "rollout count must be >= 0, got -3" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_lattice_that_does_not_fit_the_box_is_bad_args(self, tmp_path, capsys):
+        big = ["--set", "dataset.counts=[4096]", "--set", "dataset.n_frames=2",
+               "--set", "dataset.train_rollouts=1", "--set", "dataset.valid_rollouts=0"]
+        assert main(["gen-data", "--out", str(tmp_path / "a")] + big) == 2
+        err = capsys.readouterr().err
+        assert "counts [4096] at spacing 0.055" in err and "lower spacing or counts" in err
+        assert not (tmp_path / "a").exists()
+        assert main(["gen-data", "--out", str(tmp_path / "b")] + big
+                    + ["--set", "dataset.spacing=0.04"]) == 0
+        assert read_dataset(tmp_path / "b" / "dataset").train[0].shape == (2, 4096, 6)
+
     def test_reference_world_blow_up_is_divergence(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path)] + SMALL_DATA
                     + ["--set", "dataset.stiffness=1e12"]) == 4

@@ -1,20 +1,21 @@
-"""Neighbor search (sorted cell list vs brute force) and input normalization."""
+"""Neighbor search (the selection by N, the sorted cell list against the O(N^2)
+scan) and input normalization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from particlesim import particles as P
-from particlesim.particles import (InputError, build_neighbor_graph,
-                                   brute_force_neighbor_graph)
+from particlesim.particles import (InputError, SCAN_MAX_N, build_neighbor_graph,
+                                   brute_force_neighbor_graph, cell_list_neighbor_graph)
 
 
-SEARCHES = [build_neighbor_graph, brute_force_neighbor_graph]
+SEARCHES = [cell_list_neighbor_graph, brute_force_neighbor_graph]
 SEARCH_IDS = ["cell_list", "brute_force"]
 
 
 def assert_same_graph(p, radius):
-    fast = build_neighbor_graph(p, radius)
+    fast = cell_list_neighbor_graph(p, radius)
     slow = brute_force_neighbor_graph(p, radius)
     assert fast.receivers.dtype == fast.senders.dtype == np.int64
     assert np.array_equal(fast.receivers, slow.receivers)
@@ -25,7 +26,7 @@ def assert_same_graph(p, radius):
 class TestNeighborGraph:
     def test_collinear_chain(self):
         p = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.10, 0, 0]])
-        g = build_neighbor_graph(p, 0.08)
+        g = cell_list_neighbor_graph(p, 0.08)
         assert g.pair_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
@@ -35,13 +36,13 @@ class TestNeighborGraph:
 
     def test_sorted_by_receiver_then_sender(self):
         rng = np.random.default_rng(0)
-        g = build_neighbor_graph(rng.uniform(0, 0.3, size=(40, 3)), 0.1)
+        g = cell_list_neighbor_graph(rng.uniform(0, 0.3, size=(40, 3)), 0.1)
         keys = list(zip(g.receivers.tolist(), g.senders.tolist()))
         assert keys == sorted(keys)
 
     def test_no_self_pairs_and_symmetry(self):
         rng = np.random.default_rng(1)
-        g = build_neighbor_graph(rng.uniform(0, 0.5, size=(60, 3)), 0.15)
+        g = cell_list_neighbor_graph(rng.uniform(0, 0.5, size=(60, 3)), 0.15)
         pairs = g.pair_set()
         assert all(i != j for i, j in pairs)
         assert all((j, i) in pairs for i, j in pairs)
@@ -101,14 +102,14 @@ class TestNeighborGraph:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 0.4, size=(30, 3))
         perm = rng.permutation(30)
-        g = build_neighbor_graph(pos, 0.1)
-        gp = build_neighbor_graph(pos[perm], 0.1)
+        g = cell_list_neighbor_graph(pos, 0.1)
+        gp = cell_list_neighbor_graph(pos[perm], 0.1)
         inv = np.argsort(perm)
         expected = {(inv[i], inv[j]) for i, j in g.pair_set()}
         assert gp.pair_set() == expected
 
     def test_empty_graph(self):
-        g = build_neighbor_graph(np.array([[0.0, 0, 0], [10.0, 0, 0]]), 0.1)
+        g = cell_list_neighbor_graph(np.array([[0.0, 0, 0], [10.0, 0, 0]]), 0.1)
         assert g.n_pairs == 0
         assert g.receivers.dtype == np.int64
 
@@ -122,6 +123,27 @@ class TestNeighborGraph:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(InputError):
                 search(np.array([[bad, 0, 0], [0, 0, 0]]), 0.1)
+
+
+class TestSearchSelection:
+    @pytest.mark.parametrize("n", [SCAN_MAX_N, SCAN_MAX_N + 1])
+    def test_scan_up_to_scan_max_n_then_the_cell_list(self, monkeypatch, n):
+        p = np.random.default_rng(11).uniform(0, 0.6, size=(n, 3))
+        graph = build_neighbor_graph(p, 0.1)
+        assert graph.n_pairs > 0
+        for search in SEARCHES:
+            other = search(p, 0.1)
+            assert np.array_equal(graph.receivers, other.receivers)
+            assert np.array_equal(graph.senders, other.senders)
+        calls = []
+        for search in SEARCHES:
+            def traced(positions, radius, search=search):
+                calls.append(search.__name__)
+                return search(positions, radius)
+            monkeypatch.setattr(P, search.__name__, traced)
+        build_neighbor_graph(p, 0.1)
+        chosen = brute_force_neighbor_graph if n <= SCAN_MAX_N else cell_list_neighbor_graph
+        assert calls == [chosen.__name__]
 
 
 class TestIntegration:

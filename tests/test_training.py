@@ -458,9 +458,10 @@ class TestEvaluation:
         expect = start + shared_dataset.spec.dt * frames[0, :, 3:6].astype(np.float64)
         assert np.allclose(frames[0, :, 0:3], expect, atol=1e-6)
 
-    def test_rollout_is_unchanged_by_the_brute_force_search(self, monkeypatch):
-        # the rollout searches through the module attribute; swapping in the
-        # O(N^2) scan must leave every frame and per-step M3SE byte-identical
+    def test_rollout_is_unchanged_by_the_cell_list(self, monkeypatch):
+        # the rollout searches through the module attribute, which at N=200
+        # runs the O(N^2) scan; swapping in the cell list must leave every
+        # frame and per-step M3SE byte-identical
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -470,12 +471,13 @@ class TestEvaluation:
         frames, rep = rollout(model, ds, stats, 0, 4)
         pair_counts = []
 
-        def brute_force(positions, radius):
-            graph = P.brute_force_neighbor_graph(positions, radius)
+        def cell_list(positions, radius):
+            graph = P.cell_list_neighbor_graph(positions, radius)
             pair_counts.append(graph.n_pairs)
             return graph
 
-        monkeypatch.setattr(P, "build_neighbor_graph", brute_force)
+        assert ds.spec.n <= P.SCAN_MAX_N
+        monkeypatch.setattr(P, "build_neighbor_graph", cell_list)
         oracle_frames, oracle_rep = rollout(model, ds, stats, 0, 4)
         assert len(pair_counts) == 4 and min(pair_counts) > 0
         assert frames.tobytes() == oracle_frames.tobytes()

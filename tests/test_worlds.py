@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from particlesim import worlds as W
-from particlesim.particles import SystemState, InputError
+from particlesim.particles import SystemState, InputError, SCAN_MAX_N
 from particlesim.worlds import (WorldSpec, BlowUpError, MetadataError, TruncationError,
                                 ChecksumError, step_oracle, initial_state,
                                 generate_rollout, generate_dataset, write_dataset,
@@ -194,8 +194,10 @@ class TestDenseSpringOracle:
     def test_four_worlds(self, kind, counts, seed):
         self.assert_matches_dense(WorldSpec(kind=kind, counts=counts), seed, 25)
 
-    def test_box_splash_256(self):
-        self.assert_matches_dense(WorldSpec(kind="box_splash", counts=(256,)), 0, 25)
+    # the scan's largest system, and one whose springs come from the cell list
+    @pytest.mark.parametrize("n", [SCAN_MAX_N, 2 * SCAN_MAX_N])
+    def test_box_splash(self, n):
+        self.assert_matches_dense(WorldSpec(kind="box_splash", counts=(n,)), 0, 25)
 
 
 class TestWorldSpec:
@@ -273,6 +275,21 @@ class TestRollouts:
     def test_min_length(self):
         with pytest.raises(InputError):
             generate_rollout(WorldSpec(counts=(4,)), seed=0, n_steps=1)
+
+    @pytest.mark.parametrize("n_train, n_valid", [(-3, 1), (1, -1)])
+    def test_negative_rollout_count_rejected(self, n_train, n_valid):
+        with pytest.raises(InputError, match=f"got {min(n_train, n_valid)}"):
+            generate_dataset(WorldSpec(counts=(4,)), n_train, n_valid, 5)
+
+    def test_lattice_that_does_not_fit_the_box_rejected(self):
+        # 16 x 16 x 16 particles at spacing 0.055 span 0.825, more than the box
+        # leaves around the lattice centre; no point is clipped onto a wall
+        spec = WorldSpec(kind="box_splash", counts=(4096,))
+        for seed in (0, 1, 2):
+            with pytest.raises(InputError, match=r"counts \[4096\] at spacing 0.055"):
+                initial_state(spec, seed)
+        p = initial_state(WorldSpec(kind="box_splash", counts=(4096,), spacing=0.04), 0).positions
+        assert ((p > 1e-3) & (p < 1 - 1e-3)).all()
 
 
 class TestSerialization:
