@@ -674,15 +674,17 @@ class PairIndex:
     then become batched matmuls or row sums over these tables, with no sort
     and no unbuffered scatter per call.
 
+    `slot_receiver` (n_slots,) is the receiver of each slot, padding included.
+
     The index also owns the slot workspace of the attention kernels: one
-    (n_slots, ...) buffer per role (`slot_buffer`), made on first use and
-    reused by every bucket and block, forward and backward, for as long as
-    the graph lives.  "gather" holds sender rows; "to_sender" holds per
-    pair one vector of all it returns to its sender, (2, H, D) in
-    `pair_attention` and (H, D + 1) in `implicit_edge_attention`, summed by
-    one `_row_sums(by_sender, ...)` per backward.  A kernel call keeps
-    nothing in them once it returns, so calls and backwards on one index
-    may interleave in any order.
+    buffer per role (`slot_buffer`), made on first use and reused by every
+    bucket and block, forward and backward, for as long as the graph lives.
+    "gather" holds one bucket's gathered rows; "scalars" `pair_attention`'s
+    dz and alpha per slot, (2, H); "to_sender" `implicit_edge_attention`'s
+    return of each pair to its sender, (H, D + 1), summed by one
+    `_row_sums(by_sender, ...)` per backward.  A kernel call keeps nothing
+    in them once it returns, so calls and backwards on one index may
+    interleave in any order.
     """
 
     def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
@@ -695,22 +697,28 @@ class PairIndex:
         self.n, self.e = n, recv.size
         self.recv_buckets: list[_RecvBucket] = []
         pair_slot = np.empty(self.e, dtype=np.int64)
+        slot_receiver = []
         lo = 0
         for rows, table, m in _RowSums(recv, n).buckets:
             valid = np.arange(rows.size)[:, None] < m
             pair_slot[table[valid]] = lo + np.flatnonzero(valid)
             self.recv_buckets.append(_RecvBucket(rows, lo, valid, np.where(valid, send[table], n)))
+            slot_receiver.append(np.repeat(rows, table.shape[1]))
             lo += valid.size
         self.n_slots = lo
+        self.slot_receiver = np.concatenate(slot_receiver or [np.zeros(0, np.int64)])
         self.by_sender = _RowSums(send, n, at=pair_slot)
+        # a sender bucket's table may hold more entries than the slot space
+        self._buffer_rows = max([lo] + [t.size for _, t, _ in self.by_sender.buckets])
         self._buffers: dict[str, np.ndarray] = {}
 
     def slot_buffer(self, role: str, tail: tuple, dt) -> np.ndarray:
-        """The workspace buffer `role` of shape (n_slots, *tail), one entry per
-        padded slot; its contents are left to the caller."""
+        """The workspace buffer `role` of shape (rows, *tail), one entry per
+        padded slot or per entry of the largest sender table, whichever are
+        more; its contents are left to the caller."""
         buf = self._buffers.get(role)
         if buf is None or buf.shape[1:] != tail or buf.dtype != dt:
-            buf = np.empty((self.n_slots,) + tail, dtype=dt)
+            buf = np.empty((self._buffer_rows,) + tail, dtype=dt)
             self._buffers[role] = buf
         return buf
 
@@ -749,11 +757,12 @@ def _slot_softmax(z: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _gather_slots(buf: np.ndarray, a: np.ndarray, b: _RecvBucket) -> np.ndarray:
-    """Rows of the (N', H, D) array `a` at the bucket's senders, written into
-    its slots of the slot buffer `buf`; returned as an (R, H, K, D) view."""
-    out = b.slots(buf)
-    np.take(a, b.senders, axis=0, out=out, mode="clip")
+def _gather(buf: np.ndarray, a: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows of the (N', H, D) array `a` at the (R, K) table `at`, written into
+    the first R * K rows of the slot buffer `buf`; returned as an
+    (R, H, K, D) view."""
+    out = buf[:at.size].reshape(*at.shape, *a.shape[1:])
+    np.take(a, at, axis=0, out=out, mode="clip")
     return out.transpose(0, 2, 1, 3)
 
 
@@ -767,6 +776,11 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
 
     Receivers without pairs get zero.  MACs: the two D-length products per
     pair (q . k and the aggregate) and the logit scale per pair and head.
+
+    The backward's pass over the receiver buckets gives dq and keeps each
+    slot's dz and alpha; a pass over the sender buckets (`index.by_sender`)
+    forms dk_j = sum_i dz_ij q'_i and dv_j = sum_i alpha_ij g_i, one batched
+    matmul per role and bucket.  No vector is written per slot.
     """
     D = _head_width("pair_attention", index, heads, q, k, v)
     n, d = q.data.shape
@@ -778,35 +792,40 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     out = np.zeros((n, heads, D), dtype=dt)
     alphas = []
     for b in index.recv_buckets:
-        kb = _gather_slots(gather, kh, b)  # (R, H, K, D)
+        kb = _gather(gather, kh, b.senders)  # (R, H, K, D)
         logits = np.matmul(qh[b.rows][:, :, None], kb.transpose(0, 1, 3, 2))[:, :, 0]
         alpha = _slot_softmax(logits, b.valid)
-        out[b.rows] = np.matmul(alpha[:, :, None], _gather_slots(gather, vh, b))[:, :, 0]
+        out[b.rows] = np.matmul(alpha[:, :, None], _gather(gather, vh, b.senders))[:, :, 0]
         alphas.append(alpha)
     result = Tensor(out.reshape(n, d))
 
     def bwd(g):
         gh = _by_head(g, heads)
         dq = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: what each pair sends back to its sender, dz q'_i for
-        # k in half 0 and alpha g_i for v in half 1; the slots of k and v are
-        # gathered again rather than kept from the forward
-        to_sender = index.slot_buffer("to_sender", (2, heads, D), dt)
+        # per padded slot, dz (for k) in row 0 and alpha (for v) in row 1; k
+        # and v are gathered again rather than kept from the forward
+        scalars = index.slot_buffer("scalars", (2, heads), dt)
         for b, alpha in zip(index.recv_buckets, alphas):
-            vb = _gather_slots(gather, vh, b)
+            vb = _gather(gather, vh, b.senders)
             dz = np.matmul(gh[b.rows][:, :, None], vb.transpose(0, 1, 3, 2))[:, :, 0]
             dz -= (alpha * dz).sum(axis=2, keepdims=True)
             dz *= alpha
-            dq[b.rows] = np.matmul(dz[:, :, None], _gather_slots(gather, kh, b))[:, :, 0]
-            slots = b.slots(to_sender).transpose(0, 2, 3, 1, 4)  # (R, 2, H, K, D)
-            np.multiply(dz[..., None], qh[b.rows][:, :, None], out=slots[:, 0])
-            np.multiply(alpha[..., None], gh[b.rows][:, :, None], out=slots[:, 1])
-        if k.requires_grad or v.requires_grad:
-            dkv = _row_sums(index.by_sender, to_sender)
-            if k.requires_grad:
-                k.accumulate_grad(dkv[:, 0].reshape(n, d))
-            if v.requires_grad:
-                v.accumulate_grad(dkv[:, 1].reshape(n, d))
+            dq[b.rows] = np.matmul(dz[:, :, None], _gather(gather, kh, b.senders))[:, :, 0]
+            slots = b.slots(scalars).transpose(0, 2, 3, 1)  # (R, 2, H, K)
+            slots[:, 0] = dz
+            slots[:, 1] = alpha
+        # fresh dk and dv: accumulate_grad keeps the first gradient as it arrives
+        roles = [(row, x, t, np.zeros((n, heads, D), dtype=dt))
+                 for row, (x, t) in enumerate(((qh, k), (gh, v))) if t.requires_grad]
+        for rows, table, m in index.by_sender.buckets:
+            # (R, 2, H, 1, K); padding repeats a valid position, so it is zeroed
+            valid = (np.arange(rows.size)[:, None] < m)[:, None, None, None]
+            coef = np.where(valid, scalars[table].transpose(0, 2, 3, 1)[:, :, :, None], dt.type(0))
+            receivers = index.slot_receiver[table]
+            for row, x, _, grad in roles:
+                grad[rows] = np.matmul(coef[:, row], _gather(gather, x, receivers))[:, :, 0]
+        for _, _, t, grad in roles:
+            t.accumulate_grad(grad.reshape(n, d))
         if q.requires_grad:
             dq *= inv_root
             q.accumulate_grad(dq.reshape(n, d))
@@ -853,7 +872,7 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
     for b in index.recv_buckets:
-        S = _gather_slots(gather, sc, b)  # (R, H, K, D)
+        S = _gather(gather, sc, b.senders)  # (R, H, K, D)
         # (R, H, 2, K): q'_i . s_c,j becomes the logit z, r_c,i . s_c,j sigma
         dots = np.matmul(q_rc[b.rows], S.transpose(0, 1, 3, 2))
         z, sigma = dots[:, :, 0], dots[:, :, 1]
@@ -888,7 +907,7 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
             z, sigma = dots[:, :, 0], dots[:, :, 1]
             # gathered again rather than kept: the forward's slots x d per
             # block would otherwise sit in memory until the reverse pass
-            S = _gather_slots(gather, sc, b)
+            S = _gather(gather, sc, b.senders)
             gb, rcb = gh[b.rows], rc[b.rows]
             # the pair coefficients (w, t, 2u) of (g_i, q'_i, r_c,i)
             coef = np.empty((R, heads, 3, K), dtype=dt)

@@ -165,15 +165,27 @@ def _attention_case_pairs(n: int, n_abstract: int, bidirectional: bool, seed: in
     return recv, send, n + n_abstract
 
 
-def attention_deviation(kernel: str, n_abstract: int, bidirectional: bool,
-                        heads: int = 2, d: int = 8, n: int = 9, seed: int = 0) -> float:
+def padded_sender_pairs(n: int = 40, seed: int = 0):
+    """A pair list over n rows whose senders 0, 1, ... have degrees 1, 2, 3,
+    5, 8, 9, 16, 17, 25 and n - 1, each to distinct other rows: every sender
+    bucket wider than 2 then has columns that hold fewer than all its rows."""
+    rng = np.random.default_rng(seed)
+    degrees = [1, 2, 3, 5, 8, 9, 16, 17, 25, n - 1]
+    recv = np.concatenate([rng.choice(np.delete(np.arange(n), j), size=k, replace=False)
+                           for j, k in enumerate(degrees)])
+    return recv, np.repeat(np.arange(len(degrees)), degrees), n
+
+
+def attention_deviation(kernel: str, pairs, heads: int = 2, d: int = 8,
+                        seed: int = 0) -> float:
     """Worst elementwise deviation, relative to max(1, |value|), between a
     fused attention kernel and its composed oracle over the output and the
-    gradients of the inputs (q, a, b), in f64.  `kernel` is "implicit edge"
-    (r = a, s = b), "pair" (k = a, v = b) or "shared pair" (k = v = b, one
-    tensor).  Rows 2 and 3 of a and b hold constant tokens, so the variance
-    of their mutual implicit-edge pairs sits at SIGMA_FLOOR."""
-    recv, send, rows = _attention_case_pairs(n, n_abstract, bidirectional, seed)
+    gradients of the inputs (q, a, b), in f64, on `pairs` = (receivers,
+    senders, rows).  `kernel` is "implicit edge" (r = a, s = b), "pair"
+    (k = a, v = b) or "shared pair" (k = v = b, one tensor).  Rows 2 and 3
+    of a and b hold constant tokens, so the variance of their mutual
+    implicit-edge pairs sits at SIGMA_FLOOR."""
+    recv, send, rows = pairs
     rng = np.random.default_rng(seed + 11)
     q, a, b = (rng.standard_normal((rows, d)) for _ in range(3))
     a[2:4] = np.repeat(a[2:4, ::d // heads], d // heads, axis=1)
@@ -202,13 +214,19 @@ def attention_deviation(kernel: str, n_abstract: int, bidirectional: bool,
 
 def run_attention_suite(kernels, seed: int = 0) -> float:
     """Worst `attention_deviation` of `kernels` over no abstract rows,
-    bidirectional and unidirectional abstract pairs, and 1 and 2 heads."""
+    bidirectional and unidirectional abstract pairs, padded sender tables,
+    a sender table wider than the slot space, and 1 and 2 heads."""
+    cases = [_attention_case_pairs(9, n_abstract, bidirectional, seed + i)
+             for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)])]
+    cases.append(padded_sender_pairs(seed=seed))
+    # three receivers of one pair each take 3 slots; their sender's table pads to 4
+    cases.append((np.array([0, 1, 2]), np.array([3, 3, 3]), 4))
     worst = 0.0
-    for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)]):
+    for i, pairs in enumerate(cases):
         for kernel in kernels:
             for heads in (1, 2):
-                worst = max(worst, attention_deviation(
-                    kernel, n_abstract, bidirectional, heads=heads, seed=seed + i))
+                worst = max(worst, attention_deviation(kernel, pairs, heads=heads,
+                                                       seed=seed + i))
     return worst
 
 

@@ -1,6 +1,7 @@
 """The f32 contract: every backbone run in f32 stays within a stated relative
 bound of the same weights run in f64, in its output and in the gradient of
-every parameter."""
+every parameter; and each fused attention kernel at the dense benchmark's
+shape stays within a stated norm-wise bound of its f64 call."""
 
 import dataclasses
 
@@ -58,3 +59,38 @@ def test_f32_within_bound_of_f64(backbone, normalized, seed):
     worst = max(dev, key=dev.get)
     print(f"\n{backbone} normalized={normalized} seed={seed}: worst {worst} {dev[worst]:.2e}")
     assert dev[worst] <= F32_BOUND, worst
+
+
+# Kernel level at the dense benchmark's shape (synthesize_pairs(512, 8000),
+# d=128, H=4).  The norm-wise f32-against-f64 deviation of the output and of
+# each input gradient, over seeds 0-11, reads at most 1.5e-7 for
+# pair_attention (2.5 u, u = 2^-24 the f32 unit roundoff; 1.5e-7 too with the
+# receiver-major backward) and 2.6e-7 for implicit_edge_attention (4.4 u).
+# Each bound is about twice its kernel's reading.
+KERNEL_F32_BOUNDS = {"pair_attention": 3e-7, "implicit_edge_attention": 5e-7}
+
+
+def kernel_f32_deviations(kernel, seed, n=512, e=8000, d=128, heads=4):
+    """[output, grad q, grad k or r, grad v or s]: |f32 - f64| / |f64| in the
+    Frobenius norm, the f64 call on the f32 inputs upcast."""
+    recv, send = synthesize_pairs(n, e, seed)
+    rng = np.random.default_rng(seed + 200)
+    inputs = [rng.standard_normal((n, d)).astype(np.float32) for _ in range(4)]
+    runs = []
+    for dt in (np.float32, np.float64):
+        operands = [T.Tensor(x.astype(dt), requires_grad=True) for x in inputs[:3]]
+        with Tape() as tape:
+            out = kernel(*operands, T.PairIndex(recv, send, n), heads)
+        tape.entries[-1].backward_fn(inputs[3].astype(dt))
+        runs.append([out.data] + [t.grad for t in operands])
+    return [float(np.linalg.norm(low - high) / np.linalg.norm(high)) for low, high in zip(*runs)]
+
+
+@pytest.mark.parametrize("kernel", [T.pair_attention, T.implicit_edge_attention],
+                         ids=lambda kernel: kernel.__name__)
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_f32_within_bound_at_benchmark_shape(kernel, seed):
+    dev = kernel_f32_deviations(kernel, seed)
+    print(f"\n{kernel.__name__} seed={seed}: output, dq, dk/dr, dv/ds "
+          + " ".join(f"{x:.2e}" for x in dev))
+    assert max(dev) <= KERNEL_F32_BOUNDS[kernel.__name__]

@@ -279,10 +279,20 @@ class TestNormalizedAttention:
 class TestFusedAttention:
     def test_matches_composed_oracle(self):
         # n_abstract in {0, 2}, unidirectional abstract pairs, a receiver
-        # without pairs, single-neighbour rows, constant tokens at the floor;
+        # without pairs, single-neighbour rows, constant tokens at the floor,
+        # padded sender tables and a sender table wider than the slot space;
         # pair attention with distinct k and v, and with k = v = s
         assert V.run_attention_suite(["implicit edge"]) <= 1e-10
         assert V.run_attention_suite(["pair", "shared pair"]) <= 1e-10
+
+    def test_suite_pads_every_wide_sender_bucket(self):
+        # the suite's padded-sender case: the sender-major backward must zero
+        # each table column past its m[k] rows, since padding repeats a
+        # valid position
+        pairs = V.padded_sender_pairs()
+        assert np.bincount(pairs[1]).tolist() == [1, 2, 3, 5, 8, 9, 16, 17, 25, 39]
+        buckets = T.PairIndex(*pairs).by_sender.buckets
+        assert all(min(m) < rows.size for rows, table, m in buckets if table.shape[1] > 2)
 
     @pytest.mark.parametrize("trained", ["k", "v"])
     def test_pair_attention_with_only_k_or_only_v_trained(self, trained):
@@ -443,7 +453,8 @@ def _run_kernel(kernel, inputs, index, heads):
 
 class TestSlotWorkspace:
     """Both kernels share one slot workspace per PairIndex; interleaved calls
-    on one index must equal the same calls on separate indexes, bit for bit."""
+    on one index must equal the same calls on separate indexes, bit for bit,
+    and pair attention keeps two scalars per slot beside its gather rows."""
 
     @staticmethod
     def check_calls_on_one_index(kernels, precision, n_abstract):
@@ -485,9 +496,22 @@ class TestSlotWorkspace:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("n_abstract", [0, 2])
     def test_implicit_edge_and_pair_calls_on_one_index(self, precision, n_abstract):
-        # the two kernels lay their to-sender slots out differently
+        # the backwards keep different slot buffers beside the shared gather:
+        # (H, D + 1) to-sender slots for implicit-edge, (2, H) scalars for pair
         self.check_calls_on_one_index((T.implicit_edge_attention, T.pair_attention),
                                       precision, n_abstract)
+
+    def test_pair_attention_buffers_hold_gather_rows_and_two_scalars_per_slot(self):
+        # a (2, H, D) to-sender vector per slot took another 10 MB here
+        n, d, heads = 512, 128, 4
+        recv, send = synthesize_pairs(n, 8000, seed=0)
+        index = T.PairIndex(recv, send, n)
+        rng = np.random.default_rng(53)
+        tape, _ = _run_kernel(T.pair_attention, _kernel_inputs(rng, n, d, np.float32),
+                              index, heads)
+        tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(np.float32))
+        held = sum(buf.nbytes for buf in index._buffers.values())
+        assert held <= index.n_slots * (d + 2 * heads) * 4
 
 
 class TestNoPairs:
