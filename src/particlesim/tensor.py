@@ -679,11 +679,12 @@ class PairIndex:
     The index also owns the slot workspace of the attention kernels: one
     buffer per role (`slot_buffer`), made on first use and reused by every
     bucket and block, forward and backward, for as long as the graph lives.
-    "gather" holds one bucket's gathered rows; "scalars" `pair_attention`'s
-    dz and alpha per slot, (2, H); "to_sender" `implicit_edge_attention`'s
-    return of each pair to its sender, (H, D + 1), summed by one
-    `_row_sums(by_sender, ...)` per backward.  A kernel call keeps nothing
-    in them once it returns, so calls and backwards on one index may
+    "gather" holds one bucket's gathered rows, receiver or sender side;
+    "scalars" `pair_attention`'s dz and alpha per slot, (2, H); "to_sender"
+    `implicit_edge_attention`'s return of each pair to its sender,
+    (H, D + 1).  Both kernels sum their sender side from these slots with
+    one masked batched matmul per `by_sender` bucket.  A kernel call keeps
+    nothing in them once it returns, so calls and backwards on one index may
     interleave in any order.
     """
 
@@ -733,7 +734,11 @@ def _heads_as_cols(a: np.ndarray) -> np.ndarray:
 
 
 def _centred(a: np.ndarray) -> np.ndarray:
-    return a - a.mean(axis=-1, keepdims=True)
+    """`a` less its mean over the last axis, the means taken as one
+    matrix-vector product over all rows rather than a reduction per row."""
+    D = a.shape[-1]
+    means = a.reshape(-1, D) @ np.full(D, 1.0 / D, dtype=a.dtype)
+    return a - means.reshape(*a.shape[:-1], 1)
 
 
 def _head_width(name: str, index: PairIndex, heads: int, *operands: Tensor) -> int:
@@ -751,17 +756,19 @@ def _head_width(name: str, index: PairIndex, heads: int, *operands: Tensor) -> i
 def _slot_softmax(z: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Softmax over the pair slots (axis 2) of (R, H, K) logits; padding gets 0."""
     alpha = np.where(valid[:, None, :], z, -np.inf)
-    alpha -= alpha.max(axis=2, keepdims=True)
+    # the max over a (K, R, H) copy is K - 1 elementwise maxima, not a
+    # reduction along the short last axis; a max is exact either way
+    alpha -= np.ascontiguousarray(alpha.transpose(2, 0, 1)).max(axis=0)[..., None]
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=2, keepdims=True)
     return alpha
 
 
 def _gather(buf: np.ndarray, a: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Rows of the (N', H, D) array `a` at the (R, K) table `at`, written into
-    the first R * K rows of the slot buffer `buf`; returned as an
-    (R, H, K, D) view."""
-    out = buf[:at.size].reshape(*at.shape, *a.shape[1:])
+    """Rows of the (N', H, D) array `a` at the (R, K) table `at`, written at
+    the front of the contiguous slot buffer `buf`, whatever its row shape;
+    returned as an (R, H, K, D) view."""
+    out = buf.reshape(-1)[:at.size * a.shape[1] * a.shape[2]].reshape(*at.shape, *a.shape[1:])
     np.take(a, at, axis=0, out=out, mode="clip")
     return out.transpose(0, 2, 1, 3)
 
@@ -856,6 +863,11 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     particle (|r_c|^2, |s_c|^2, q . r_c and the r_c term of the output) and
     per pair (q . s, r_c . s_c, the aggregate), plus the scalar products per
     pair and head (2 for sigma^2, 2 for the logit, 1 for alpha / sigma).
+
+    The backward's pass over the receiver buckets gives dq and dr, and writes
+    each slot's return to its sender, an (H, D + 1) row, with one matmul per
+    bucket; a pass over the sender buckets (`index.by_sender`) gathers those
+    rows and sums each sender's with one masked batched matmul per bucket.
     """
     D = _head_width("implicit_edge_attention", index, heads, q, r, s)
     n, d = s.data.shape
@@ -868,7 +880,8 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     ss = np.einsum("nhd,nhd->nh", sc, sc)
     qr = np.einsum("nhd,nhd->nh", qh, rc)
     q_rc = np.stack([qh, rc], axis=2)  # (N', H, 2, D)
-    gather = index.slot_buffer("gather", (heads, D), dt)
+    # (H, D + 1) rows: wide enough for the backward's sender pass as well
+    gather = index.slot_buffer("gather", (heads, D + 1), dt)
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
     for b in index.recv_buckets:
@@ -896,11 +909,13 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         gh = _by_head(g, heads)
         g_rc = np.einsum("nhd,nhd->nh", gh, rc)
         # what each pair sends back to its sender: w g_i + t q'_i + 2u r_c,i
-        g_q_rc = np.stack([gh, qh, rc], axis=2)  # (N', H, 3, D)
+        # in columns :D, and 2u, the pair's share of d|s_c|^2 times 2, in
+        # column D, from the rows [g, 0], [q', 0] and [r_c, 1]
+        g_q_rc = np.zeros((n, heads, 3, D + 1), dtype=dt)
+        g_q_rc[..., :D] = np.stack([gh, qh, rc], axis=2)
+        g_q_rc[:, :, 2, D] = 1
         dq = np.zeros((n, heads, D), dtype=dt)
         drc = np.zeros((n, heads, D), dtype=dt)
-        # per padded slot: the vector each pair sends back to its sender in
-        # columns :D, and in column D 2u, the pair's share of d|s_c|^2 times 2
         to_sender = index.slot_buffer("to_sender", (heads, D + 1), dt)
         for b, (dots, alpha, keep) in zip(index.recv_buckets, saved):
             R, K = b.valid.shape
@@ -929,17 +944,25 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
             dq[b.rows] = t_sum * rcb + pair_sums[:, :, 0]
             drc[b.rows] = (gb * w.sum(axis=2)[..., None] + t_sum * qh[b.rows]
                            + pair_sums[:, :, 1] + u2.sum(axis=2)[..., None] * rcb)
-            # (R, H, K, D) products written straight into the slots, 2u beside them
-            slots = b.slots(to_sender).transpose(0, 2, 1, 3)  # (R, H, K, D + 1)
-            np.matmul(coef.transpose(0, 1, 3, 2), g_q_rc[b.rows], out=slots[..., :D])
-            slots[..., D] = u2
+            # (R, H, K, D + 1) products written straight into the slots
+            np.matmul(coef.transpose(0, 1, 3, 2), g_q_rc[b.rows],
+                      out=b.slots(to_sender).transpose(0, 2, 1, 3))
         if q.requires_grad:
             dq *= inv_root
             q.accumulate_grad(dq.reshape(n, d))
         if r.requires_grad:
             r.accumulate_grad(_centred(drc).reshape(n, d))
         if s.requires_grad:
-            sums = _row_sums(index.by_sender, to_sender)
+            sent = to_sender.reshape(-1, heads * (D + 1))
+            sums = np.zeros((n, heads * (D + 1)), dtype=dt)
+            for rows, table, m in index.by_sender.buckets:
+                # a sender table never outgrows the gather buffer; padding
+                # repeats a valid position, so a 0/1 mask of r < m[k] sums it
+                rows_at = gather.reshape(sent.shape)[:table.size].reshape(*table.shape, -1)
+                np.take(sent, table, axis=0, out=rows_at, mode="clip")
+                mask = (np.arange(rows.size)[:, None] < m).astype(dt)[:, None]  # (R, 1, K)
+                sums[rows] = np.matmul(mask, rows_at)[:, 0]
+            sums = sums.reshape(n, heads, D + 1)
             dsc = sums[..., :D] + sums[..., D:] * sc
             s.accumulate_grad(_centred(dsc).reshape(n, d))
 

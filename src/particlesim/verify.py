@@ -214,11 +214,13 @@ def attention_deviation(kernel: str, pairs, heads: int = 2, d: int = 8,
 
 def run_attention_suite(kernels, seed: int = 0) -> float:
     """Worst `attention_deviation` of `kernels` over no abstract rows,
-    bidirectional and unidirectional abstract pairs, padded sender tables,
-    a sender table wider than the slot space, and 1 and 2 heads."""
+    bidirectional and unidirectional abstract pairs, padded sender tables
+    (up to 40 and 80 wide), a sender table wider than the slot space, and 1
+    and 2 heads."""
     cases = [_attention_case_pairs(9, n_abstract, bidirectional, seed + i)
              for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)])]
     cases.append(padded_sender_pairs(seed=seed))
+    cases.append(padded_sender_pairs(n=80, seed=seed))
     # three receivers of one pair each take 3 slots; their sender's table pads to 4
     cases.append((np.array([0, 1, 2]), np.array([3, 3, 3]), 4))
     worst = 0.0

@@ -1,14 +1,17 @@
 """The f32 contract: every backbone run in f32 stays within a stated relative
 bound of the same weights run in f64, in its output and in the gradient of
-every parameter; and each fused attention kernel at the dense benchmark's
-shape stays within a stated norm-wise bound of its f64 call."""
+every parameter; and each fused attention kernel, at the dense benchmark's
+shape and on a desk training batch's neighbor graph, stays within a stated
+norm-wise bound of its f64 call."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from particlesim import tensor as T
+from particlesim import training, worlds
 from particlesim.tensor import Tape
 from particlesim.nn import ModelConfig
 from particlesim.attention import build_model
@@ -70,10 +73,12 @@ def test_f32_within_bound_of_f64(backbone, normalized, seed):
 KERNEL_F32_BOUNDS = {"pair_attention": 3e-7, "implicit_edge_attention": 5e-7}
 
 
-def kernel_f32_deviations(kernel, seed, n=512, e=8000, d=128, heads=4):
+def kernel_f32_deviations(kernel, seed, n=512, e=8000, d=128, heads=4, pairs=None):
     """[output, grad q, grad k or r, grad v or s]: |f32 - f64| / |f64| in the
-    Frobenius norm, the f64 call on the f32 inputs upcast."""
-    recv, send = synthesize_pairs(n, e, seed)
+    Frobenius norm, the f64 call on the f32 inputs upcast.  The pairs are
+    `synthesize_pairs(n, e, seed)` unless `pairs` = (receivers, senders, n)
+    is given."""
+    recv, send, n = pairs if pairs is not None else (*synthesize_pairs(n, e, seed), n)
     rng = np.random.default_rng(seed + 200)
     inputs = [rng.standard_normal((n, d)).astype(np.float32) for _ in range(4)]
     runs = []
@@ -92,5 +97,38 @@ def kernel_f32_deviations(kernel, seed, n=512, e=8000, d=128, heads=4):
 def test_kernel_f32_within_bound_at_benchmark_shape(kernel, seed):
     dev = kernel_f32_deviations(kernel, seed)
     print(f"\n{kernel.__name__} seed={seed}: output, dq, dk/dr, dv/ds "
+          + " ".join(f"{x:.2e}" for x in dev))
+    assert max(dev) <= KERNEL_F32_BOUNDS[kernel.__name__]
+
+
+@pytest.fixture(scope="module")
+def desk_batch_pairs():
+    """(receivers, senders, rows) of one desk-scale training batch: 4
+    box_splash N=64 transitions late in their rollouts, where the particles
+    have settled and the widest sender tables reach 64 entries."""
+    ds = worlds.generate_dataset(worlds.WorldSpec(kind="box_splash", counts=(64,), dt=0.01),
+                                 4, 1, 25, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = training.dataset_norm_stats(ds)
+    x, recv, send, _ = training.make_batch(ds, ds.train, [(b, 20 + b) for b in range(4)],
+                                           1, stats, 0.1)
+    return recv, send, x.shape[0]
+
+
+def test_desk_batch_has_wide_padded_sender_tables(desk_batch_pairs):
+    buckets = T.PairIndex(*desk_batch_pairs).by_sender.buckets
+    assert max(table.shape[1] for _, table, _ in buckets) == 64
+    assert any(min(m) < rows.size for rows, _, m in buckets)
+
+
+# The desk batch's sender tables are up to 64 wide, against at most 32 on the
+# synthesized graph above, so each sender sum adds up more terms
+@pytest.mark.parametrize("kernel", [T.pair_attention, T.implicit_edge_attention],
+                         ids=lambda kernel: kernel.__name__)
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_f32_within_bound_on_desk_batch(kernel, seed, desk_batch_pairs):
+    dev = kernel_f32_deviations(kernel, seed, d=64, pairs=desk_batch_pairs)
+    print(f"\n{kernel.__name__} desk seed={seed}: output, dq, dk/dr, dv/ds "
           + " ".join(f"{x:.2e}" for x in dev))
     assert max(dev) <= KERNEL_F32_BOUNDS[kernel.__name__]

@@ -294,6 +294,13 @@ class TestFusedAttention:
         buckets = T.PairIndex(*pairs).by_sender.buckets
         assert all(min(m) < rows.size for rows, table, m in buckets if table.shape[1] > 2)
 
+    def test_suite_pads_an_80_wide_sender_table(self):
+        # the suite's second padded-sender case: a sender of degree 79 alone
+        # in an 80-wide bucket, whose last column is padding
+        pairs = V.padded_sender_pairs(n=80)
+        rows, table, m = T.PairIndex(*pairs).by_sender.buckets[-1]
+        assert table.shape == (1, 80) and m[-1] == 0
+
     @pytest.mark.parametrize("trained", ["k", "v"])
     def test_pair_attention_with_only_k_or_only_v_trained(self, trained):
         # one sender sum yields dk and dv together; the constant one gets neither
@@ -453,8 +460,10 @@ def _run_kernel(kernel, inputs, index, heads):
 
 class TestSlotWorkspace:
     """Both kernels share one slot workspace per PairIndex; interleaved calls
-    on one index must equal the same calls on separate indexes, bit for bit,
-    and pair attention keeps two scalars per slot beside its gather rows."""
+    on one index must equal the same calls on separate indexes, bit for bit.
+    Beside the gather rows, pair attention keeps two scalars per slot and
+    implicit-edge attention one (H, D + 1) to-sender row, whose sender sums
+    are gathered into the gather rows."""
 
     @staticmethod
     def check_calls_on_one_index(kernels, precision, n_abstract):
@@ -497,7 +506,8 @@ class TestSlotWorkspace:
     @pytest.mark.parametrize("n_abstract", [0, 2])
     def test_implicit_edge_and_pair_calls_on_one_index(self, precision, n_abstract):
         # the backwards keep different slot buffers beside the shared gather:
-        # (H, D + 1) to-sender slots for implicit-edge, (2, H) scalars for pair
+        # (H, D + 1) to-sender rows for implicit-edge, which its sender pass
+        # gathers into the gather rows, and (2, H) scalars for pair
         self.check_calls_on_one_index((T.implicit_edge_attention, T.pair_attention),
                                       precision, n_abstract)
 
@@ -512,6 +522,19 @@ class TestSlotWorkspace:
         tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(np.float32))
         held = sum(buf.nbytes for buf in index._buffers.values())
         assert held <= index.n_slots * (d + 2 * heads) * 4
+
+    def test_implicit_edge_buffers_hold_gather_and_to_sender_rows_only(self):
+        # the sender pass gathers each bucket into the gather rows, so a third
+        # slot-sized buffer for it would fail this bound
+        n, d, heads = 512, 128, 4
+        recv, send = synthesize_pairs(n, 8000, seed=0)
+        index = T.PairIndex(recv, send, n)
+        rng = np.random.default_rng(54)
+        tape, _ = _run_kernel(T.implicit_edge_attention, _kernel_inputs(rng, n, d, np.float32),
+                              index, heads)
+        tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(np.float32))
+        held = sum(buf.nbytes for buf in index._buffers.values())
+        assert held <= index.n_slots * 2 * (d + heads) * 4
 
 
 class TestNoPairs:
