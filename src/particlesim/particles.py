@@ -59,9 +59,9 @@ def _check_search_inputs(positions: np.ndarray, radius: float):
 
 # The largest system searched by the O(N^2) scan, at the measured crossover:
 # on box_splash states (1 BLAS thread, 2-vCPU VM) the scan is the faster
-# search up to N = 256 and the cell list from N = 288, at both radius 0.1 (the
+# search up to N = 288 and the cell list from N = 320, at both radius 0.1 (the
 # model's) and 0.09 (the worlds' springs); README, "Neighbor search".
-SCAN_MAX_N = 256
+SCAN_MAX_N = 288
 
 
 def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
@@ -74,49 +74,86 @@ def build_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
     return (brute_force_neighbor_graph if small else cell_list_neighbor_graph)(positions, radius)
 
 
-# (dx, dy) of the 9 cell columns around a cell; each column spans dz = -1..1
-_COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
+# Cells have side radius / _REACH, so on each axis a particle's neighbours lie
+# within _REACH cells of its own: the 5 x 5 x 5 block around it, 25 columns
+# (dx, dy) of 5 adjacent keys (dz = -2..2) each.
+_REACH = 2
+_OFFSETS = np.arange(-_REACH, _REACH + 1)
+_COLUMNS = np.array([(dx, dy) for dx in _OFFSETS for dy in _OFFSETS], dtype=np.int64)
+# Candidates per block of the distance filter: 256 KB per 8-byte array, so a
+# block's working arrays stay in a core's L2 cache (README, "Neighbor search")
+_BLOCK = 1 << 15
+
+
+def _squared_lengths(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """dx² + dy² + dz², summed as (dx² + dz²) + dy² in place in dx: the one
+    distance of both searches, so that they agree bit for bit.  numpy 2.4's
+    einsum("ij,ij->i") sums three columns in the same order, so pair lists,
+    and the seeded datasets built on them, match those of einsum distances."""
+    dx *= dx
+    dz *= dz
+    dx += dz
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def cell_list_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
     """The pairs of `build_neighbor_graph` by a sorted cell list, its search
     for large systems.
 
-    Cells have size = radius.  Particles are sorted by cell key; the 27
-    cells around a particle are 9 runs of consecutive keys, found by
-    `searchsorted`; the candidates in them are filtered by distance.  On each
-    axis the cell index c = floor(p / radius) is replaced by its rank among
-    the distinct values of {c - 1, c, c + 1}: adjacent cells keep ranks one
-    apart, and every rank is below 3N, so the int64 key is exact however far
-    apart the particles are (for N up to about 700k).  The result equals
-    `brute_force_neighbor_graph` element for element.
+    Cells have side radius / 2.  Particles are sorted by cell key; the 125
+    cells around a particle are 25 runs of 5 consecutive keys, found by
+    `searchsorted`; the candidates in them are filtered by distance in
+    blocks of _BLOCK, reading one contiguous coordinate array per axis.  On
+    each axis the cell index c = floor(2 p / radius) is replaced by its rank
+    among the distinct values of {c - 2, ..., c + 2}: adjacent cells keep
+    ranks one apart however far apart the particles are, and every rank is
+    below 5N.  The int64 key is exact while the product of the three axes'
+    rank counts is below 2**63, which holds for any N up to 419,430; past
+    it, InputError.  The result equals `brute_force_neighbor_graph` element
+    for element.
     """
     _check_search_inputs(positions, radius)
     n = positions.shape[0]
-    cells = np.floor(positions / radius)
+    cells = np.floor(positions / (radius / _REACH))
     ranks, sizes = [], []
     for c in cells.T:
-        axis = np.unique(np.concatenate([c - 1, c, c + 1]))
+        axis = np.unique((np.unique(c)[:, None] + _OFFSETS).ravel())
         ranks.append(np.searchsorted(axis, c))
         sizes.append(axis.size)
+    if sizes[0] * sizes[1] * sizes[2] >= 2**63:
+        raise InputError(f"{n} particles span {sizes[0]} x {sizes[1]} x {sizes[2]} cell "
+                         f"ranks; the int64 cell key needs their product below 2**63, "
+                         f"which any system of up to 419,430 particles meets")
     strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
     keys = np.stack(ranks, axis=1) @ strides
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    # row k: the keys of column k around each particle, in key order (sorted)
+    # row k: the middle keys of column k around each particle, in key order (sorted)
     column_keys = (_COLUMNS @ strides[:2])[:, None] + sorted_keys
-    first = np.searchsorted(sorted_keys, column_keys - 1, "left").ravel()
-    count = np.searchsorted(sorted_keys, column_keys + 1, "right").ravel() - first
-    ends = np.cumsum(count)
-    # candidates as positions in key order; particle ids only for kept pairs
-    recv = np.repeat(np.tile(np.arange(n), len(_COLUMNS)), count)
-    send = np.arange(ends[-1] if n else 0) + np.repeat(first - ends + count, count)
-    sorted_positions = positions[order]
-    d = sorted_positions[recv] - sorted_positions[send]
-    close = (np.einsum("ij,ij->i", d, d) < radius * radius) & (recv != send)
-    recv, send = order[recv[close]], order[send[close]]
-    by_pair = np.argsort(recv * n + send)
-    return NeighborGraph(recv[by_pair], send[by_pair], radius)
+    first = np.searchsorted(sorted_keys, column_keys - _REACH, "left").ravel()
+    count = np.searchsorted(sorted_keys, column_keys + _REACH, "right").ravel() - first
+    starts = np.concatenate([[0], np.cumsum(count)])
+    receivers = np.tile(np.arange(n), len(_COLUMNS))
+    x, y, z = np.ascontiguousarray(positions[order].T)
+    # candidates as positions in key order, filtered in blocks of about
+    # _BLOCK that stay in cache; particle ids only for kept pairs, as the
+    # one key i * n + j that sorts them by (receiver, sender)
+    bounds = [0, *np.searchsorted(starts, np.arange(_BLOCK, starts[-1], _BLOCK)), count.size]
+    kept = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        recv = np.repeat(receivers[a:b], count[a:b])
+        send = np.arange(starts[a], starts[b]) + np.repeat(first[a:b] - starts[a:b], count[a:b])
+        dist2 = _squared_lengths(x.take(recv) - x.take(send), y.take(recv) - y.take(send),
+                                 z.take(recv) - z.take(send))
+        close = np.flatnonzero((dist2 < radius * radius) & (recv != send))
+        kept.append(order.take(recv.take(close)) * n + order.take(send.take(close)))
+    pair_keys = np.sort(np.concatenate(kept))
+    # receiver i's pairs are the keys in [i * n, (i + 1) * n)
+    degrees = np.diff(np.searchsorted(pair_keys, np.arange(n + 1) * n))
+    recv = np.repeat(np.arange(n), degrees)
+    return NeighborGraph(recv, pair_keys - recv * n, radius)
 
 
 def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
@@ -124,8 +161,8 @@ def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> Neighbor
     for small systems, and the oracle for the cell list.  `np.nonzero`
     returns them in row-major, that is (receiver, sender), order."""
     _check_search_inputs(positions, radius)
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    x, y, z = positions.T
+    dist2 = _squared_lengths(x[:, None] - x, y[:, None] - y, z[:, None] - z)
     mask = dist2 < radius * radius
     np.fill_diagonal(mask, False)
     recv, send = np.nonzero(mask)

@@ -280,10 +280,25 @@ def _neighbor_edge_cases(seed: int = 0) -> list[tuple[np.ndarray, float]]:
     rng = np.random.default_rng(seed)
     cluster = rng.uniform(0.0, 1.0, size=(64, 3))
     outliers = np.array([[1e11, 0.0, 0.0], [1e11, 0.05, 0.0], [-1e11, 1e11, -1e11]])
+    # a star: one particle, and particles r (1 + k eps) from it, k = -3..3,
+    # along three oblique directions; the rounding of the distance decides
+    # which of them are its neighbours
+    dirs = np.array([[1.0, 2.0, 3.0], [-2.0, 1.0, 0.5], [0.3, -1.0, -0.7]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    stretch = 1.0 + np.arange(-3, 4) * np.finfo(float).eps
+    centre = np.array([0.013, -0.021, 0.007])
+
+    def star(r):
+        rays = dirs[:, None, :] * (r * stretch)[:, None]
+        return np.vstack([centre, centre + rays.reshape(-1, 3)]), r
+
     return [
         (rng.uniform(-7.0, -5.0, size=(96, 3)) + [0.0, 3.0, -40.0], 0.3),  # negative, off-origin
         (np.repeat(cluster[:16], 4, axis=0), 0.2),  # coincident particles
         (rng.integers(-6, 7, size=(96, 3)) * 0.05, 0.1),  # on cell faces, pairs at exactly r
+        (rng.integers(-8, 9, size=(128, 3)) * 0.025, 0.1),  # half-cell faces, k r / 4
+        star(0.1),  # pairs at r (1 + k eps)
+        star(0.09),
         (np.concatenate([cluster, outliers]), 0.1),  # 1e12 radii apart: int64 key range
         (np.empty((0, 3)), 0.1),
         (cluster[:1], 0.1),

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from particlesim import particles as P
+from particlesim import particles as P, worlds
 from particlesim.particles import (InputError, SCAN_MAX_N, build_neighbor_graph,
                                    brute_force_neighbor_graph, cell_list_neighbor_graph)
+from particlesim.verify import _neighbor_edge_cases
 
 
 SEARCHES = [cell_list_neighbor_graph, brute_force_neighbor_graph]
@@ -90,6 +91,32 @@ class TestNeighborGraph:
         g = assert_same_graph(p, 0.1)
         assert {(40, 41), (41, 40), (43, 44), (44, 43)} <= g.pair_set()
         assert not any(42 in pair for pair in g.pair_set())
+
+    @pytest.mark.parametrize("case", range(len(_neighbor_edge_cases())))
+    def test_verify_edge_cases(self, case):
+        # the cases of `particlesim verify`: off-origin, coincident, on cell
+        # and half-cell faces, pairs at r (1 + k eps), far outliers, tiny
+        p, radius = _neighbor_edge_cases()[case]
+        assert_same_graph(p, radius)
+
+    def test_key_range_fails_loudly(self):
+        # 420k particles in distinct cells on every axis: 5 ranks each, so
+        # (5 * 420k)^3 > 2**63 cell keys; the search refuses before it
+        # builds any candidate
+        p = np.repeat(np.arange(420_000, dtype=np.float64)[:, None], 3, axis=1)
+        with pytest.raises(InputError, match=r"2\*\*63"):
+            cell_list_neighbor_graph(p, 0.1)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("frame", [0, 25])
+    def test_matches_brute_force_at_box_splash_density(self, frame):
+        # ROADMAP item 4's density: box_splash N=2048 at spacing 0.04
+        spec = worlds.WorldSpec(kind="box_splash", counts=(2048,), dt=0.01, spacing=0.04)
+        state = worlds.initial_state(spec, 1)
+        for _ in range(frame):
+            state = worlds.step_oracle(spec, state)
+        for radius in (0.09, 0.1):
+            assert assert_same_graph(state.positions, radius).n_pairs > 0
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_systems_have_no_pairs(self, n):
