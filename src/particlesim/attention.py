@@ -36,8 +36,10 @@ def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.n
     each block has its own n_abstract abstract rows, all placed after the n
     rows: row r of material k receives from and (if bidirectional) sends to
     abstract row n + n_abstract * (r // (n / samples)) + k.  No abstract pair
-    connects two abstract rows or two samples.  Result is sorted by
-    (receiver, sender).
+    connects two abstract rows or two samples.  The abstract pairs follow
+    the given ones, unsorted: an abstract row's senders ascend, and a
+    particle's abstract row is above all n, so a list sorted by (receiver,
+    sender) keeps the `tensor.PairIndex` slot layout of its sorted form.
     """
     if n_abstract == 0:
         return recv, send
@@ -54,10 +56,7 @@ def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.n
     if bidirectional:
         extra_r.append(members)
         extra_s.append(owner)
-    recv = np.concatenate([recv] + extra_r)
-    send = np.concatenate([send] + extra_s)
-    order = np.lexsort((send, recv))
-    return recv[order], send[order]
+    return np.concatenate([recv] + extra_r), np.concatenate([send] + extra_s)
 
 
 class _AttentionBase:

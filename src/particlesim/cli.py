@@ -27,7 +27,7 @@ from .worlds import (WorldSpec, RolloutDataset, generate_dataset, write_dataset,
                      read_dataset, BlowUpError, MetadataError, TruncationError, ChecksumError)
 from .attention import build_model
 from .training import (TrainConfig, fit, one_step_eval, constant_velocity_eval,
-                       rollout, DivergenceError)
+                       rollout, DivergenceError, check_history)
 from . import tensor as T
 from . import bench as B
 from . import verify as V
@@ -185,6 +185,7 @@ def _model_config(mcfg: dict, ds: RolloutDataset) -> ModelConfig:
         raise BadConfig(f"n_abstract must be 0 or the material count {ds.spec.k}")
     if model_cfg.n_abstract and model_cfg.backbone == "gnn":
         raise BadConfig("abstract particles require an attention backbone")
+    check_history(ds, model_cfg.history)
     return model_cfg
 
 

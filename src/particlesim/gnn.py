@@ -71,9 +71,10 @@ class ExplicitEdgeGnn:
     def forward(self, x_np: np.ndarray, recv: np.ndarray, send: np.ndarray,
                 material_ids=None, samples: int = 1) -> Tensor:
         """Predict per-particle velocities (normalized units).  A batch of
-        `samples` systems is one disjoint graph, so only the row count is
-        checked."""
+        `samples` systems is one disjoint graph, so only the row count and
+        the pair list are checked."""
         sample_rows(len(x_np), samples)
+        recv, send = T.check_pairs(recv, send, len(x_np))
         x = Tensor(np.asarray(x_np, dtype=T.DTYPES[self.cfg.precision]))
         v, e = self.encode(x, recv, send)
         for l in range(self.cfg.blocks):

@@ -604,26 +604,24 @@ _SMALL_WIDTH = np.array([0, 1, 2, 4, 4, 8, 8, 8, 8])
 
 
 class _RowSums:
-    """Plan of the sums out[r] = sum of values[at[i]] over the i with idx[i] = r,
-    r < n, added in index order (`at` defaults to the identity), and the one
-    padded layout of a list of rows.  A row of degree k pads to the power of
-    two at or above k up to 8, and to the multiple of 8 at or above k beyond
-    that.  Every row pads to less than twice its degree, so one row of degree
-    N does not widen the others, and rows of degree above 8 pad by at most 7
-    slots: neighbor-search and `bench.synthesize_pairs` graphs of mean degree
-    15-20 take about 1.25 slots per entry.
+    """Plan of the sums out[r] = sum of values[i] over the i with idx[i] = r,
+    r < n, added in index order, and the one padded layout of a list of
+    rows.  A row of degree k pads to the power of two at or above k up to 8,
+    and to the multiple of 8 at or above k beyond that.  Every row pads to
+    less than twice its degree, so one row of degree N does not widen the
+    others, and rows of degree above 8 pad by at most 7 slots:
+    neighbor-search and `bench.synthesize_pairs` graphs of mean degree 15-20
+    take about 1.25 slots per entry.
 
     `buckets` holds per padded width K, ascending, its rows (R,) in degree
     order, descending (rows of degree 0 are left out), the (R, K) table of
     their value positions in index order, and the list m: column k holds
     entries for the first m[k] rows only.  Padding repeats a valid position."""
 
-    def __init__(self, idx: np.ndarray, n: int, at: Optional[np.ndarray] = None):
+    def __init__(self, idx: np.ndarray, n: int):
         deg = np.bincount(idx, minlength=n)
         starts = np.concatenate(([0], np.cumsum(deg)))
         entries = np.argsort(idx, kind="stable")  # by row, in index order within a row
-        if at is not None:
-            entries = at[entries]
         width = np.where(deg > 8, (deg + 7) // 8 * 8, _SMALL_WIDTH[np.minimum(deg, 8)])
         by_degree = np.argsort(-deg, kind="stable")  # sorts the rows of every bucket
         self.n, self.buckets = n, []
@@ -647,34 +645,47 @@ def _row_sums(plan: _RowSums, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_pairs(recv, send, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair list (receivers, senders) over n rows as int64 arrays;
+    ShapeError unless both are 1-D of one length with every index in
+    [0, n)."""
+    recv = np.asarray(recv, dtype=np.int64)
+    send = np.asarray(send, dtype=np.int64)
+    if recv.shape != send.shape or recv.ndim != 1:
+        raise ShapeError(f"pair list: receivers {recv.shape} vs senders {send.shape}")
+    if recv.size and (min(recv.min(), send.min()) < 0 or max(recv.max(), send.max()) >= n):
+        raise ShapeError(f"pair list: particle index outside [0, {n})")
+    return recv, send
+
+
 @dataclass
-class _RecvBucket:
-    """One padded width of the receiver layout: its receivers in degree order,
-    descending, each with its pairs in pair-list order."""
-    rows: np.ndarray     # (R,) receivers
-    lo: int              # first padded slot of the bucket
-    valid: np.ndarray    # (R, K) slot holds a pair
-    senders: np.ndarray  # (R, K) sender of each slot (n on padding)
+class _Bucket:
+    """One padded width K of one side of a `PairIndex`: its rows, receivers
+    or senders, in degree order, descending, each with its pairs in
+    pair-list order.  Padding repeats a valid pair."""
+    rows: np.ndarray          # (R,)
+    valid: np.ndarray         # (R, K) the slot holds a pair of its row
+    other: np.ndarray         # (R, K) the other end of each slot's pair
+    at: slice | np.ndarray    # its slots: a run of R * K, or an (R, K) table
 
     def slots(self, buf: np.ndarray) -> np.ndarray:
-        """(R, K, ...) view of the bucket's slots in a slot buffer."""
-        R, K = self.valid.shape
-        return buf[self.lo:self.lo + R * K].reshape(R, K, *buf.shape[1:])
+        """(R, K, ...) slots of the bucket in a slot buffer: a view of a run,
+        a gathered copy of a table."""
+        return buf[self.at].reshape(*self.valid.shape, *buf.shape[1:])
 
 
 class PairIndex:
     """Receiver- and sender-side layouts of one pair list, built once per graph.
 
-    Both sides are `_RowSums` plans, so one width rule pads them.  The
-    receiver side, `recv_buckets`, is the plan over the receivers: its tables
-    (rows, K), row-major and bucket after bucket, form one padded slot space
-    of size `n_slots`, each receiver's pairs in pair-list order (any order of
-    the list works).  The sender side, `by_sender`, is the plan of each
-    sender's slots in pair order.  Sums over a receiver's or a sender's pairs
-    then become batched matmuls or row sums over these tables, with no sort
-    and no unbuffered scatter per call.
-
-    `slot_receiver` (n_slots,) is the receiver of each slot, padding included.
+    Each side is a list of `_Bucket`s, one per padded width of the side's
+    `_RowSums` plan, so one width rule pads both.  The receiver buckets,
+    `recv_buckets`, are runs of one padded slot space of size `n_slots`,
+    bucket after bucket, row-major, each receiver's pairs in pair-list order
+    (any order of the list works); `other` holds their senders.  The sender
+    buckets, `send_buckets`, hold each sender's slots in pair-list order as
+    a table into that space; `other` holds their receivers.  Sums over a
+    receiver's or a sender's pairs then become batched matmuls over these
+    tables, with no sort, mask or unbuffered scatter per call.
 
     The index also owns the slot workspace of the attention kernels: one
     buffer per role (`slot_buffer`), made on first use and reused by every
@@ -683,39 +694,33 @@ class PairIndex:
     "scalars" `pair_attention`'s dz and alpha per slot, (2, H); "to_sender"
     `implicit_edge_attention`'s return of each pair to its sender,
     (H, D + 1).  Both kernels sum their sender side from these slots with
-    one masked batched matmul per `by_sender` bucket.  A kernel call keeps
+    one masked batched matmul per sender bucket.  A kernel call keeps
     nothing in them once it returns, so calls and backwards on one index may
     interleave in any order.
     """
 
     def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
-        recv = np.asarray(recv, dtype=np.int64)
-        send = np.asarray(send, dtype=np.int64)
-        if recv.shape != send.shape or recv.ndim != 1:
-            raise ShapeError(f"pair index: receivers {recv.shape} vs senders {send.shape}")
-        if recv.size and (min(recv.min(), send.min()) < 0 or max(recv.max(), send.max()) >= n):
-            raise ShapeError(f"pair index: particle index outside [0, {n})")
+        recv, send = check_pairs(recv, send, n)
         self.n, self.e = n, recv.size
-        self.recv_buckets: list[_RecvBucket] = []
+        self.recv_buckets: list[_Bucket] = []
         pair_slot = np.empty(self.e, dtype=np.int64)
-        slot_receiver = []
         lo = 0
         for rows, table, m in _RowSums(recv, n).buckets:
             valid = np.arange(rows.size)[:, None] < m
             pair_slot[table[valid]] = lo + np.flatnonzero(valid)
-            self.recv_buckets.append(_RecvBucket(rows, lo, valid, np.where(valid, send[table], n)))
-            slot_receiver.append(np.repeat(rows, table.shape[1]))
+            self.recv_buckets.append(_Bucket(rows, valid, send[table], slice(lo, lo + valid.size)))
             lo += valid.size
         self.n_slots = lo
-        self.slot_receiver = np.concatenate(slot_receiver or [np.zeros(0, np.int64)])
-        self.by_sender = _RowSums(send, n, at=pair_slot)
-        # a sender bucket's table may hold more entries than the slot space
-        self._buffer_rows = max([lo] + [t.size for _, t, _ in self.by_sender.buckets])
+        self.send_buckets = [_Bucket(rows, np.arange(rows.size)[:, None] < m, recv[table],
+                                     pair_slot[table])
+                             for rows, table, m in _RowSums(send, n).buckets]
+        # a sender bucket may hold more entries than the slot space
+        self._buffer_rows = max([lo] + [b.valid.size for b in self.send_buckets])
         self._buffers: dict[str, np.ndarray] = {}
 
     def slot_buffer(self, role: str, tail: tuple, dt) -> np.ndarray:
         """The workspace buffer `role` of shape (rows, *tail), one entry per
-        padded slot or per entry of the largest sender table, whichever are
+        padded slot or per entry of the largest sender bucket, whichever are
         more; its contents are left to the caller."""
         buf = self._buffers.get(role)
         if buf is None or buf.shape[1:] != tail or buf.dtype != dt:
@@ -785,8 +790,8 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     pair (q . k and the aggregate) and the logit scale per pair and head.
 
     The backward's pass over the receiver buckets gives dq and keeps each
-    slot's dz and alpha; a pass over the sender buckets (`index.by_sender`)
-    forms dk_j = sum_i dz_ij q'_i and dv_j = sum_i alpha_ij g_i, one batched
+    slot's dz and alpha; a pass over the sender buckets forms
+    dk_j = sum_i dz_ij q'_i and dv_j = sum_i alpha_ij g_i, one batched
     matmul per role and bucket.  No vector is written per slot.
     """
     D = _head_width("pair_attention", index, heads, q, k, v)
@@ -798,11 +803,11 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     gather = index.slot_buffer("gather", (heads, D), dt)
     out = np.zeros((n, heads, D), dtype=dt)
     alphas = []
-    for b in index.recv_buckets:
-        kb = _gather(gather, kh, b.senders)  # (R, H, K, D)
+    for b in index.recv_buckets:  # b.other: the senders
+        kb = _gather(gather, kh, b.other)  # (R, H, K, D)
         logits = np.matmul(qh[b.rows][:, :, None], kb.transpose(0, 1, 3, 2))[:, :, 0]
         alpha = _slot_softmax(logits, b.valid)
-        out[b.rows] = np.matmul(alpha[:, :, None], _gather(gather, vh, b.senders))[:, :, 0]
+        out[b.rows] = np.matmul(alpha[:, :, None], _gather(gather, vh, b.other))[:, :, 0]
         alphas.append(alpha)
     result = Tensor(out.reshape(n, d))
 
@@ -813,24 +818,23 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
         # and v are gathered again rather than kept from the forward
         scalars = index.slot_buffer("scalars", (2, heads), dt)
         for b, alpha in zip(index.recv_buckets, alphas):
-            vb = _gather(gather, vh, b.senders)
+            vb = _gather(gather, vh, b.other)
             dz = np.matmul(gh[b.rows][:, :, None], vb.transpose(0, 1, 3, 2))[:, :, 0]
             dz -= (alpha * dz).sum(axis=2, keepdims=True)
             dz *= alpha
-            dq[b.rows] = np.matmul(dz[:, :, None], _gather(gather, kh, b.senders))[:, :, 0]
+            dq[b.rows] = np.matmul(dz[:, :, None], _gather(gather, kh, b.other))[:, :, 0]
             slots = b.slots(scalars).transpose(0, 2, 3, 1)  # (R, 2, H, K)
             slots[:, 0] = dz
             slots[:, 1] = alpha
         # fresh dk and dv: accumulate_grad keeps the first gradient as it arrives
         roles = [(row, x, t, np.zeros((n, heads, D), dtype=dt))
                  for row, (x, t) in enumerate(((qh, k), (gh, v))) if t.requires_grad]
-        for rows, table, m in index.by_sender.buckets:
-            # (R, 2, H, 1, K); padding repeats a valid position, so it is zeroed
-            valid = (np.arange(rows.size)[:, None] < m)[:, None, None, None]
-            coef = np.where(valid, scalars[table].transpose(0, 2, 3, 1)[:, :, :, None], dt.type(0))
-            receivers = index.slot_receiver[table]
+        for b in index.send_buckets:  # b.other: the receivers
+            # (R, 2, H, 1, K); padding repeats a valid pair, so it is zeroed
+            coef = np.where(b.valid[:, None, None, None],
+                            b.slots(scalars).transpose(0, 2, 3, 1)[:, :, :, None], dt.type(0))
             for row, x, _, grad in roles:
-                grad[rows] = np.matmul(coef[:, row], _gather(gather, x, receivers))[:, :, 0]
+                grad[b.rows] = np.matmul(coef[:, row], _gather(gather, x, b.other))[:, :, 0]
         for _, _, t, grad in roles:
             t.accumulate_grad(grad.reshape(n, d))
         if q.requires_grad:
@@ -866,8 +870,8 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
 
     The backward's pass over the receiver buckets gives dq and dr, and writes
     each slot's return to its sender, an (H, D + 1) row, with one matmul per
-    bucket; a pass over the sender buckets (`index.by_sender`) gathers those
-    rows and sums each sender's with one masked batched matmul per bucket.
+    bucket; a pass over the sender buckets gathers those rows and sums each
+    sender's with one batched matmul per bucket against its validity mask.
     """
     D = _head_width("implicit_edge_attention", index, heads, q, r, s)
     n, d = s.data.shape
@@ -884,14 +888,14 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     gather = index.slot_buffer("gather", (heads, D + 1), dt)
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
-    for b in index.recv_buckets:
-        S = _gather(gather, sc, b.senders)  # (R, H, K, D)
+    for b in index.recv_buckets:  # b.other: the senders
+        S = _gather(gather, sc, b.other)  # (R, H, K, D)
         # (R, H, 2, K): q'_i . s_c,j becomes the logit z, r_c,i . s_c,j sigma
         dots = np.matmul(q_rc[b.rows], S.transpose(0, 1, 3, 2))
         z, sigma = dots[:, :, 0], dots[:, :, 1]
         sigma *= dt.type(2.0)
         sigma += rr[b.rows][:, :, None]
-        sigma += ss.take(b.senders, axis=0, mode="clip").transpose(0, 2, 1)
+        sigma += ss.take(b.other, axis=0).transpose(0, 2, 1)  # faster than ss[b.other]
         sigma *= dt.type(1.0 / D)
         keep = sigma > SIGMA_FLOOR
         np.sqrt(np.maximum(sigma, dt.type(SIGMA_FLOOR), out=sigma), out=sigma)
@@ -922,7 +926,7 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
             z, sigma = dots[:, :, 0], dots[:, :, 1]
             # gathered again rather than kept: the forward's slots x d per
             # block would otherwise sit in memory until the reverse pass
-            S = _gather(gather, sc, b.senders)
+            S = _gather(gather, sc, b.other)
             gb, rcb = gh[b.rows], rc[b.rows]
             # the pair coefficients (w, t, 2u) of (g_i, q'_i, r_c,i)
             coef = np.empty((R, heads, 3, K), dtype=dt)
@@ -955,13 +959,12 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         if s.requires_grad:
             sent = to_sender.reshape(-1, heads * (D + 1))
             sums = np.zeros((n, heads * (D + 1)), dtype=dt)
-            for rows, table, m in index.by_sender.buckets:
+            for b in index.send_buckets:
                 # a sender table never outgrows the gather buffer; padding
-                # repeats a valid position, so a 0/1 mask of r < m[k] sums it
-                rows_at = gather.reshape(sent.shape)[:table.size].reshape(*table.shape, -1)
-                np.take(sent, table, axis=0, out=rows_at, mode="clip")
-                mask = (np.arange(rows.size)[:, None] < m).astype(dt)[:, None]  # (R, 1, K)
-                sums[rows] = np.matmul(mask, rows_at)[:, 0]
+                # repeats a valid pair, so the (R, 1, K) validity mask sums it out
+                rows_at = gather.reshape(sent.shape)[:b.valid.size].reshape(*b.valid.shape, -1)
+                np.take(sent, b.at, axis=0, out=rows_at, mode="clip")
+                sums[b.rows] = np.matmul(b.valid[:, None], rows_at, dtype=dt)[:, 0]
             sums = sums.reshape(n, heads, D + 1)
             dsc = sums[..., :D] + sums[..., D:] * sc
             s.accumulate_grad(_centred(dsc).reshape(n, d))

@@ -135,6 +135,14 @@ def dataset_norm_stats(ds: RolloutDataset) -> P.NormStats:
     return P.compute_norm_stats(frames, ds.attributes)
 
 
+def check_history(ds: RolloutDataset, history: int):
+    """ValueError unless the rollouts of `ds` outlast `history` frames: with
+    n_frames at or below it, no transition has a next frame to predict."""
+    if ds.n_frames <= history:
+        raise ValueError(f"model.history {history} leaves no transition in a dataset of "
+                         f"n_frames {ds.n_frames}; n_frames must exceed model.history")
+
+
 def _transitions(ds: RolloutDataset, split: str, history: int, limit=None, seed: int = 0):
     """(rollout, t) of every transition of a split that has `history` frames;
     with `limit`, a sorted random subset of at most that many, drawn from
@@ -209,8 +217,11 @@ def fit(model, ds: RolloutDataset, cfg: TrainConfig, out_dir=None):
     last good parameters are checkpointed (if out_dir is set) and a
     DivergenceError is raised.  With out_dir, the training NormStats go to
     norm_stats.json first, so every checkpoint of the run has them, and
-    steps.jsonl gets one line per optimizer step (`_log_step`).
+    steps.jsonl gets one line per optimizer step (`_log_step`).  A dataset
+    without a transition for the model's history is a ValueError
+    (`check_history`), raised before anything is written.
     """
+    check_history(ds, model.cfg.history)
     stats = dataset_norm_stats(ds)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

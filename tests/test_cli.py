@@ -237,6 +237,37 @@ class TestExitCodes:
         assert "radius must be positive" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("history", [8, 9])
+    def test_history_without_a_transition_is_bad_args_before_any_output(
+            self, tmp_path, capsys, pipeline_dir, history):
+        # the pipeline's rollouts have 8 frames: a history of 8 leaves no
+        # frame to predict
+        out = tmp_path / "m"
+        assert main(["train", "--out", str(out), "--history", str(history),
+                     "--data", str(pipeline_dir / "data" / "dataset")]
+                    + SMALL_MODEL + SMALL_TRAIN) == 2
+        err = capsys.readouterr().err
+        assert f"model.history {history}" in err and "n_frames 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_dataset_too_short_for_the_model_history_is_bad_args_before_any_output(
+            self, tmp_path, capsys, pipeline_dir, command):
+        model = tmp_path / "h2"
+        assert main(["train", "--out", str(model), "--history", "2",
+                     "--data", str(pipeline_dir / "data" / "dataset")]
+                    + SMALL_MODEL + SMALL_TRAIN) == 0
+        short = tmp_path / "short"
+        assert main(["gen-data", "--out", str(short)] + SMALL_DATA
+                    + ["--set", "dataset.n_frames=2"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--model-dir", str(model),
+                     "--data", str(short / "dataset")]) == 2
+        err = capsys.readouterr().err
+        assert "model.history 2" in err and "n_frames 2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ['bench.d="x"', 'bench.e_values=["x"]'])
     def test_bench_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):
         assert main(["bench", "--out", str(tmp_path), "--set", override]) == 2

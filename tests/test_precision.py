@@ -117,9 +117,9 @@ def desk_batch_pairs():
 
 
 def test_desk_batch_has_wide_padded_sender_tables(desk_batch_pairs):
-    buckets = T.PairIndex(*desk_batch_pairs).by_sender.buckets
-    assert max(table.shape[1] for _, table, _ in buckets) == 64
-    assert any(min(m) < rows.size for rows, _, m in buckets)
+    buckets = T.PairIndex(*desk_batch_pairs).send_buckets
+    assert max(b.valid.shape[1] for b in buckets) == 64
+    assert any(not b.valid.all() for b in buckets)
 
 
 # The desk batch's sender tables are up to 64 wide, against at most 32 on the

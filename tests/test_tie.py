@@ -118,12 +118,23 @@ class TestAbstractPairs:
                                            ids, 2, 2, bidirectional=False)
         assert set(zip(recv.tolist(), send.tolist())) == {(2, 0), (3, 1)}
 
-    def test_merges_with_base_pairs_sorted(self):
-        ids = np.array([0, 0])
-        recv, send = attach_abstract_pairs(np.array([0]), np.array([1]), ids, 2, 1)
-        keys = list(zip(recv.tolist(), send.tolist()))
-        assert keys == sorted(keys)
-        assert (0, 1) in keys and (2, 0) in keys and (0, 2) in keys
+    @pytest.mark.parametrize("samples", [1, 4])
+    def test_unsorted_pairs_keep_the_slot_layout_of_their_sorted_form(self, samples):
+        # a batch of samples of 12 rows, pairs sorted by (receiver, sender)
+        # as `training.make_batch` stacks them
+        m, n_abstract = 12, 2
+        n = m * samples
+        base = [synthesize_pairs(m, 40, seed=48 + b) for b in range(samples)]
+        recv = np.concatenate([r + b * m for b, (r, _) in enumerate(base)])
+        send = np.concatenate([s + b * m for b, (_, s) in enumerate(base)])
+        r, s = attach_abstract_pairs(recv, send, np.arange(n) % n_abstract, n, n_abstract,
+                                     samples=samples)
+        rows = n + n_abstract * samples
+        order = np.lexsort((s, r))
+        assert not np.array_equal(order, np.arange(r.size))  # the output is unsorted
+        assert _layout(T.PairIndex(r, s, rows)) == _layout(T.PairIndex(r[order], s[order], rows))
+        sample = np.concatenate([np.arange(n) // m, np.repeat(np.arange(samples), n_abstract)])
+        assert np.array_equal(sample[r], sample[s])  # no pair joins two samples
 
     def test_zero_abstract_is_identity(self):
         r = np.array([0, 1])
@@ -287,19 +298,18 @@ class TestFusedAttention:
 
     def test_suite_pads_every_wide_sender_bucket(self):
         # the suite's padded-sender case: the sender-major backward must zero
-        # each table column past its m[k] rows, since padding repeats a
-        # valid position
+        # each table's invalid slots, since padding repeats a valid pair
         pairs = V.padded_sender_pairs()
         assert np.bincount(pairs[1]).tolist() == [1, 2, 3, 5, 8, 9, 16, 17, 25, 39]
-        buckets = T.PairIndex(*pairs).by_sender.buckets
-        assert all(min(m) < rows.size for rows, table, m in buckets if table.shape[1] > 2)
+        buckets = T.PairIndex(*pairs).send_buckets
+        assert all(not b.valid.all() for b in buckets if b.valid.shape[1] > 2)
 
     def test_suite_pads_an_80_wide_sender_table(self):
         # the suite's second padded-sender case: a sender of degree 79 alone
         # in an 80-wide bucket, whose last column is padding
         pairs = V.padded_sender_pairs(n=80)
-        rows, table, m = T.PairIndex(*pairs).by_sender.buckets[-1]
-        assert table.shape == (1, 80) and m[-1] == 0
+        b = T.PairIndex(*pairs).send_buckets[-1]
+        assert b.at.shape == (1, 80) and not b.valid[:, -1].any()
 
     @pytest.mark.parametrize("trained", ["k", "v"])
     def test_pair_attention_with_only_k_or_only_v_trained(self, trained):
@@ -356,57 +366,92 @@ class TestFusedAttention:
         assert len(tape.entries) <= 100
 
 
+def _sides(index, recv, send):
+    """(buckets, rows, others) of the receiver side and the sender side."""
+    return [(index.recv_buckets, recv, send), (index.send_buckets, send, recv)]
+
+
+def _slot_pairs(index):
+    """(receiver, sender) of each padded slot, -1 on padding, read from the
+    receiver buckets, whose runs tile the slot space."""
+    ends = np.full((2, index.n_slots), -1)
+    for b in index.recv_buckets:
+        rows = np.broadcast_to(b.rows[:, None], b.valid.shape)
+        ends[:, b.at] = np.where(b.valid, [rows, b.other], -1).reshape(2, -1)
+    return ends
+
+
+def _layout(index):
+    """Every table of both sides of a PairIndex, as lists."""
+    return [(b.rows.tolist(), b.valid.tolist(), b.other.tolist(),
+             b.at.tolist() if isinstance(b.at, np.ndarray) else (b.at.start, b.at.stop))
+            for b in index.recv_buckets + index.send_buckets]
+
+
 class TestPairIndex:
-    def test_receiver_degrees(self):
+    def test_every_row_once_per_side_with_its_degree(self):
         recv, send = synthesize_pairs(40, 300, seed=43)
         index = T.PairIndex(recv, send, 40)
-        deg = np.zeros(40, dtype=np.int64)
-        for b in index.recv_buckets:
-            assert np.array_equal(deg[b.rows], np.zeros(b.rows.size))  # each receiver once
-            deg[b.rows] = b.valid.sum(axis=1)
-        assert np.array_equal(deg, np.bincount(recv, minlength=40))
+        for buckets, rows, _ in _sides(index, recv, send):
+            deg = np.full(40, -1)
+            for b in buckets:
+                assert np.all(deg[b.rows] == -1)  # each row in one bucket, once
+                deg[b.rows] = b.valid.sum(axis=1)
+            deg[deg == -1] = 0  # rows without pairs are left out
+            assert np.array_equal(deg, np.bincount(rows, minlength=40))
 
-    def test_tables_cover_every_pair_once(self):
+    def test_every_pair_sits_in_exactly_one_slot(self):
         recv, send = synthesize_pairs(30, 200, seed=44)
         index = T.PairIndex(recv, send, 30)
-        got = []
-        for b in index.recv_buckets:
-            rows = np.broadcast_to(b.rows[:, None], b.valid.shape)
-            got += list(zip(rows[b.valid].tolist(), b.senders[b.valid].tolist()))
-        assert sorted(got) == sorted(zip(recv.tolist(), send.tolist()))
+        ends = _slot_pairs(index)
+        want = sorted(zip(recv.tolist(), send.tolist()))
+        assert sorted(zip(*ends[:, ends[0] >= 0].tolist())) == want
+        # the sender tables name every valid slot once, and their rows and
+        # `other` are its sender and receiver
+        slots = np.concatenate([b.at[b.valid] for b in index.send_buckets])
+        assert np.array_equal(np.sort(slots), np.flatnonzero(ends[0] >= 0))
+        for b in index.send_buckets:
+            assert np.array_equal(ends[1, b.at[b.valid]],
+                                  np.broadcast_to(b.rows[:, None], b.valid.shape)[b.valid])
+            assert np.array_equal(ends[0, b.at[b.valid]], b.other[b.valid])
 
+    @pytest.mark.parametrize("permuted", [False, True])
     @pytest.mark.parametrize("abstract", [False, True])
-    def test_sender_plan_holds_each_pair_slot_once_in_pair_order(self, abstract):
+    def test_pairs_keep_list_order_on_both_sides(self, abstract, permuted):
         n = 30
-        recv, send = synthesize_pairs(n, 200, seed=44)
+        recv, send = synthesize_pairs(n, 200, seed=46)
         if abstract:
             recv, send = attach_abstract_pairs(recv, send, np.zeros(n, np.int64), n, 1,
                                                bidirectional=True)
             n += 1
-        index = T.PairIndex(recv, send, n)
-        # the pair held by each padded slot, -1 on padding, from the receiver plan
-        slot_pair = np.full(index.n_slots, -1)
-        for b, (rows, table, _) in zip(index.recv_buckets, T._RowSums(recv, n).buckets):
-            assert np.array_equal(rows, b.rows)
-            slot_pair[b.lo:b.lo + b.valid.size] = np.where(b.valid, table, -1).ravel()
-        seen = {}
-        for rows, table, m in index.by_sender.buckets:
-            for a, row in enumerate(rows):
-                seen[int(row)] = slot_pair[table[a, :sum(mk > a for mk in m)]]
-        for j in range(n):
-            assert np.array_equal(seen.get(j, []), np.flatnonzero(send == j))
-
-    @pytest.mark.parametrize("permuted", [False, True])
-    def test_receiver_slots_hold_pairs_in_list_order(self, permuted):
-        recv, send = synthesize_pairs(30, 200, seed=46)
         if permuted:
             perm = np.random.default_rng(46).permutation(recv.size)
             recv, send = recv[perm], send[perm]
+        index = T.PairIndex(recv, send, n)
+        for buckets, rows, others in _sides(index, recv, send):
+            for b in buckets:
+                for row, other, valid in zip(b.rows, b.other, b.valid):
+                    assert np.array_equal(other[valid], others[rows == row])
+        ends = _slot_pairs(index)
+        for b in index.send_buckets:  # the sender's slots, in the same order
+            for row, at, valid in zip(b.rows, b.at, b.valid):
+                assert np.array_equal(ends[0, at[valid]], recv[send == row])
+
+    def test_padding_repeats_a_valid_pair(self):
+        recv, send = synthesize_pairs(30, 200, seed=47)
         index = T.PairIndex(recv, send, 30)
-        for b in index.recv_buckets:
-            for row, senders, valid in zip(b.rows, b.senders, b.valid):
-                assert np.array_equal(senders[valid], send[recv == row])
-                assert np.all(senders[~valid] == 30)  # n on padding
+        ends = _slot_pairs(index)
+        for buckets, rows, others in _sides(index, recv, send):
+            for b in buckets:
+                # each row's pairs fill its first slots, rows in degree order
+                deg = b.valid.sum(axis=1)
+                assert np.all(np.diff(deg) <= 0)
+                assert np.array_equal(b.valid, np.arange(b.valid.shape[1]) < deg[:, None])
+                assert np.isin(b.other[~b.valid], others).all()
+        for b in index.send_buckets:
+            padding = b.at[~b.valid]
+            assert np.all(ends[0, padding] >= 0)  # a slot that holds a pair
+            assert np.array_equal(ends[0, padding], b.other[~b.valid])
 
     def test_degree_n_row_does_not_widen_the_others(self):
         n = 1024
@@ -418,20 +463,22 @@ class TestPairIndex:
         assert np.bincount(recv)[n] == n  # the abstract row hears every particle
         assert np.bincount(send)[n] == n  # and every particle hears it
         assert index.n_slots <= 2 * e + n
-        assert sum(table.size for _, table, _ in index.by_sender.buckets) <= 2 * e + n
+        assert sum(b.valid.size for b in index.send_buckets) <= 2 * e + n
 
     def test_bucket_widths(self):
-        # powers of two up to 8, multiples of 8 above; rows of degree 0 are left out
+        # powers of two up to 8, multiples of 8 above, on both sides; rows
+        # of degree 0 are left out
         degrees = np.array([0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 25, 40, 3])
-        plan = T._RowSums(np.repeat(np.arange(degrees.size), degrees), degrees.size)
-        widths = {}
-        for rows, table, m in plan.buckets:
-            assert np.all(np.diff(degrees[rows]) <= 0)  # degree order, descending
-            valid = np.arange(rows.size)[:, None] < m
-            assert np.array_equal(valid.sum(axis=1), degrees[rows])
-            widths.update((int(deg), table.shape[1]) for deg in degrees[rows])
-        assert widths == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 24,
-                          24: 24, 25: 32, 40: 40}
+        rows = np.repeat(np.arange(degrees.size), degrees)
+        others = np.concatenate([np.arange(k) for k in degrees])  # rows 0..39
+        for buckets in (T.PairIndex(rows, others, 40).recv_buckets,
+                        T.PairIndex(others, rows, 40).send_buckets):
+            widths = {}
+            for b in buckets:
+                assert np.array_equal(b.valid.sum(axis=1), degrees[b.rows])
+                widths.update((int(deg), b.valid.shape[1]) for deg in degrees[b.rows])
+            assert widths == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16, 17: 24,
+                              24: 24, 25: 32, 40: 40}
 
     def test_slots_per_pair_on_synthesized_pairs(self):
         recv, send = synthesize_pairs(512, 8000, seed=1)

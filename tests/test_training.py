@@ -166,6 +166,13 @@ class TestFit:
         for k, t in model.params().items():
             assert np.array_equal(t.data, before[k])
 
+    def test_history_as_long_as_the_rollouts_is_a_value_error(self, shared_dataset, tmp_path):
+        # 10 frames give no transition to a history of 10
+        model = build_model(tiny_config(history=10, d_in=P.input_dim(10, shared_dataset.d_a)))
+        with pytest.raises(ValueError, match="model.history 10 .* n_frames 10"):
+            fit(model, shared_dataset, TrainConfig(epochs=1, batch_size=2), out_dir=tmp_path / "m")
+        assert not (tmp_path / "m").exists()
+
     def test_loss_decreases(self, shared_dataset):
         model = build_model(tiny_config(), seed=0)
         cfg = TrainConfig(lr=0.003, epochs=3, steps_per_epoch=20, batch_size=2,
@@ -348,6 +355,19 @@ class TestBatching:
         x, recv, send, ids, _ = stack(cases)
         with pytest.raises(P.InputError, match="samples"):
             model.forward(x, recv, send, ids, samples=4)
+
+    @pytest.mark.parametrize("backbone", ["tie", "vanilla", "gnn"])
+    @pytest.mark.parametrize("case", ["sender -1", "sender n", "lengths"])
+    def test_every_backbone_checks_its_pair_list(self, backbone, case):
+        model, cases = batch_case(backbone, True, 0, 1)
+        x, recv, send, ids, _ = stack(cases)
+        if case == "lengths":
+            send = send[:-1]
+        else:
+            send = send.copy()
+            send[3] = -1 if case == "sender -1" else x.shape[0]
+        with pytest.raises(T.ShapeError, match="pair list"):
+            model.forward(x, recv, send, ids)
 
     def test_make_batch_stacks_make_sample(self, shared_dataset):
         stats = dataset_norm_stats(shared_dataset)
