@@ -658,11 +658,17 @@ def check_pairs(recv, send, n: int) -> tuple[np.ndarray, np.ndarray]:
     return recv, send
 
 
+# Slots per row tile of a `PairIndex` bucket: a kernel pass gathers at most
+# 1.1 MB for a tile at d=128 in f32, which stays in a core's 2 MiB L2 until
+# the multiply reads it back.
+TILE_SLOTS = 2048
+
+
 @dataclass
 class _Bucket:
-    """One padded width K of one side of a `PairIndex`: its rows, receivers
-    or senders, in degree order, descending, each with its pairs in
-    pair-list order.  Padding repeats a valid pair."""
+    """One row tile of a padded width K of one side of a `PairIndex`: its
+    rows, receivers or senders, in degree order, descending, each with its
+    pairs in pair-list order.  Padding repeats a valid pair."""
     rows: np.ndarray          # (R,)
     valid: np.ndarray         # (R, K) the slot holds a pair of its row
     other: np.ndarray         # (R, K) the other end of each slot's pair
@@ -673,30 +679,42 @@ class _Bucket:
         a gathered copy of a table."""
         return buf[self.at].reshape(*self.valid.shape, *buf.shape[1:])
 
+    def tiles(self) -> list["_Bucket"]:
+        """The bucket cut into consecutive runs of rows, each of at most
+        TILE_SLOTS slots or of one wider row."""
+        R, K = self.valid.shape
+        step = max(1, TILE_SLOTS // K)
+        return [_Bucket(self.rows[r:r + step], self.valid[r:r + step], self.other[r:r + step],
+                        self.at[r:r + step] if isinstance(self.at, np.ndarray)
+                        else slice(self.at.start + r * K, self.at.start + min(r + step, R) * K))
+                for r in range(0, R, step)]
+
 
 class PairIndex:
     """Receiver- and sender-side layouts of one pair list, built once per graph.
 
-    Each side is a list of `_Bucket`s, one per padded width of the side's
-    `_RowSums` plan, so one width rule pads both.  The receiver buckets,
-    `recv_buckets`, are runs of one padded slot space of size `n_slots`,
-    bucket after bucket, row-major, each receiver's pairs in pair-list order
-    (any order of the list works); `other` holds their senders.  The sender
-    buckets, `send_buckets`, hold each sender's slots in pair-list order as
-    a table into that space; `other` holds their receivers.  Sums over a
-    receiver's or a sender's pairs then become batched matmuls over these
-    tables, with no sort, mask or unbuffered scatter per call.
+    Each side is a list of `_Bucket`s, the row tiles of each padded width of
+    the side's `_RowSums` plan, so one width rule pads both.  A tile holds at
+    most TILE_SLOTS slots, or one wider row, so a kernel's pass over it
+    works in cache.  The receiver buckets, `recv_buckets`, are runs of one
+    padded slot space of size `n_slots`, bucket after bucket, row-major,
+    each receiver's pairs in pair-list order (any order of the list works);
+    `other` holds their senders.  The sender buckets, `send_buckets`, hold
+    each sender's slots in pair-list order as a table into that space;
+    `other` holds their receivers.  Sums over a receiver's or a sender's
+    pairs then become batched matmuls over these tables, with no sort, mask
+    or unbuffered scatter per call.
 
     The index also owns the slot workspace of the attention kernels: one
     buffer per role (`slot_buffer`), made on first use and reused by every
     bucket and block, forward and backward, for as long as the graph lives.
-    "gather" holds one bucket's gathered rows, receiver or sender side;
-    "scalars" `pair_attention`'s dz and alpha per slot, (2, H); "to_sender"
-    `implicit_edge_attention`'s return of each pair to its sender,
-    (H, D + 1).  Both kernels sum their sender side from these slots with
-    one masked batched matmul per sender bucket.  A kernel call keeps
-    nothing in them once it returns, so calls and backwards on one index may
-    interleave in any order.
+    "gather" holds one bucket's gathered rows, receiver or sender side, and
+    is sized by the largest bucket; "scalars" `pair_attention`'s dz and
+    alpha per slot, (2, H); "to_sender" `implicit_edge_attention`'s return
+    of each pair to its sender, (H, D + 1).  Both kernels sum their sender
+    side from these slots with one masked batched matmul per sender bucket.
+    A kernel call keeps nothing in them once it returns, so calls and
+    backwards on one index may interleave in any order.
     """
 
     def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
@@ -708,23 +726,25 @@ class PairIndex:
         for rows, table, m in _RowSums(recv, n).buckets:
             valid = np.arange(rows.size)[:, None] < m
             pair_slot[table[valid]] = lo + np.flatnonzero(valid)
-            self.recv_buckets.append(_Bucket(rows, valid, send[table], slice(lo, lo + valid.size)))
+            self.recv_buckets += _Bucket(rows, valid, send[table],
+                                         slice(lo, lo + valid.size)).tiles()
             lo += valid.size
         self.n_slots = lo
-        self.send_buckets = [_Bucket(rows, np.arange(rows.size)[:, None] < m, recv[table],
-                                     pair_slot[table])
-                             for rows, table, m in _RowSums(send, n).buckets]
-        # a sender bucket may hold more entries than the slot space
-        self._buffer_rows = max([lo] + [b.valid.size for b in self.send_buckets])
+        self.send_buckets = [tile for rows, table, m in _RowSums(send, n).buckets
+                             for tile in _Bucket(rows, np.arange(rows.size)[:, None] < m,
+                                                 recv[table], pair_slot[table]).tiles()]
+        self._gather_rows = max((b.valid.size for b in self.recv_buckets + self.send_buckets),
+                                default=0)
         self._buffers: dict[str, np.ndarray] = {}
 
     def slot_buffer(self, role: str, tail: tuple, dt) -> np.ndarray:
-        """The workspace buffer `role` of shape (rows, *tail), one entry per
-        padded slot or per entry of the largest sender bucket, whichever are
-        more; its contents are left to the caller."""
+        """The workspace buffer `role` of shape (rows, *tail): one entry per
+        slot of the largest tile for "gather", per padded slot otherwise; its
+        contents are left to the caller."""
         buf = self._buffers.get(role)
         if buf is None or buf.shape[1:] != tail or buf.dtype != dt:
-            buf = np.empty((self._buffer_rows,) + tail, dtype=dt)
+            rows = self._gather_rows if role == "gather" else self.n_slots
+            buf = np.empty((rows,) + tail, dtype=dt)
             self._buffers[role] = buf
         return buf
 
@@ -959,10 +979,11 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
         if s.requires_grad:
             sent = to_sender.reshape(-1, heads * (D + 1))
             sums = np.zeros((n, heads * (D + 1)), dtype=dt)
+            # the gather buffer holds the largest bucket of either side
+            flat = gather.reshape(len(gather), heads * (D + 1))
             for b in index.send_buckets:
-                # a sender table never outgrows the gather buffer; padding
-                # repeats a valid pair, so the (R, 1, K) validity mask sums it out
-                rows_at = gather.reshape(sent.shape)[:b.valid.size].reshape(*b.valid.shape, -1)
+                # padding repeats a valid pair, so the (R, 1, K) validity mask sums it out
+                rows_at = flat[:b.valid.size].reshape(*b.valid.shape, -1)
                 np.take(sent, b.at, axis=0, out=rows_at, mode="clip")
                 sums[b.rows] = np.matmul(b.valid[:, None], rows_at, dtype=dt)[:, 0]
             sums = sums.reshape(n, heads, D + 1)

@@ -176,6 +176,19 @@ def padded_sender_pairs(n: int = 40, seed: int = 0):
     return recv, np.repeat(np.arange(len(degrees)), degrees), n
 
 
+def tiled_pairs():
+    """A pair list whose receiver and sender widths span several row tiles:
+    rows 0..m-1, m = TILE_SLOTS + 1, each hear the next two rows of a ring
+    and sender hub m + 1, and each send to receiver hub m, so both sides pad
+    them to width 4, 512 rows a tile; each hub, of degree m, sits alone in
+    its tile."""
+    m = T.TILE_SLOTS + 1
+    ring = np.arange(m)
+    recv = np.concatenate([ring, ring, ring, np.full(m, m)])
+    send = np.concatenate([(ring + 1) % m, (ring + 2) % m, np.full(m, m + 1), ring])
+    return recv, send, m + 2
+
+
 def attention_deviation(kernel: str, pairs, heads: int = 2, d: int = 8,
                         seed: int = 0) -> float:
     """Worst elementwise deviation, relative to max(1, |value|), between a
@@ -215,14 +228,15 @@ def attention_deviation(kernel: str, pairs, heads: int = 2, d: int = 8,
 def run_attention_suite(kernels, seed: int = 0) -> float:
     """Worst `attention_deviation` of `kernels` over no abstract rows,
     bidirectional and unidirectional abstract pairs, padded sender tables
-    (up to 40 and 80 wide), a sender table wider than the slot space, and 1
-    and 2 heads."""
+    (up to 40 and 80 wide), a sender table wider than the slot space, widths
+    cut into row tiles and rows wider than a tile, and 1 and 2 heads."""
     cases = [_attention_case_pairs(9, n_abstract, bidirectional, seed + i)
              for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)])]
     cases.append(padded_sender_pairs(seed=seed))
     cases.append(padded_sender_pairs(n=80, seed=seed))
     # three receivers of one pair each take 3 slots; their sender's table pads to 4
     cases.append((np.array([0, 1, 2]), np.array([3, 3, 3]), 4))
+    cases.append(tiled_pairs())
     worst = 0.0
     for i, pairs in enumerate(cases):
         for kernel in kernels:

@@ -291,8 +291,9 @@ class TestFusedAttention:
     def test_matches_composed_oracle(self):
         # n_abstract in {0, 2}, unidirectional abstract pairs, a receiver
         # without pairs, single-neighbour rows, constant tokens at the floor,
-        # padded sender tables and a sender table wider than the slot space;
-        # pair attention with distinct k and v, and with k = v = s
+        # padded sender tables, a sender table wider than the slot space and
+        # widths cut into row tiles; pair attention with distinct k and v,
+        # and with k = v = s
         assert V.run_attention_suite(["implicit edge"]) <= 1e-10
         assert V.run_attention_suite(["pair", "shared pair"]) <= 1e-10
 
@@ -310,6 +311,16 @@ class TestFusedAttention:
         pairs = V.padded_sender_pairs(n=80)
         b = T.PairIndex(*pairs).send_buckets[-1]
         assert b.at.shape == (1, 80) and not b.valid[:, -1].any()
+
+    def test_suite_tiles_both_sides_at_the_real_tile_size(self):
+        # the suite's tiled case: padded widths of several tiles, and a row
+        # wider than TILE_SLOTS alone in its tile, on both sides
+        index = T.PairIndex(*V.tiled_pairs())
+        for buckets in (index.recv_buckets, index.send_buckets):
+            widths = _by_width(buckets)
+            assert len(widths[4]) > 2 and not all(b.valid.all() for b in widths[4])
+            wide = [b for b in buckets if b.valid.shape[1] > T.TILE_SLOTS]
+            assert [b.rows.size for b in wide] == [1]
 
     @pytest.mark.parametrize("trained", ["k", "v"])
     def test_pair_attention_with_only_k_or_only_v_trained(self, trained):
@@ -386,6 +397,21 @@ def _layout(index):
     return [(b.rows.tolist(), b.valid.tolist(), b.other.tolist(),
              b.at.tolist() if isinstance(b.at, np.ndarray) else (b.at.start, b.at.stop))
             for b in index.recv_buckets + index.send_buckets]
+
+
+def _box_splash_pairs():
+    """(receivers, senders) of a box_splash N=1024 neighbor graph at radius 0.1."""
+    spec = worlds.WorldSpec(kind="box_splash", counts=(1024,), dt=0.01)
+    graph = build_neighbor_graph(worlds.initial_state(spec, 0).positions, 0.1)
+    return graph.receivers, graph.senders
+
+
+def _by_width(buckets):
+    """{width K: the side's tiles of width K, in list order}."""
+    widths = {}
+    for b in buckets:
+        widths.setdefault(b.valid.shape[1], []).append(b)
+    return widths
 
 
 class TestPairIndex:
@@ -486,11 +512,50 @@ class TestPairIndex:
         assert index.n_slots / index.e <= 1.25  # power-of-two buckets: 1.43
 
     def test_slots_per_pair_on_neighbor_graph(self):
-        spec = worlds.WorldSpec(kind="box_splash", counts=(1024,), dt=0.01)
-        graph = build_neighbor_graph(worlds.initial_state(spec, 0).positions, 0.1)
-        index = T.PairIndex(graph.receivers, graph.senders, 1024)
+        index = T.PairIndex(*_box_splash_pairs(), 1024)
         assert index.e > 10_000
         assert index.n_slots / index.e <= 1.30  # power-of-two buckets: 1.43
+
+    def test_tiles_hold_at_most_tile_slots_unless_one_row(self):
+        recv, send = _box_splash_pairs()
+        index = T.PairIndex(recv, send, 1024)
+        for buckets, _, _ in _sides(index, recv, send):
+            assert all(b.valid.size <= T.TILE_SLOTS for b in buckets)
+            # the graph's widths span several tiles on both sides
+            assert any(len(tiles) > 2 for tiles in _by_width(buckets).values())
+        # a row wider than a tile sits alone in its own
+        hub = np.arange(1, T.TILE_SLOTS + 2)
+        for buckets in (T.PairIndex(np.zeros_like(hub), hub, hub.size + 1).recv_buckets,
+                        T.PairIndex(hub, np.zeros_like(hub), hub.size + 1).send_buckets):
+            assert [b.valid.shape for b in buckets] == [(1, T.TILE_SLOTS + 8)]
+
+    def test_tiles_of_a_width_partition_its_rows_in_degree_order(self):
+        recv, send = _box_splash_pairs()
+        index = T.PairIndex(recv, send, 1024)
+        for buckets, rows, _ in _sides(index, recv, send):
+            deg = np.bincount(rows, minlength=1024)
+            width = np.where(deg > 8, (deg + 7) // 8 * 8,
+                             np.array([0, 1, 2, 4, 4, 8, 8, 8, 8])[np.minimum(deg, 8)])
+            by_degree = np.argsort(-deg, kind="stable")
+            widths = _by_width(buckets)
+            assert sorted(widths) == np.unique(width[deg > 0]).tolist()
+            for k, tiles in widths.items():
+                # consecutive in the list, full but for the last
+                first = next(i for i, b in enumerate(buckets) if b.valid.shape[1] == k)
+                assert all(x is y for x, y in zip(buckets[first:], tiles))
+                assert all(b.rows.size == T.TILE_SLOTS // k for b in tiles[:-1])
+                assert 0 < tiles[-1].rows.size <= T.TILE_SLOTS // k
+                assert np.array_equal(np.concatenate([b.rows for b in tiles]),
+                                      by_degree[width[by_degree] == k])
+
+    def test_receiver_tiles_are_consecutive_runs_of_the_slot_space(self):
+        index = T.PairIndex(*_box_splash_pairs(), 1024)
+        lo = 0
+        for b in index.recv_buckets:
+            assert isinstance(b.at, slice) and b.at.step is None
+            assert (b.at.start, b.at.stop) == (lo, lo + b.valid.size)
+            lo = b.at.stop
+        assert lo == index.n_slots
 
 
 def _kernel_inputs(rng, rows, d, dt):
@@ -559,7 +624,8 @@ class TestSlotWorkspace:
                                       precision, n_abstract)
 
     def test_pair_attention_buffers_hold_gather_rows_and_two_scalars_per_slot(self):
-        # a (2, H, D) to-sender vector per slot took another 10 MB here
+        # a (2, H, D) to-sender vector per slot took another 10 MB here, and
+        # gather rows per padded slot another 4 MB
         n, d, heads = 512, 128, 4
         recv, send = synthesize_pairs(n, 8000, seed=0)
         index = T.PairIndex(recv, send, n)
@@ -568,11 +634,11 @@ class TestSlotWorkspace:
                               index, heads)
         tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(np.float32))
         held = sum(buf.nbytes for buf in index._buffers.values())
-        assert held <= index.n_slots * (d + 2 * heads) * 4
+        assert held <= (T.TILE_SLOTS * d + index.n_slots * 2 * heads) * 4
 
     def test_implicit_edge_buffers_hold_gather_and_to_sender_rows_only(self):
-        # the sender pass gathers each bucket into the gather rows, so a third
-        # slot-sized buffer for it would fail this bound
+        # the sender pass gathers each bucket into the gather rows, one tile
+        # in size, so a second slot-sized buffer would fail this bound
         n, d, heads = 512, 128, 4
         recv, send = synthesize_pairs(n, 8000, seed=0)
         index = T.PairIndex(recv, send, n)
@@ -581,7 +647,44 @@ class TestSlotWorkspace:
                               index, heads)
         tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(np.float32))
         held = sum(buf.nbytes for buf in index._buffers.values())
-        assert held <= index.n_slots * 2 * (d + heads) * 4
+        assert held <= (T.TILE_SLOTS + index.n_slots) * (d + heads) * 4
+
+
+class TestRowTiles:
+    """Each row tile is a smaller batch of the same per-(row, head)
+    arithmetic, so cutting a width into tiles changes no bit."""
+
+    @pytest.mark.parametrize("graph", ["synthesized", "box_splash"])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_tiles_give_the_outputs_and_gradients_of_whole_widths(self, monkeypatch, graph,
+                                                                  precision):
+        dt = T.DTYPES[precision]
+        if graph == "synthesized":
+            (recv, send), n, d = synthesize_pairs(512, 8000, seed=0), 512, 128
+        else:
+            (recv, send), n, d = _box_splash_pairs(), 1024, 64
+
+        def run():
+            index = T.PairIndex(recv, send, n)
+            found = []
+            for kernel in (T.pair_attention, T.implicit_edge_attention):
+                rng = np.random.default_rng(57)
+                inputs = _kernel_inputs(rng, n, d, dt)
+                tape, out = _run_kernel(kernel, inputs, index, 4)
+                tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(dt))
+                found += [out.data] + [t.grad for t in inputs]
+            return index, found
+
+        tiled, found = run()
+        monkeypatch.setattr(T, "TILE_SLOTS", 2 * tiled.n_slots)
+        whole, want = run()
+        for side in ("recv_buckets", "send_buckets"):
+            widths = [b.valid.shape[1] for b in getattr(whole, side)]
+            assert len(set(widths)) == len(widths)  # one tile per width
+            assert len(getattr(tiled, side)) > len(widths)
+        assert len(found) == 8
+        for a, b in zip(found, want):
+            assert a.dtype == dt and np.array_equal(a, b)
 
 
 class TestNoPairs:
