@@ -44,6 +44,7 @@ class CostProfile:
     phase_macs: dict = field(default_factory=dict)
     wall_ms_median: float = 0.0
     wall_ms_iqr: float = 0.0
+    fwd_ms_median: float = 0.0  # median wall time of one untaped forward
     minor_faults: int = 0  # median over trials of the minor page faults of one iteration
     peak_alloc_mb: float = 0.0  # tracemalloc peak of one more, untimed iteration
     # padded slots per pair of the forward's `tensor.PairIndex`; None for the
@@ -129,8 +130,9 @@ def measure_macs(cfg: ModelConfig, n: int, e: int, seed: int = 0) -> dict:
 def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
                    warmup: int = 2, seed: int = 0) -> CostProfile:
     """Median and interquartile range over trials of the wall time of one
-    forward+backward iteration, the median of its minor page faults
-    (`ru_minflt` of this process), and the `tracemalloc` allocation peak of
+    forward+backward iteration, the median wall time of one untaped forward
+    (no tape, as in a rollout), the median of the iteration's minor page
+    faults (`ru_minflt` of this process), and the `tracemalloc` allocation peak of
     one more iteration, run untimed after the trials; the forward MACs per
     phase come from the last timed tape.  The attention backbones also
     report the slots per pair of the pair index their forward builds over
@@ -146,7 +148,7 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
             T.backward(loss, tape)
         return tape
 
-    times, faults = [], []
+    times, faults, fwd_times = [], [], []
     for i in range(warmup + trials):
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
@@ -156,6 +158,10 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         for p in model.params().values():
             p.grad = None
+        t0 = time.perf_counter()
+        model.forward(x, recv, send)
+        if i >= warmup:
+            fwd_times.append((time.perf_counter() - t0) * 1000.0)
     phases = _forward_phase_macs(tape)
     tracing = tracemalloc.is_tracing()  # a caller's own tracing is left running
     tracemalloc.start()
@@ -177,6 +183,7 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
         blocks=cfg.blocks, heads=cfg.heads,
         analytic_macs=count_macs(cfg, n, e)["total"], measured_macs=phases["total"],
         phase_macs=phases, wall_ms_median=float(median), wall_ms_iqr=float(q3 - q1),
+        fwd_ms_median=float(np.median(fwd_times)),
         minor_faults=int(np.median(faults)), peak_alloc_mb=peak_alloc / 2**20,
         slots_per_pair=slots_per_pair,
     )
@@ -187,9 +194,10 @@ def write_bench_csv(profiles: list[CostProfile], path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["backbone", "n", "e", "macs", "wall_ms_median", "wall_ms_iqr",
-                         "minor_faults", "peak_alloc_mb", "slots_per_pair"])
+                         "fwd_ms_median", "minor_faults", "peak_alloc_mb", "slots_per_pair"])
         for p in profiles:
             writer.writerow([p.backbone, p.n, p.e, p.measured_macs,
-                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}", p.minor_faults,
+                             f"{p.wall_ms_median:.3f}", f"{p.wall_ms_iqr:.3f}",
+                             f"{p.fwd_ms_median:.3f}", p.minor_faults,
                              f"{p.peak_alloc_mb:.3f}",
                              "" if p.slots_per_pair is None else f"{p.slots_per_pair:.4f}"])

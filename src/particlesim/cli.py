@@ -300,7 +300,8 @@ def cmd_bench(args) -> int:
             prof = B.time_iteration(cfg, bcfg["n"], e, trials=bcfg["trials"])
             profiles.append(prof)
             print(f"{backbone:8s} N={prof.n} E={prof.e} macs={prof.measured_macs} "
-                  f"wall={prof.wall_ms_median:.2f}ms minor_faults={prof.minor_faults}"
+                  f"wall={prof.wall_ms_median:.2f}ms fwd={prof.fwd_ms_median:.2f}ms "
+                  f"minor_faults={prof.minor_faults}"
                   + ("" if prof.slots_per_pair is None
                      else f" slots_per_pair={prof.slots_per_pair:.3f}"))
             if prof.analytic_macs != prof.measured_macs:

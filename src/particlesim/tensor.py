@@ -12,6 +12,7 @@ and never mixed inside one graph.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -691,7 +692,7 @@ class _Bucket:
 
 
 class PairIndex:
-    """Receiver- and sender-side layouts of one pair list, built once per graph.
+    """Receiver- and sender-side layouts of one pair list.
 
     Each side is a list of `_Bucket`s, the row tiles of each padded width of
     the side's `_RowSums` plan, so one width rule pads both.  A tile holds at
@@ -703,18 +704,21 @@ class PairIndex:
     each sender's slots in pair-list order as a table into that space;
     `other` holds their receivers.  Sums over a receiver's or a sender's
     pairs then become batched matmuls over these tables, with no sort, mask
-    or unbuffered scatter per call.
+    or unbuffered scatter per call.  The receiver side is built with the
+    index; the sender side, which only the kernels' backwards read, on its
+    first read, so an untaped forward never builds it.
 
     The index also owns the slot workspace of the attention kernels: one
     buffer per role (`slot_buffer`), made on first use and reused by every
-    bucket and block, forward and backward, for as long as the graph lives.
-    "gather" holds one bucket's gathered rows, receiver or sender side, and
-    is sized by the largest bucket; "scalars" `pair_attention`'s dz and
-    alpha per slot, (2, H); "to_sender" `implicit_edge_attention`'s return
-    of each pair to its sender, (H, D + 1).  Both kernels sum their sender
-    side from these slots with one masked batched matmul per sender bucket.
-    A kernel call keeps nothing in them once it returns, so calls and
-    backwards on one index may interleave in any order.
+    bucket and block for as long as the graph lives, and made again when a
+    call asks for another row shape.  "gather" holds one tile's gathered
+    rows and is sized by the largest tile of the sides built so far;
+    "scalars" `pair_attention`'s dz and alpha per slot, (2, H); "to_sender"
+    `implicit_edge_attention`'s return of each pair to its sender, (H, D + 1).
+    Both kernels sum their sender side from these slots with one masked
+    batched matmul per sender bucket.  A kernel call keeps nothing in them
+    once it returns, so calls and backwards on one index may interleave in
+    any order.
     """
 
     def __init__(self, recv: np.ndarray, send: np.ndarray, n: int):
@@ -730,21 +734,29 @@ class PairIndex:
                                          slice(lo, lo + valid.size)).tiles()
             lo += valid.size
         self.n_slots = lo
-        self.send_buckets = [tile for rows, table, m in _RowSums(send, n).buckets
-                             for tile in _Bucket(rows, np.arange(rows.size)[:, None] < m,
-                                                 recv[table], pair_slot[table]).tiles()]
-        self._gather_rows = max((b.valid.size for b in self.recv_buckets + self.send_buckets),
-                                default=0)
+        self._pairs = recv, send, pair_slot  # what `send_buckets` is built from
         self._buffers: dict[str, np.ndarray] = {}
+
+    @functools.cached_property
+    def send_buckets(self) -> list[_Bucket]:
+        """The sender side, built on its first read."""
+        recv, send, pair_slot = self._pairs
+        return [tile for rows, table, m in _RowSums(send, self.n).buckets
+                for tile in _Bucket(rows, np.arange(rows.size)[:, None] < m,
+                                    recv[table], pair_slot[table]).tiles()]
 
     def slot_buffer(self, role: str, tail: tuple, dt) -> np.ndarray:
         """The workspace buffer `role` of shape (rows, *tail): one entry per
-        slot of the largest tile for "gather", per padded slot otherwise; its
-        contents are left to the caller."""
+        slot of the largest tile built so far for "gather", per padded slot
+        otherwise; its contents are left to the caller."""
+        if role == "gather":
+            built = self.recv_buckets + self.__dict__.get("send_buckets", [])
+            rows = max((b.valid.size for b in built), default=0)
+        else:
+            rows = self.n_slots
         buf = self._buffers.get(role)
-        if buf is None or buf.shape[1:] != tail or buf.dtype != dt:
-            rows = self._gather_rows if role == "gather" else self.n_slots
-            buf = np.empty((rows,) + tail, dtype=dt)
+        if buf is None or buf.shape != (rows, *tail) or buf.dtype != dt:
+            buf = np.empty((rows, *tail), dtype=dt)
             self._buffers[role] = buf
         return buf
 
@@ -832,6 +844,8 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
     result = Tensor(out.reshape(n, d))
 
     def bwd(g):
+        send_buckets = index.send_buckets  # built on the first backward
+        gather = index.slot_buffer("gather", (heads, D), dt)
         gh = _by_head(g, heads)
         dq = np.zeros((n, heads, D), dtype=dt)
         # per padded slot, dz (for k) in row 0 and alpha (for v) in row 1; k
@@ -849,7 +863,7 @@ def pair_attention(q: Tensor, k: Tensor, v: Tensor, index: PairIndex, heads: int
         # fresh dk and dv: accumulate_grad keeps the first gradient as it arrives
         roles = [(row, x, t, np.zeros((n, heads, D), dtype=dt))
                  for row, (x, t) in enumerate(((qh, k), (gh, v))) if t.requires_grad]
-        for b in index.send_buckets:  # b.other: the receivers
+        for b in send_buckets:  # b.other: the receivers
             # (R, 2, H, 1, K); padding repeats a valid pair, so it is zeroed
             coef = np.where(b.valid[:, None, None, None],
                             b.slots(scalars).transpose(0, 2, 3, 1)[:, :, :, None], dt.type(0))
@@ -888,10 +902,15 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     per pair (q . s, r_c . s_c, the aggregate), plus the scalar products per
     pair and head (2 for sigma^2, 2 for the logit, 1 for alpha / sigma).
 
-    The backward's pass over the receiver buckets gives dq and dr, and writes
-    each slot's return to its sender, an (H, D + 1) row, with one matmul per
-    bucket; a pass over the sender buckets gathers those rows and sums each
-    sender's with one batched matmul per bucket against its validity mask.
+    The forward gathers each tile's sender rows [s_c,j, |s_c,j|^2, 1] and
+    multiplies them by the receiver rows [q'_i, 0, q'_i . r_c,i] and
+    [2 r_c,i, 1, |r_c,i|^2] / D, q' = q / sqrt(D): one matmul per tile gives
+    each pair's logit before its 1 / sigma and its sigma^2, and the
+    aggregate's last column sum_j alpha_ij / sigma_ij.  The backward's pass
+    over the receiver buckets gives dq and dr, and writes each slot's return
+    to its sender, an (H, D + 1) row, with one matmul per bucket; a pass
+    over the sender buckets gathers those rows and sums each sender's with
+    one batched matmul per bucket against its validity mask.
     """
     D = _head_width("implicit_edge_attention", index, heads, q, r, s)
     n, d = s.data.shape
@@ -900,36 +919,42 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
     qh = _by_head(q.data, heads) * inv_root  # q' = q / sqrt(D)
     rc = _centred(_by_head(r.data, heads))
     sc = _centred(_by_head(s.data, heads))
-    rr = np.einsum("nhd,nhd->nh", rc, rc)
-    ss = np.einsum("nhd,nhd->nh", sc, sc)
-    qr = np.einsum("nhd,nhd->nh", qh, rc)
-    q_rc = np.stack([qh, rc], axis=2)  # (N', H, 2, D)
-    # (H, D + 1) rows: wide enough for the backward's sender pass as well
-    gather = index.slot_buffer("gather", (heads, D + 1), dt)
+    senders = np.empty((n, heads, D + 2), dtype=dt)  # [s_c, |s_c|^2, 1]
+    senders[..., :D] = sc
+    np.einsum("nhd,nhd->nh", sc, sc, out=senders[..., D])
+    senders[..., D + 1] = 1
+    # [q', 0, q' . r_c] for the logit and [2 r_c, 1, |r_c|^2] / D for sigma^2
+    receivers = np.empty((n, heads, 2, D + 2), dtype=dt)
+    receivers[:, :, 0, :D] = qh
+    receivers[:, :, 0, D] = 0
+    np.einsum("nhd,nhd->nh", qh, rc, out=receivers[:, :, 0, D + 1])
+    receivers[:, :, 1, :D] = rc * dt.type(2.0)
+    receivers[:, :, 1, D] = 1
+    np.einsum("nhd,nhd->nh", rc, rc, out=receivers[:, :, 1, D + 1])
+    receivers[:, :, 1] *= dt.type(1.0 / D)
+    gather = index.slot_buffer("gather", (heads, D + 2), dt)
     out = np.zeros((n, heads, D), dtype=dt)
     saved = []
     for b in index.recv_buckets:  # b.other: the senders
-        S = _gather(gather, sc, b.other)  # (R, H, K, D)
-        # (R, H, 2, K): q'_i . s_c,j becomes the logit z, r_c,i . s_c,j sigma
-        dots = np.matmul(q_rc[b.rows], S.transpose(0, 1, 3, 2))
+        S = _gather(gather, senders, b.other)  # (R, H, K, D + 2)
+        # (R, H, 2, K): the logit z before its 1 / sigma, and sigma^2
+        dots = np.matmul(receivers[b.rows], S.transpose(0, 1, 3, 2))
         z, sigma = dots[:, :, 0], dots[:, :, 1]
-        sigma *= dt.type(2.0)
-        sigma += rr[b.rows][:, :, None]
-        sigma += ss.take(b.other, axis=0).transpose(0, 2, 1)  # faster than ss[b.other]
-        sigma *= dt.type(1.0 / D)
         keep = sigma > SIGMA_FLOOR
         np.sqrt(np.maximum(sigma, dt.type(SIGMA_FLOOR), out=sigma), out=sigma)
-        z += qr[b.rows][:, :, None]
         z /= sigma
         alpha = _slot_softmax(z, b.valid)
         w = alpha / sigma
+        # (R, H, D + 2): sum_j w_ij s_c,j in columns :D, sum_j w_ij in the last
         agg = np.matmul(w[:, :, None], S)[:, :, 0]
-        agg += rc[b.rows] * w.sum(axis=2)[..., None]
-        out[b.rows] = agg
+        out[b.rows] = agg[..., :D] + rc[b.rows] * agg[..., D + 1:]
         saved.append((dots, alpha, keep))
     result = Tensor(out.reshape(n, d))
 
     def bwd(g):
+        send_buckets = index.send_buckets  # built on the first backward
+        # (H, D + 1) rows: the sender pass gathers to-sender rows into them
+        gather = index.slot_buffer("gather", (heads, D + 1), dt)
         gh = _by_head(g, heads)
         g_rc = np.einsum("nhd,nhd->nh", gh, rc)
         # what each pair sends back to its sender: w g_i + t q'_i + 2u r_c,i
@@ -981,7 +1006,7 @@ def implicit_edge_attention(q: Tensor, r: Tensor, s: Tensor, index: PairIndex,
             sums = np.zeros((n, heads * (D + 1)), dtype=dt)
             # the gather buffer holds the largest bucket of either side
             flat = gather.reshape(len(gather), heads * (D + 1))
-            for b in index.send_buckets:
+            for b in send_buckets:
                 # padding repeats a valid pair, so the (R, 1, K) validity mask sums it out
                 rows_at = flat[:b.valid.size].reshape(*b.valid.shape, -1)
                 np.take(sent, b.at, axis=0, out=rows_at, mode="clip")

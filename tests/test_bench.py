@@ -116,6 +116,7 @@ class TestTiming:
         prof = time_iteration(prof_cfg, 12, 30, trials=5, warmup=1)
         assert prof.analytic_macs == prof.measured_macs
         assert prof.wall_ms_median > 0 and prof.wall_ms_iqr >= 0
+        assert prof.fwd_ms_median > 0  # of an untaped forward
         assert prof.phase_macs == measure_macs(prof_cfg, 12, 30)
         assert prof.backbone == "tie" and prof.n == 12 and prof.e == 30
         recv, send = synthesize_pairs(12, 30, seed=0)

@@ -655,8 +655,8 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "WARNING" not in captured.out  # analytic == measured everywhere
         lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == ("backbone,n,e,macs,wall_ms_median,wall_ms_iqr,minor_faults,"
-                            "peak_alloc_mb,slots_per_pair")
+        assert lines[0] == ("backbone,n,e,macs,wall_ms_median,wall_ms_iqr,fwd_ms_median,"
+                            "minor_faults,peak_alloc_mb,slots_per_pair")
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
 
     def test_bench_csv_reports_minor_faults(self, tmp_path, capsys):

@@ -638,7 +638,8 @@ class TestSlotWorkspace:
 
     def test_implicit_edge_buffers_hold_gather_and_to_sender_rows_only(self):
         # the sender pass gathers each bucket into the gather rows, one tile
-        # in size, so a second slot-sized buffer would fail this bound
+        # in size, so a second slot-sized buffer would fail this bound; the
+        # backward remakes the forward's (H, D + 2) gather rows as (H, D + 1)
         n, d, heads = 512, 128, 4
         recv, send = synthesize_pairs(n, 8000, seed=0)
         index = T.PairIndex(recv, send, n)
@@ -648,6 +649,58 @@ class TestSlotWorkspace:
         tape.entries[-1].backward_fn(rng.standard_normal((n, d)).astype(np.float32))
         held = sum(buf.nbytes for buf in index._buffers.values())
         assert held <= (T.TILE_SLOTS + index.n_slots) * (d + heads) * 4
+
+
+class TestLazySenderSide:
+    """Only the kernels' backwards read a PairIndex's sender side, so it is
+    built on first read: an untaped forward never builds it, and when it is
+    built changes no bit."""
+
+    @pytest.mark.parametrize("backbone,normalized", [("tie", True), ("tie", False),
+                                                     ("vanilla", True)],
+                             ids=["tie-normalized", "tie-plain", "vanilla"])
+    @pytest.mark.parametrize("n_abstract", [0, 2])
+    def test_untaped_forward_leaves_the_sender_side_unbuilt(self, monkeypatch, backbone,
+                                                            normalized, n_abstract):
+        built = []
+
+        class Recorded(T.PairIndex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(T, "PairIndex", Recorded)
+        cfg = ModelConfig(backbone=backbone, d_in=5, d=8, heads=2, blocks=2, mlp_hidden=8,
+                          n_abstract=n_abstract, normalized_attention=normalized,
+                          precision="f64")
+        model = build_model(cfg, seed=58)
+        n = 30
+        recv, send = synthesize_pairs(n, 200, seed=59)
+        x = np.random.default_rng(60).standard_normal((n, 5))
+        ids = np.arange(n) % 2 if n_abstract else None
+        model.forward(x, recv, send, ids)
+        assert len(built) == 1 and "send_buckets" not in vars(built[0])
+        with Tape() as tape:
+            T.backward(T.reduce_sum(T.square(model.forward(x, recv, send, ids))), tape)
+        assert len(built) == 2 and "send_buckets" in vars(built[1])
+
+    @pytest.mark.parametrize("kernel", [T.implicit_edge_attention, T.pair_attention])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_fresh_index_equals_one_whose_sender_side_was_read_first(self, kernel, precision):
+        dt = T.DTYPES[precision]
+        recv, send = _box_splash_pairs()
+        found = []
+        for read_first in (False, True):
+            index = T.PairIndex(recv, send, 1024)
+            if read_first:
+                assert index.send_buckets
+            rng = np.random.default_rng(61)
+            inputs = _kernel_inputs(rng, 1024, 32, dt)
+            tape, out = _run_kernel(kernel, inputs, index, 4)
+            tape.entries[-1].backward_fn(rng.standard_normal((1024, 32)).astype(dt))
+            found.append([out.data] + [t.grad for t in inputs])
+        for a, b in zip(*found):
+            assert a.dtype == dt and np.array_equal(a, b)
 
 
 class TestRowTiles:
@@ -665,6 +718,8 @@ class TestRowTiles:
             (recv, send), n, d = _box_splash_pairs(), 1024, 64
 
         def run():
+            # the backwards build the sender side, so under the TILE_SLOTS
+            # in force when run() is called, as the receiver side
             index = T.PairIndex(recv, send, n)
             found = []
             for kernel in (T.pair_attention, T.implicit_edge_attention):
