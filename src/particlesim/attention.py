@@ -28,15 +28,14 @@ from .particles import InputError, sample_rows
 
 
 def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.ndarray,
-                          n: int, n_abstract: int, bidirectional: bool = True,
-                          samples: int = 1):
+                          n: int, n_abstract: int, samples: int = 1):
     """Extend a pair list with abstract-particle connectivity.
 
     The n rows are `samples` equal blocks (one per sample of a batch), and
     each block has its own n_abstract abstract rows, all placed after the n
-    rows: row r of material k receives from and (if bidirectional) sends to
-    abstract row n + n_abstract * (r // (n / samples)) + k.  No abstract pair
-    connects two abstract rows or two samples.  The abstract pairs follow
+    rows: row r of material k receives from and sends to abstract row
+    n + n_abstract * (r // (n / samples)) + k.  No abstract pair connects
+    two abstract rows or two samples.  The abstract pairs follow
     the given ones, unsorted: an abstract row's senders ascend, and a
     particle's abstract row is above all n, so a list sorted by (receiver,
     sender) keeps the `tensor.PairIndex` slot layout of its sorted form.
@@ -52,11 +51,7 @@ def attach_abstract_pairs(recv: np.ndarray, send: np.ndarray, material_ids: np.n
         raise InputError(f"material id out of range [0, {n_abstract})")
     members = np.arange(n, dtype=np.int64)
     owner = n + n_abstract * (members // sample_rows(n, samples)) + material_ids
-    extra_r, extra_s = [owner], [members]
-    if bidirectional:
-        extra_r.append(members)
-        extra_s.append(owner)
-    return np.concatenate([recv] + extra_r), np.concatenate([send] + extra_s)
+    return np.concatenate([recv, owner, members]), np.concatenate([send, members, owner])
 
 
 class _AttentionBase:

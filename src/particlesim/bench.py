@@ -35,10 +35,6 @@ class CostProfile:
     backbone: str
     n: int
     e: int
-    n_abstract: int
-    d: int
-    blocks: int
-    heads: int
     analytic_macs: int
     measured_macs: int
     phase_macs: dict = field(default_factory=dict)
@@ -179,9 +175,8 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
         index = T.PairIndex(recv, send, n)
         slots_per_pair = index.n_slots / max(index.e, 1)
     return CostProfile(
-        backbone=cfg.backbone, n=n, e=e, n_abstract=cfg.n_abstract, d=cfg.d,
-        blocks=cfg.blocks, heads=cfg.heads,
-        analytic_macs=count_macs(cfg, n, e)["total"], measured_macs=phases["total"],
+        backbone=cfg.backbone, n=n, e=e, analytic_macs=count_macs(cfg, n, e)["total"],
+        measured_macs=phases["total"],
         phase_macs=phases, wall_ms_median=float(median), wall_ms_iqr=float(q3 - q1),
         fwd_ms_median=float(np.median(fwd_times)),
         minor_faults=int(np.median(faults)), peak_alloc_mb=peak_alloc / 2**20,

@@ -133,22 +133,30 @@ def _parse_override(text: str):
     return parts[0], parts[1], value
 
 
+def _read_config(path) -> dict:
+    """The config in JSON file `path`; BadConfig naming the file unless it
+    holds a JSON object of objects."""
+    with open(path) as f:
+        try:
+            config = json.load(f)
+        except json.JSONDecodeError as e:
+            raise BadConfig(f"malformed config {path}: {e}") from e
+    if not isinstance(config, dict):
+        raise BadConfig(f"config {path} is not a JSON object")
+    for section, body in config.items():
+        if not isinstance(body, dict):
+            raise BadConfig(f"config {path}: section {section!r} is not an object")
+    return config
+
+
 def load_config(args) -> dict:
     """Defaults, then --config, then --set, then train's dedicated flags."""
     config = DEFAULT_CONFIG
     if args.config:
         try:
-            with open(args.config) as f:
-                user = json.load(f)
+            user = _read_config(args.config)
         except FileNotFoundError as e:
             raise BadConfig(f"config file not found: {args.config}") from e
-        except json.JSONDecodeError as e:
-            raise BadConfig(f"malformed config {args.config}: {e}") from e
-        if not isinstance(user, dict):
-            raise BadConfig(f"config {args.config} is not a JSON object")
-        for section, body in user.items():
-            if not isinstance(body, dict):
-                raise BadConfig(f"config {args.config}: section {section!r} is not an object")
         config = _deep_merge(config, user)
     for text in args.set or []:
         section, key, value = _parse_override(text)
@@ -237,8 +245,7 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(model_dir, ds: RolloutDataset):
-    with open(os.path.join(model_dir, "config.json")) as f:
-        config = json.load(f)
+    config = _read_config(os.path.join(model_dir, "config.json"))
     _validate(config)
     model_cfg = _model_config(config["model"], ds)
     model = build_model(model_cfg, seed=int(config["train"].get("seed", 0)))

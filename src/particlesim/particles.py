@@ -40,7 +40,6 @@ class SystemState:
 class NeighborGraph:
     receivers: np.ndarray  # (E,) int64
     senders: np.ndarray  # (E,) int64
-    radius: float
 
     @property
     def n_pairs(self) -> int:
@@ -153,7 +152,7 @@ def cell_list_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGr
     # receiver i's pairs are the keys in [i * n, (i + 1) * n)
     degrees = np.diff(np.searchsorted(pair_keys, np.arange(n + 1) * n))
     recv = np.repeat(np.arange(n), degrees)
-    return NeighborGraph(recv, pair_keys - recv * n, radius)
+    return NeighborGraph(recv, pair_keys - recv * n)
 
 
 def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> NeighborGraph:
@@ -166,7 +165,7 @@ def brute_force_neighbor_graph(positions: np.ndarray, radius: float) -> Neighbor
     mask = dist2 < radius * radius
     np.fill_diagonal(mask, False)
     recv, send = np.nonzero(mask)
-    return NeighborGraph(recv.astype(np.int64), send.astype(np.int64), radius)
+    return NeighborGraph(recv.astype(np.int64), send.astype(np.int64))
 
 
 def integrate_positions(p: np.ndarray, q_hat: np.ndarray, dt: float) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Oracle suites: implicit-edge exactness, sigma recovery, the fused
-implicit-edge and pair attention kernels against their composed forms,
-gradient checks against central finite differences, and neighbor-graph
-equivalence.
+"""Oracle suites: implicit-edge exactness, sigma recovery through
+`tensor.implicit_edge_attention`, the fused implicit-edge and pair attention
+kernels against their composed forms, gradient checks against central
+finite differences, and neighbor-graph equivalence.
 
 Each check returns its worst-case error so callers can assert their own
 tolerances; the CLI `verify` subcommand prints one pass/fail line per suite.
@@ -76,30 +76,21 @@ def run_implicit_edge_suite(n_configs: int = 100, seed: int = 0) -> float:
     return worst
 
 
-def sigma_recovered(r: np.ndarray, s: np.ndarray) -> float:
-    """Pair standard deviation recovered from per-token statistics.
-
-    Uses the centred form of `tensor.implicit_edge_attention`,
-    (|r_c|^2 + |s_c|^2 + 2 r_c . s_c) / d, in the precision of the tokens.
-    The raw-moment form E[r^2] + E[s^2] + 2 E[rs] - (mu_r + mu_s)^2 cancels
-    catastrophically in f32 once the token means are large against sigma.
-    """
-    d = r.shape[0]
-    rc = r - r.mean()
-    sc = s - s.mean()
-    var = (rc @ rc + sc @ sc + 2.0 * (rc @ sc)) / d
-    return float(np.sqrt(max(var, 0.0)))
-
-
 def run_sigma_recovery_suite(n_samples: int = 1000, dims=(2, 8, 64), seed: int = 0) -> float:
+    """Worst relative error of the sigma that `tensor.implicit_edge_attention`
+    recovers from per-token statistics, against the std of r + s, over random
+    r and s in f64.  With one head and the one pair (0, 0), the output is
+    (r_c + s_c) / sigma, so sigma = std(r + s) / RMS(out)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n_samples):
         d = int(dims[i % len(dims)])
-        r = rng.standard_normal(d)
-        s = rng.standard_normal(d)
+        r = rng.standard_normal((1, d))
+        s = rng.standard_normal((1, d))
+        out = T.implicit_edge_attention(Tensor(np.zeros((1, d))), Tensor(r), Tensor(s),
+                                        T.PairIndex([0], [0], 1), 1).data
         direct = float(np.std(r + s))
-        rec = sigma_recovered(r, s)
+        rec = direct / float(np.sqrt(np.mean(out * out)))
         worst = max(worst, abs(rec - direct) / max(direct, 1e-300))
     return worst
 
@@ -148,21 +139,26 @@ def composed_pair_attention(q: Tensor, k: Tensor, v: Tensor, recv: np.ndarray,
     return T.concat(outs, axis=1)
 
 
-def _attention_case_pairs(n: int, n_abstract: int, bidirectional: bool, seed: int):
+def _attention_case_pairs(n: int, abstract: str, seed: int):
     """A pair list with a receiver without pairs (particle 0 unless abstract
     pairs reach it, else abstract row n + 1), receivers with a single pair,
-    and the pairs (2, 3) and (3, 2) between the rows made constant below."""
+    and the pairs (2, 3) and (3, 2) between the rows made constant below.
+    `abstract` adds two abstract rows: "none" adds none, "both ways" the
+    models' pairs, "one way" only the pairs that send to an abstract row."""
     recv, send = synthesize_pairs(n, 3 * n, seed)
     pairs = {(i, j) for i, j in zip(recv.tolist(), send.tolist()) if i not in (0, 1)}
     pairs |= {(1, 4), (2, 3), (3, 2)}
     recv, send = (np.array(c, dtype=np.int64) for c in zip(*sorted(pairs)))
-    if n_abstract == 0:
+    if abstract == "none":
         return recv, send, n
-    # bidirectional: every particle is of material 0, so abstract row n + 1
-    # has no pairs and particle 0 hears only its abstract row
-    ids = np.zeros(n, dtype=np.int64) if bidirectional else np.arange(n) % n_abstract
-    recv, send = attach_abstract_pairs(recv, send, ids, n, n_abstract, bidirectional)
-    return recv, send, n + n_abstract
+    if abstract == "both ways":
+        # every particle is of material 0, so abstract row n + 1 has no
+        # pairs and particle 0 hears only its abstract row
+        recv, send = attach_abstract_pairs(recv, send, np.zeros(n, dtype=np.int64), n, 2)
+    else:  # abstract row n + i % 2 hears particle i
+        members = np.arange(n, dtype=np.int64)
+        recv, send = np.concatenate([recv, n + members % 2]), np.concatenate([send, members])
+    return recv, send, n + 2
 
 
 def padded_sender_pairs(n: int = 40, seed: int = 0):
@@ -227,11 +223,11 @@ def attention_deviation(kernel: str, pairs, heads: int = 2, d: int = 8,
 
 def run_attention_suite(kernels, seed: int = 0) -> float:
     """Worst `attention_deviation` of `kernels` over no abstract rows,
-    bidirectional and unidirectional abstract pairs, padded sender tables
+    abstract pairs both ways and one way, padded sender tables
     (up to 40 and 80 wide), a sender table wider than the slot space, widths
     cut into row tiles and rows wider than a tile, and 1 and 2 heads."""
-    cases = [_attention_case_pairs(9, n_abstract, bidirectional, seed + i)
-             for i, (n_abstract, bidirectional) in enumerate([(0, True), (2, True), (2, False)])]
+    cases = [_attention_case_pairs(9, abstract, seed + i)
+             for i, abstract in enumerate(["none", "both ways", "one way"])]
     cases.append(padded_sender_pairs(seed=seed))
     cases.append(padded_sender_pairs(n=80, seed=seed))
     # three receivers of one pair each take 3 slots; their sender's table pads to 4

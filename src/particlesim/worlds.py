@@ -103,13 +103,6 @@ class WorldSpec:
         return np.repeat(np.arange(self.k), self.counts).astype(np.int64)
 
 
-@dataclass
-class StepDiag:
-    gravity_impulse: np.ndarray
-    wall_impulse: np.ndarray
-    spring_force_sum: np.ndarray
-
-
 def _kinematic_mask(spec: WorldSpec) -> np.ndarray:
     ids = spec.material_ids()
     if spec.kind == "grip_block":
@@ -155,7 +148,7 @@ def _wall_velocity(spec: WorldSpec, step: int) -> float:
     return spec.wall_amplitude * np.pi / spec.wall_period * np.sin(2.0 * np.pi * t / spec.wall_period)
 
 
-def step_oracle(spec: WorldSpec, state: SystemState, return_diag: bool = False):
+def step_oracle(spec: WorldSpec, state: SystemState) -> SystemState:
     """One semi-implicit Euler step of the reference world (unit masses)."""
     if state.n != spec.n:
         raise InputError(f"state has {state.n} particles, spec expects {spec.n}")
@@ -165,11 +158,7 @@ def step_oracle(spec: WorldSpec, state: SystemState, return_diag: bool = False):
     kin = _kinematic_mask(spec)
     g = np.asarray(spec.gravity)
 
-    f = _spring_forces(spec, p, v, ids)
-    spring_sum = f.sum(axis=0)
-
-    v_new = v + spec.dt * (f + g)
-    gravity_impulse = spec.dt * g * (~kin).sum()
+    v_new = v + spec.dt * (_spring_forces(spec, p, v, ids) + g)
 
     if spec.kind == "grip_block":
         # plates move inward along x, then reverse
@@ -178,7 +167,6 @@ def step_oracle(spec: WorldSpec, state: SystemState, return_diag: bool = False):
         v_new[kin] = 0.0
         v_new[kin, 0] = direction * spec.plate_speed * sides[kin]
 
-    v_before_walls = v_new.copy()
     if spec.kind in ("box_splash", "box_wash", "grip_block"):
         lo = np.asarray(spec.box_lo, dtype=np.float64).copy()
         hi = np.asarray(spec.box_hi, dtype=np.float64)
@@ -199,7 +187,6 @@ def step_oracle(spec: WorldSpec, state: SystemState, return_diag: bool = False):
         floor = spec.box_lo[1]
         hit = (p_pred[:, 1] < floor) & (v_new[:, 1] < 0)
         v_new[hit, 1] = -spec.restitution * v_new[hit, 1]
-    wall_impulse = (v_new - v_before_walls).sum(axis=0)
 
     p_new = p + spec.dt * v_new
 
@@ -209,10 +196,7 @@ def step_oracle(spec: WorldSpec, state: SystemState, return_diag: bool = False):
     if not np.isfinite(p_new).all() or not np.isfinite(v_new).all():
         raise BlowUpError(f"non-finite state at step {state.time_step}")
 
-    new_state = SystemState(p_new, v_new, state.attributes, ids, state.time_step + 1)
-    if return_diag:
-        return new_state, StepDiag(gravity_impulse, wall_impulse, spring_sum)
-    return new_state
+    return SystemState(p_new, v_new, state.attributes, ids, state.time_step + 1)
 
 
 def _lattice(count: int, spacing: float, center: np.ndarray, rng) -> np.ndarray:
@@ -406,6 +390,9 @@ def read_dataset(path) -> RolloutDataset:
     if ids.shape != (spec.n,):
         raise MetadataError(f"dataset {path}: {ids.size} material_ids for the {spec.n} "
                             f"particles of its world_spec")
+    if ids.min() < 0 or ids.max() >= spec.k:
+        raise MetadataError(f"dataset {path}: material_ids {ids.min()}..{ids.max()} fall "
+                            f"outside the {spec.k} materials [0, {spec.k}) of its world_spec")
     ds = RolloutDataset(meta["name"], spec, n_frames, ids)
     for split in ("train", "valid"):
         for i in range(counts[split]):

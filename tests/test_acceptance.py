@@ -135,7 +135,7 @@ def test_8_abstract_particle_contract():
     without the machinery."""
     ids = np.array([0, 0, 1, 1])
     recv, send = attach_abstract_pairs(np.empty(0, np.int64), np.empty(0, np.int64),
-                                       ids, 4, 2, bidirectional=True)
+                                       ids, 4, 2)
     got = set(zip(recv.tolist(), send.tolist()))
     expected = {(4, 0), (4, 1), (0, 4), (1, 4), (5, 2), (5, 3), (2, 5), (3, 5)}
     print(f"\n[8] abstract pair set: {sorted(got)}")

@@ -310,16 +310,20 @@ class TestExitCodes:
         assert code == 5
         assert "counts" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [lambda ids: ids[:2], lambda ids: ["a"] * len(ids)],
-                             ids=["short", "not ints"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("edit", [lambda ids, k: ids[:2], lambda ids, k: ["a"] * len(ids),
+                                      lambda ids, k: ids[:-1] + [k],
+                                      lambda ids, k: ids[:-1] + [-1]],
+                             ids=["short", "not ints", "k", "-1"])
     def test_bad_material_ids_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir,
-                                                     edit):
+                                                     edit, command):
         bad = tmp_path / "bad"
         shutil.copytree(pipeline_dir / "data" / "dataset", bad)
         meta = json.loads((bad / "meta.json").read_text())
-        meta["material_ids"] = edit(meta["material_ids"])
+        meta["material_ids"] = edit(meta["material_ids"], meta["k"])
         (bad / "meta.json").write_text(json.dumps(meta))
-        code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
+        argv = {"train": SMALL_TRAIN, "eval": ["--model-dir", str(pipeline_dir / "model")]}
+        code = main([command, "--out", str(tmp_path / "m"), "--data", str(bad)] + argv[command])
         assert code == 5
         err = capsys.readouterr().err
         assert "material_ids" in err and str(bad) in err
@@ -391,6 +395,25 @@ class TestExitCodes:
                          "--model-dir", str(model)])
             assert code == 2
             assert "zzz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda config: "[1, 2]", "is not a JSON object"),
+        (lambda config: json.dumps({**config, "train": []}), "section 'train' is not an object"),
+        (lambda config: '{"model": ', "malformed config"),
+    ], ids=["list", "train section", "not json"])
+    def test_saved_model_config_that_is_not_an_object_is_bad_args(
+            self, tmp_path, capsys, pipeline_dir, command, edit, named):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        config = json.loads((model / "config.json").read_text())
+        (model / "config.json").write_text(edit(config))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--model-dir", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert str(model / "config.json") in err and named in err
+        assert not out.exists()
 
     def test_unknown_config_key_is_bad_args(self, capsys):
         assert main(["gen-data", "--out", "x", "--set", "model.zzz=1"]) == 2

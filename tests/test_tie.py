@@ -14,7 +14,6 @@ from particlesim import worlds
 from particlesim.particles import InputError, build_neighbor_graph
 from particlesim.bench import synthesize_pairs
 from particlesim import verify as V
-from particlesim.verify import sigma_recovered
 
 
 def relu(x):
@@ -108,15 +107,9 @@ class TestAbstractPairs:
     def test_enumeration_two_materials(self):
         ids = np.array([0, 0, 1, 1])
         recv, send = attach_abstract_pairs(np.empty(0, np.int64), np.empty(0, np.int64),
-                                           ids, 4, 2, bidirectional=True)
+                                           ids, 4, 2)
         got = set(zip(recv.tolist(), send.tolist()))
         assert got == {(4, 0), (4, 1), (0, 4), (1, 4), (5, 2), (5, 3), (2, 5), (3, 5)}
-
-    def test_unidirectional(self):
-        ids = np.array([0, 1])
-        recv, send = attach_abstract_pairs(np.empty(0, np.int64), np.empty(0, np.int64),
-                                           ids, 2, 2, bidirectional=False)
-        assert set(zip(recv.tolist(), send.tolist())) == {(2, 0), (3, 1)}
 
     @pytest.mark.parametrize("samples", [1, 4])
     def test_unsorted_pairs_keep_the_slot_layout_of_their_sorted_form(self, samples):
@@ -233,34 +226,40 @@ class TestImplicitEdgeIdentity:
 
 
 class TestNormalizedAttention:
+    @staticmethod
+    def self_pair_output(r, s):
+        """The one-head kernel's output when each row i has the one pair
+        (i, i): (r_c,i + s_c,i) / sigma_i."""
+        n = r.shape[0]
+        return T.implicit_edge_attention(
+            T.Tensor(np.zeros_like(r)), T.Tensor(r), T.Tensor(s),
+            T.PairIndex(np.arange(n), np.arange(n), n), 1).data
+
     def test_sigma_example_d2(self):
-        assert sigma_recovered(np.array([1.0, -1.0]), np.array([2.0, 0.0])) == pytest.approx(2.0)
+        # r_c = s_c = (1, -1): sigma^2 = (2 + 2 + 2 * 2) / 2
+        out = self.self_pair_output(np.array([[1.0, -1.0]]), np.array([[2.0, 0.0]]))
+        assert out.tolist() == [[1.0, -1.0]]
 
     def test_sigma_matches_direct_std(self):
+        # sigma_i = std(r_i + s_i) / RMS(out_i) recovers the kernel's sigma
         rng = np.random.default_rng(12)
         for d in (2, 8, 64):
-            r, s = rng.standard_normal(d), rng.standard_normal(d)
-            assert sigma_recovered(r, s) == pytest.approx(np.std(r + s), rel=1e-12)
+            r, s = rng.standard_normal((16, d)), rng.standard_normal((16, d))
+            out = self.self_pair_output(r, s)
+            direct = np.std(r + s, axis=1)
+            rms = np.sqrt((out ** 2).mean(axis=1))
+            assert np.allclose(direct / rms, direct, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("d_head", [8, 16, 64])
     @pytest.mark.parametrize("offset", [1.0, 100.0, 1000.0])
-    def test_sigma_f32_large_means(self, offset):
-        # |mu| / sigma = offset; the raw-moment form is 13% off at 1000 in f32.
-        # (d = 2 is left out: there r_c = -s_c happens often enough that any
-        # recovery from per-token statistics cancels, whatever the means.)
-        rng = np.random.default_rng(int(offset))
-        for d in (8, 16, 64):
-            for _ in range(100):
-                r = (offset * rng.choice([-1, 1]) + rng.standard_normal(d)).astype(np.float32)
-                s = (offset * rng.choice([-1, 1]) + rng.standard_normal(d)).astype(np.float32)
-                direct = np.std(r.astype(np.float64) + s.astype(np.float64))
-                assert abs(sigma_recovered(r, s) - direct) <= 1e-5 * direct
-
-    @pytest.mark.parametrize("offset", [1.0, 100.0, 1000.0])
-    def test_fused_sigma_f32_large_means(self, offset):
+    def test_fused_sigma_f32_large_means(self, offset, d_head):
         # one pair per receiver: each head of the output is (r_c + s_c) / sigma,
-        # whose RMS is 1 when sigma is the std of the values it divides
+        # whose RMS is 1 when sigma is the std of the values it divides;
+        # |mu| / sigma = offset, where the raw-moment form of sigma^2,
+        # E[r^2] + E[s^2] + 2 E[rs] - (mu_r + mu_s)^2, is 13% off at 1000 in f32
         rng = np.random.default_rng(int(offset) + 1)
-        n, d, heads = 64, 16, 2
+        n, heads = 64, 2
+        d = heads * d_head
         r, s = (offset + rng.standard_normal((n, d)) for _ in range(2))
         r, s = r.astype(np.float32), s.astype(np.float32)
         send = np.roll(np.arange(n), 1)
@@ -289,7 +288,7 @@ class TestNormalizedAttention:
 
 class TestFusedAttention:
     def test_matches_composed_oracle(self):
-        # n_abstract in {0, 2}, unidirectional abstract pairs, a receiver
+        # n_abstract in {0, 2}, one-way abstract pairs, a receiver
         # without pairs, single-neighbour rows, constant tokens at the floor,
         # padded sender tables, a sender table wider than the slot space and
         # widths cut into row tiles; pair attention with distinct k and v,
@@ -447,8 +446,7 @@ class TestPairIndex:
         n = 30
         recv, send = synthesize_pairs(n, 200, seed=46)
         if abstract:
-            recv, send = attach_abstract_pairs(recv, send, np.zeros(n, np.int64), n, 1,
-                                               bidirectional=True)
+            recv, send = attach_abstract_pairs(recv, send, np.zeros(n, np.int64), n, 1)
             n += 1
         if permuted:
             perm = np.random.default_rng(46).permutation(recv.size)
@@ -483,7 +481,7 @@ class TestPairIndex:
         n = 1024
         base_recv, base_send = synthesize_pairs(n, 8 * n, seed=45)
         recv, send = attach_abstract_pairs(base_recv, base_send, np.zeros(n, np.int64),
-                                           n, 1, bidirectional=True)
+                                           n, 1)
         index = T.PairIndex(recv, send, n + 1)
         e = recv.size
         assert np.bincount(recv)[n] == n  # the abstract row hears every particle
