@@ -245,8 +245,12 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(model_dir, ds: RolloutDataset):
-    config = _read_config(os.path.join(model_dir, "config.json"))
+    path = os.path.join(model_dir, "config.json")
+    config = _read_config(path)
     _validate(config)
+    for section in ("model", "train"):
+        if section not in config:
+            raise BadConfig(f"config {path} has no {section!r} section")
     model_cfg = _model_config(config["model"], ds)
     model = build_model(model_cfg, seed=int(config["train"].get("seed", 0)))
     params = T.load_checkpoint(os.path.join(model_dir, "final.manifest.json"),

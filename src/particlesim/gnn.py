@@ -49,18 +49,14 @@ class ExplicitEdgeGnn:
         with T.scope("encode_node"):
             v = self.enc_v(x)
         with T.scope("encode_edge"):
-            xi = T.gather_rows(x, recv)
-            xj = T.gather_rows(x, send)
-            e = self.enc_e([xi, xj])
+            e = self.enc_e([(x, recv), (x, send)])
         return v, e
 
     def propagate(self, v: Tensor, e: Tensor, recv: np.ndarray, send: np.ndarray,
                   layer: int) -> tuple[Tensor, Tensor]:
         n = v.data.shape[0]
         with T.scope("edge_update"):
-            vi = T.gather_rows(v, recv)
-            vj = T.gather_rows(v, send)
-            e_new = T.layer_norm(self.prop_e[layer]([vi, vj, e]),
+            e_new = T.layer_norm(self.prop_e[layer]([(v, recv), (v, send), e]),
                                  self.ln_e_gain[layer], self.ln_e_shift[layer])
         with T.scope("node_update"):
             agg = T.segment_sum(e_new, recv, n)

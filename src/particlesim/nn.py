@@ -128,7 +128,8 @@ class ParamStore:
 class Mlp:
     """Two-layer perceptron with relu, y = relu(x W1 + b1) W2 + b2, one
     `tensor.mlp` call.  x may be a list of column blocks, which face the row
-    blocks of W1 in order, so a caller need not join its inputs."""
+    blocks of W1 in order, so a caller need not join its inputs; a block may
+    be a pair (tensor, rows), the rows `rows` of the tensor."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int, d_out: int):
         self.w1 = store.weight(f"{name}.w1", (d_in, d_hidden))
@@ -136,7 +137,7 @@ class Mlp:
         self.w2 = store.weight(f"{name}.w2", (d_hidden, d_out))
         self.b2 = store.zeros(f"{name}.b2", (d_out,))
 
-    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
+    def __call__(self, x: Tensor | list) -> Tensor:
         xs = [x] if isinstance(x, Tensor) else x
         return T.mlp(xs, self.w1, self.b1, self.w2, self.b2)
 

@@ -45,9 +45,6 @@ class NeighborGraph:
     def n_pairs(self) -> int:
         return self.receivers.shape[0]
 
-    def pair_set(self) -> set:
-        return set(zip(self.receivers.tolist(), self.senders.tolist()))
-
 
 def _check_search_inputs(positions: np.ndarray, radius: float):
     if not 0 < radius < np.inf:

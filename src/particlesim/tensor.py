@@ -3,9 +3,10 @@
 The primitive set is the minimal closure needed by the simulation models:
 matrix products (also per head, over column blocks), elementwise arithmetic,
 relu, concat/slice/gather, segment reductions, masked and segmented softmax,
-layer norm, the fused two-layer perceptron `mlp` over input column blocks,
-and two fused attention kernels over a per-graph `PairIndex`: dot-product
-`pair_attention` and normalized `implicit_edge_attention`.
+layer norm, the fused two-layer perceptron `mlp` over input column blocks
+(whole tensors or rows of one), and two fused attention kernels over a
+per-graph `PairIndex`: dot-product `pair_attention` and normalized
+`implicit_edge_attention`.
 Everything is numpy-backed; two precision modes (f32, f64) are supported
 and never mixed inside one graph.
 """
@@ -84,8 +85,8 @@ class Tensor:
 
 @dataclass
 class TapeEntry:
-    out: Tensor
-    backward_fn: Callable[[np.ndarray], None]
+    out: Optional[Tensor]  # None once `backward` has passed the entry
+    backward_fn: Optional[Callable[[np.ndarray], None]]
     macs: int
     scope: str
     backward_ms: float = 0.0  # wall time of backward_fn, set by `backward`
@@ -98,6 +99,8 @@ class Tape:
     requires_grad tensor reachable from the loss.  Entries also carry a
     multiply-accumulate count tagged with the active scope label, which
     the benchmark module reads back, and the wall time of their backward.
+    A tape replays once: the replay releases each entry's output and saved
+    arrays as it passes, and keeps only the counts and times.
     """
 
     def __init__(self):
@@ -175,19 +178,24 @@ def _check_dtype(*tensors: Tensor):
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Propagate gradients from a scalar loss through the tape, freeing each
-    used gradient and timing each entry's backward."""
+    """Propagate gradients from a scalar loss through the tape, timing each
+    entry's backward and releasing, entry by entry, the used gradient, the
+    output and the backward function with the arrays it saved."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if tape.entries and tape.entries[-1].backward_fn is None:
+        raise ContractError("backward: the tape was already replayed")
     loss.grad = np.ones_like(loss.data)
     for entry in reversed(tape.entries):
-        g = entry.out.grad
-        if g is None or not entry.out.requires_grad:
+        out, backward_fn = entry.out, entry.backward_fn
+        entry.out = entry.backward_fn = None
+        g = out.grad
+        if g is None or not out.requires_grad:
             continue
         t0 = time.perf_counter()
-        entry.backward_fn(g)
+        backward_fn(g)
         entry.backward_ms = (time.perf_counter() - t0) * 1000.0
-        entry.out.grad = None
+        out.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +330,37 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def mlp(xs: list[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def mlp(xs: list, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer perceptron relu(sum_k x_k W1_k + b1) W2 + b2 over the input
     column blocks xs, W1_k the row block of w1 facing x_k, so the inputs are
-    never joined.  Only the hidden h = relu(.) is kept for the backward; its
-    relu mask is h > 0.  MACs: the two products, m * in * hid + m * hid * out."""
-    _check_dtype(*xs, w1, b1, w2, b2)
-    m = xs[0].data.shape[0]
-    offsets = np.cumsum([0] + [x.data.shape[-1] for x in xs]).tolist()
+    never joined.  A block may be a pair (tensor, rows): x_k is then those
+    rows of the tensor, gathered for its product and again in the backward,
+    so the tape keeps no copy; the row sums of their gradient add into the
+    tensor as `gather_rows` would.  Only the hidden h = relu(.) is kept for
+    the backward; its relu mask is h > 0.  MACs: the two products,
+    m * in * hid + m * hid * out."""
+    blocks = [(x, None) if isinstance(x, Tensor) else (x[0], np.asarray(x[1], dtype=np.int64))
+              for x in xs]
+    srcs = [x for x, _ in blocks]
+    _check_dtype(*srcs, w1, b1, w2, b2)
+    heights = [x.data.shape[0] if idx is None else idx.shape[0] for x, idx in blocks]
+    m = heights[0]
+    offsets = np.cumsum([0] + [x.data.shape[-1] for x in srcs]).tolist()
     (n_in, hid), n_out = w1.data.shape, w2.data.shape[-1]
-    if (any(x.data.ndim != 2 or x.data.shape[0] != m for x in xs) or offsets[-1] != n_in
-            or b1.data.shape != (hid,) or w2.data.shape != (hid, n_out)
+    if (any(x.data.ndim != 2 for x in srcs) or any(h != m for h in heights)
+            or offsets[-1] != n_in or b1.data.shape != (hid,) or w2.data.shape != (hid, n_out)
             or b2.data.shape != (n_out,)):
-        raise ShapeError(f"mlp: inputs {[x.data.shape for x in xs]} vs layers "
-                         f"{w1.data.shape} {b1.data.shape} {w2.data.shape} {b2.data.shape}")
+        raise ShapeError(f"mlp: inputs {[x.data.shape for x in srcs]} of {heights} rows vs "
+                         f"layers {w1.data.shape} {b1.data.shape} {w2.data.shape} {b2.data.shape}")
     rows_of = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-    h = xs[0].data @ w1.data[rows_of[0]]
-    for x, rows_k in zip(xs[1:], rows_of[1:]):
-        h += x.data @ w1.data[rows_k]
+
+    def block(k):
+        x, idx = blocks[k]
+        return x.data if idx is None else x.data[idx]
+
+    h = block(0) @ w1.data[rows_of[0]]
+    for k in range(1, len(blocks)):
+        h += block(k) @ w1.data[rows_of[k]]
     h += b1.data
     np.maximum(h, 0.0, out=h)
     out = Tensor(h @ w2.data)
@@ -356,14 +377,22 @@ def mlp(xs: list[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Ten
             b1.accumulate_grad(gh.sum(axis=0))
         if w1.requires_grad:
             dw1 = np.empty_like(w1.data)
-            for x, rows_k in zip(xs, rows_of):
-                np.matmul(x.data.T, gh, out=dw1[rows_k])
+            for k, rows_k in enumerate(rows_of):
+                np.matmul(block(k).T, gh, out=dw1[rows_k])
             w1.accumulate_grad(dw1)
-        for x, rows_k in zip(xs, rows_of):
+        # plain blocks in order, then row blocks in reverse: the order in which
+        # the gradients reach a tensor behind `gather_rows` entries taped
+        # before this one
+        plain = [k for k, (_, idx) in enumerate(blocks) if idx is None]
+        gathered = [k for k, (_, idx) in enumerate(blocks) if idx is not None]
+        for k in plain + gathered[::-1]:
+            x, idx = blocks[k]
             if x.requires_grad:
-                x.accumulate_grad(gh @ w1.data[rows_k].T)
+                gx = gh @ w1.data[rows_of[k]].T
+                x.accumulate_grad(gx if idx is None
+                                  else _row_sums(_RowSums(idx, x.data.shape[0]), gx))
 
-    return _record(out, (*xs, w1, b1, w2, b2), bwd, macs=m * n_in * hid + m * hid * n_out)
+    return _record(out, (*srcs, w1, b1, w2, b2), bwd, macs=m * n_in * hid + m * hid * n_out)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -1035,12 +1064,14 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     d = x.data.shape[1]
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise ShapeError(f"layer_norm gain/shift must have shape ({d},)")
-    mean = x.data.mean(axis=1, keepdims=True)
-    xm = x.data - mean
-    var = (xm * xm).mean(axis=1, keepdims=True)
+    # one (n, d) temporary besides the output: xhat overwrites x - mean
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    out = Tensor(np.square(xhat))
+    var = out.data.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
-    xhat = xm * inv
-    out = Tensor(gain.data * xhat + shift.data)
+    xhat *= inv
+    np.multiply(gain.data, xhat, out=out.data)
+    out.data += shift.data
 
     def bwd(g):
         if shift.requires_grad:

@@ -401,10 +401,3 @@ def read_dataset(path) -> RolloutDataset:
             getattr(ds, split).append(frames)
     return ds
 
-
-def spring_potential_energy(spec: WorldSpec, p: np.ndarray, ids: np.ndarray) -> float:
-    """Total pair potential of the active springs (test instrumentation)."""
-    _, _, _, dist, k = _springs(spec, p, ids)
-    stretch = dist - spec.rest_length
-    # ordered pairs double-count each spring; 1/2 k s^2 per undirected pair
-    return float(0.25 * (k * stretch * stretch).sum())

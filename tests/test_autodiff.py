@@ -79,6 +79,15 @@ class TestPrimitiveGradients:
         params = [leaf((9, 6), 43), leaf((6,), 44), leaf((6, 3), 45), leaf((3,), 46)]
         finite_diff_check(lambda a, b, c, *p: scalarize(T.mlp([a, b, c], *p)), blocks + params)
 
+    def test_mlp_over_row_blocks(self):
+        # a (4, 3) tensor read at receivers and senders with repeats, and one
+        # plain block of the pair rows
+        a, b = leaf((4, 3), 47), leaf((6, 2), 48)
+        recv, send = np.array([0, 0, 2, 3, 3, 3]), np.array([1, 2, 0, 0, 2, 1])
+        params = [leaf((8, 5), 49), leaf((5,), 50), leaf((5, 3), 51), leaf((3,), 52)]
+        finite_diff_check(lambda a, b, *p: scalarize(T.mlp([(a, recv), (a, send), b], *p)),
+                          [a, b] + params)
+
     def test_concat_rows_cols(self):
         a, b = leaf((2, 3), 7), leaf((2, 3), 8)
         finite_diff_check(lambda a, b: scalarize(T.concat([a, b], axis=1)), [a, b])

@@ -415,6 +415,22 @@ class TestExitCodes:
         assert str(model / "config.json") in err and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    @pytest.mark.parametrize("section", ["model", "train"])
+    def test_saved_model_config_without_a_section_names_it(
+            self, tmp_path, capsys, pipeline_dir, command, section):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        config = json.loads((model / "config.json").read_text())
+        del config[section]
+        (model / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--model-dir", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert str(model / "config.json") in err and f"no {section!r} section" in err
+        assert not out.exists()
+
     def test_unknown_config_key_is_bad_args(self, capsys):
         assert main(["gen-data", "--out", "x", "--set", "model.zzz=1"]) == 2
         capsys.readouterr()

@@ -90,7 +90,8 @@ class TestPracticeMode:
 
     def test_tape_entries_per_forward(self):
         # one fused MLP per encoder, edge and node update and decoder; the
-        # concat/matmul/add/relu form recorded 89 entries at this shape
+        # edge MLPs take the node rows of each pair as row blocks, so no
+        # gather_rows entry keeps an (E, d) copy until the backward
         cfg = ModelConfig(backbone="gnn", d_in=7, d=128, heads=4, blocks=4,
                           mlp_hidden=256, precision="f32")
         model = ExplicitEdgeGnn(cfg, seed=0)
@@ -98,7 +99,10 @@ class TestPracticeMode:
         x = np.random.default_rng(42).standard_normal((512, 7))
         with Tape() as tape:
             model.forward(x, recv, send)
-        assert len(tape.entries) <= 40
+        kinds = [entry.backward_fn.__qualname__.split(".")[0] for entry in tape.entries]
+        assert "gather_rows" not in kinds
+        per_block = ["mlp", "layer_norm", "segment_sum", "mlp", "layer_norm"]
+        assert kinds == ["mlp", "mlp"] + per_block * cfg.blocks + ["mlp"]
 
     def test_backbone_mismatch_rejected(self):
         with pytest.raises(ValueError):

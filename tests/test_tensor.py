@@ -207,6 +207,35 @@ class TestMlp:
         for got, want in zip(fused, composed):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_row_blocks_equal_gathered_blocks_bit_for_bit(self, precision):
+        # x is read in three row blocks, y whole and in two: the row sums
+        # reach each tensor in the order of gather_rows entries taped first
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((5, 3)), precision, requires_grad=True)
+        y = Tensor(rng.standard_normal((9, 4)), precision, requires_grad=True)
+        _, params = mlp_operands([3, 4, 3, 4, 3, 4], seed=22, precision=precision)
+        recv, send = synthesize_pairs(5, 9, 23)
+        idx = [recv, send, rng.integers(0, 5, 9), rng.permutation(9), rng.integers(0, 9, 9)]
+        upstream = Tensor(rng.standard_normal((9, 4)), precision)
+
+        def run(blocks):
+            for t in [x, y] + params:
+                t.grad = None
+            with Tape() as tape:
+                out = T.mlp(blocks(), *params)
+                T.backward(T.reduce_sum(T.mul(out, upstream)), tape)
+            return [out.data] + [t.grad for t in [x, y] + params]
+
+        fused = run(lambda: [(x, idx[0]), y, (x, idx[1]), (y, idx[3]), (x, idx[2]),
+                             (y, idx[4])])
+        composed = run(lambda: [T.gather_rows(x, idx[0]), y, T.gather_rows(x, idx[1]),
+                                T.gather_rows(y, idx[3]), T.gather_rows(x, idx[2]),
+                                T.gather_rows(y, idx[4])])
+        for got, want in zip(fused, composed):
+            assert got.dtype == want.dtype == T.DTYPES[precision]
+            assert np.array_equal(got, want)
+
     def test_one_tape_entry_with_the_macs_of_its_two_products(self):
         xs, params = mlp_operands([3, 4, 2], seed=13)
         with Tape() as tape:
@@ -224,6 +253,8 @@ class TestMlp:
             T.mlp(xs, params[0], params[3], params[2], params[3])
         with pytest.raises(ShapeError):  # mixed precision
             T.mlp([xs[0], Tensor(xs[1].data, "f32")], *params)
+        with pytest.raises(ShapeError):  # a row block of 8 rows beside 9
+            T.mlp([xs[0], (xs[1], np.arange(8))], *params)
 
 
 def add_at_f64(idx, values, n):
@@ -395,6 +426,15 @@ class TestTape:
         with pytest.raises(ContractError):
             T.backward(out, tape)
 
+    def test_a_tape_replays_once(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.reduce_sum(T.mul(a, a))
+        T.backward(loss, tape)
+        with pytest.raises(ContractError, match="already replayed"):
+            T.backward(loss, tape)
+        assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+
     def test_accumulating_into_a_shared_first_gradient_leaves_the_other_parent(self):
         # add hands the same upstream array to both parents, and the first
         # gradient of each is kept without a copy
@@ -482,10 +522,22 @@ class TestGradientOwnership:
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("case", ["normalized tie", "vanilla", "gnn"])
-    def test_intermediate_gradients_are_freed(self, case):
+    def test_intermediate_gradients_are_freed(self, monkeypatch, case):
+        # the replay drops each entry's output and backward function, so the
+        # outputs are taken from the tape before it runs
+        outs = []
+        replay = T.backward
+
+        def taking_outputs(loss, tape):
+            outs.extend(entry.out for entry in tape.entries)
+            replay(loss, tape)
+
+        monkeypatch.setattr(T, "backward", taking_outputs)
         grads, tape = RUNS[case]()
         assert all(g is not None for g in grads)
-        assert all(entry.out.grad is None for entry in tape.entries)
+        assert len(outs) == len(tape.entries) > 0
+        assert all(out.grad is None for out in outs)
+        assert all(entry.out is None and entry.backward_fn is None for entry in tape.entries)
 
 
 class TestCheckpoint:

@@ -12,13 +12,21 @@ from particlesim.worlds import (WorldSpec, BlowUpError, MetadataError, Truncatio
                                 ChecksumError, step_oracle, initial_state,
                                 generate_rollout, generate_dataset, write_dataset,
                                 read_dataset, write_rollout_file, read_rollout_file,
-                                one_hot_attributes, spring_potential_energy)
+                                one_hot_attributes)
 
 
 def lone_particle_spec(**kw):
     kw.setdefault("kind", "drop_merge")
     kw.setdefault("counts", (1,))
     return WorldSpec(**kw)
+
+
+def spring_potential_energy(spec, p, ids) -> float:
+    """Total pair potential of the springs of `worlds._springs`."""
+    _, _, _, dist, k = W._springs(spec, p, ids)
+    stretch = dist - spec.rest_length
+    # ordered pairs double-count each spring; 1/2 k s^2 per undirected pair
+    return float(0.25 * (k * stretch * stretch).sum())
 
 
 def state_of(spec, p, v, t=0):
