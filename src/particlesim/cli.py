@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .nn import ModelConfig, BACKBONES, check_field_types
+from .nn import ModelConfig, check_field_types
 from . import particles as P
 from .worlds import (WorldSpec, RolloutDataset, generate_dataset, write_dataset,
                      read_dataset, BlowUpError, MetadataError, TruncationError, ChecksumError)
@@ -116,7 +116,14 @@ def _validate(config: dict):
             if key not in _SECTION_KEYS[section]:
                 raise BadConfig(f"unknown {section} key {key!r}")
     check_field_types(_DATASET_EXTRA, config.get("dataset", {}))
-    check_field_types(_BENCH_TYPES, config.get("bench", {}))
+    bench = config.get("bench", {})
+    check_field_types(_BENCH_TYPES, bench)
+    if bench.get("n", 1) < 1:
+        raise BadConfig(f"bench.n must be >= 1, got {bench['n']}")
+    if any(e < 0 for e in bench.get("e_values", ())):
+        raise BadConfig(f"bench.e_values must all be >= 0, got {bench['e_values']}")
+    if bench.get("trials", 5) < 5:
+        raise BadConfig(f"bench.trials must be >= 5, got {bench['trials']}")
 
 
 def _parse_override(text: str):
@@ -150,7 +157,7 @@ def _read_config(path) -> dict:
 
 
 def load_config(args) -> dict:
-    """Defaults, then --config, then --set, then train's dedicated flags."""
+    """Defaults, then --config, then each --set in order."""
     config = DEFAULT_CONFIG
     if args.config:
         try:
@@ -161,21 +168,6 @@ def load_config(args) -> dict:
     for text in args.set or []:
         section, key, value = _parse_override(text)
         config = _deep_merge(config, {section: {key: value}})
-    flag_map = {
-        "seed": ("train", "seed"),
-        "precision": ("model", "precision"),
-        "backbone": ("model", "backbone"),
-        "abstract_particles": ("model", "n_abstract"),
-        "radius": ("model", "radius"),
-        "history": ("model", "history"),
-    }
-    for attr, (section, key) in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            config = _deep_merge(config, {section: {key: value}})
-    if getattr(args, "normalized_attention", None) is not None:
-        config = _deep_merge(config, {"model": {
-            "normalized_attention": args.normalized_attention == "on"}})
     _validate(config)
     return config
 
@@ -364,15 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("gen-data", cmd_gen_data, "generate a synthetic dataset", "--config", "--set", "--out")
 
-    p = command("train", cmd_train, "train a model", "--config", "--set", "--out", "--data")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--precision", choices=list(T.DTYPES))
-    p.add_argument("--backbone", choices=list(BACKBONES))
-    p.add_argument("--normalized-attention", dest="normalized_attention",
-                   choices=["on", "off"])
-    p.add_argument("--abstract-particles", dest="abstract_particles", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--history", type=int)
+    command("train", cmd_train, "train a model", "--config", "--set", "--out", "--data")
 
     p = command("eval", cmd_eval, "one-step evaluation of a trained model",
                 "--out", "--data", "--model-dir")

@@ -125,9 +125,6 @@ class Tape:
         finally:
             self._scope = prev
 
-    def total_macs(self) -> int:
-        return sum(e.macs for e in self.entries)
-
     def macs_by_scope(self) -> dict:
         out: dict[str, int] = {}
         for e in self.entries:

@@ -337,11 +337,6 @@ def write_dataset(ds: RolloutDataset, path):
     os.makedirs(path, exist_ok=True)
     meta = {
         "name": ds.name,
-        "kind": ds.spec.kind,
-        "n": ds.spec.n,
-        "k": ds.spec.k,
-        "d_a": ds.d_a,
-        "dt": ds.spec.dt,
         "n_frames": ds.n_frames,
         "counts": {"train": len(ds.train), "valid": len(ds.valid)},
         "material_ids": ds.material_ids.tolist(),
@@ -366,7 +361,7 @@ def read_dataset(path) -> RolloutDataset:
         raise MetadataError(f"malformed {meta_path}: {e}") from e
     if not isinstance(meta, dict):
         raise MetadataError(f"{meta_path} is not a JSON object")
-    required = {"name", "kind", "n", "k", "dt", "n_frames", "counts", "material_ids", "world_spec"}
+    required = {"name", "n_frames", "counts", "material_ids", "world_spec"}
     missing = required - meta.keys()
     if missing:
         raise MetadataError(f"{meta_path} missing keys: {sorted(missing)}")

@@ -43,8 +43,7 @@ SMALL_TRAIN = [
 # the options each subcommand's cmd_* reads, and no others
 OPTIONS = {
     "gen-data": {"--config", "--set", "--out"},
-    "train": {"--config", "--set", "--out", "--data", "--seed", "--precision", "--backbone",
-              "--normalized-attention", "--abstract-particles", "--radius", "--history"},
+    "train": {"--config", "--set", "--out", "--data"},
     "eval": {"--out", "--data", "--model-dir", "--samples"},
     "rollout": {"--out", "--data", "--model-dir", "--steps", "--count"},
     "bench": {"--config", "--set", "--out"},
@@ -80,18 +79,23 @@ class TestConfig:
         config = load_config(args)
         assert config["model"]["backbone"] == "tie"
 
-    def test_override_precedence(self):
-        args = self.parse(["train", "--out", "x", "--data", "d",
-                           "--set", "model.d=32", "--backbone", "vanilla",
-                           "--seed", "7"])
+    def test_override_precedence(self, tmp_path):
+        # the file, then each --set in order
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"model": {"backbone": "gnn", "d": 48, "heads": 8},
+                                  "train": {"seed": 3}}))
+        args = self.parse(["train", "--out", "x", "--data", "d", "--config", str(cf),
+                           "--set", "model.d=32", "--set", "model.backbone=vanilla",
+                           "--set", "train.seed=5", "--set", "train.seed=7"])
         config = load_config(args)
         assert config["model"]["d"] == 32
         assert config["model"]["backbone"] == "vanilla"
+        assert config["model"]["heads"] == 8
         assert config["train"]["seed"] == 7
 
-    def test_normalized_attention_flag(self):
+    def test_normalized_attention_is_a_json_bool(self):
         args = self.parse(["train", "--out", "x", "--data", "d",
-                           "--normalized-attention", "off"])
+                           "--set", "model.normalized_attention=false"])
         assert load_config(args)["model"]["normalized_attention"] is False
 
     def test_config_file_merge(self, tmp_path):
@@ -120,7 +124,7 @@ class TestConfig:
                            for s in a.option_strings}
                     for name, p in sub.choices.items()}
         assert declared == OPTIONS
-        assert sum(len(v) for v in declared.values()) == 27
+        assert sum(len(v) for v in declared.values()) == 20
 
     def test_readme_commands_parse(self):
         commands = readme_cli_commands()
@@ -134,9 +138,27 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
-    def test_unknown_backbone_is_bad_args(self, capsys):
-        assert main(["train", "--out", "x", "--data", "d", "--backbone", "rnn"]) == 2
-        capsys.readouterr()
+    def test_unknown_backbone_is_bad_args(self, tmp_path, capsys, pipeline_dir):
+        out = tmp_path / "m"
+        assert main(["train", "--out", str(out), "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--set", "model.backbone=rnn"]) == 2
+        assert "unknown backbone 'rnn'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ("train.seed=1.5", "seed"), ("model.precision=f16", "precision"),
+        ("model.backbone=rnn", "backbone"), ("model.normalized_attention=off",
+                                             "normalized_attention"),
+        ("model.n_abstract=2", "n_abstract"), ("model.radius=0", "radius"),
+        ("model.history=0", "history")])
+    def test_bad_value_of_a_model_choice_names_its_key(self, tmp_path, capsys, pipeline_dir,
+                                                        override, key):
+        # the keys that the paper's comparisons vary are set like any other
+        out = tmp_path / "m"
+        assert main(["train", "--out", str(out), "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--set", override] + SMALL_MODEL + SMALL_TRAIN) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_model_dims_is_bad_args(self, tmp_path, capsys, pipeline_dir):
         code = main(["train", "--out", str(tmp_path / "m"),
@@ -232,7 +254,7 @@ class TestExitCodes:
 
     def test_zero_radius_is_bad_args_before_any_output(self, tmp_path, capsys, pipeline_dir):
         out = tmp_path / "m"
-        assert main(["train", "--out", str(out), "--radius", "0",
+        assert main(["train", "--out", str(out), "--set", "model.radius=0",
                      "--data", str(pipeline_dir / "data" / "dataset")]) == 2
         assert "radius must be positive" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
@@ -243,7 +265,7 @@ class TestExitCodes:
         # the pipeline's rollouts have 8 frames: a history of 8 leaves no
         # frame to predict
         out = tmp_path / "m"
-        assert main(["train", "--out", str(out), "--history", str(history),
+        assert main(["train", "--out", str(out), "--set", f"model.history={history}",
                      "--data", str(pipeline_dir / "data" / "dataset")]
                     + SMALL_MODEL + SMALL_TRAIN) == 2
         err = capsys.readouterr().err
@@ -254,7 +276,7 @@ class TestExitCodes:
     def test_dataset_too_short_for_the_model_history_is_bad_args_before_any_output(
             self, tmp_path, capsys, pipeline_dir, command):
         model = tmp_path / "h2"
-        assert main(["train", "--out", str(model), "--history", "2",
+        assert main(["train", "--out", str(model), "--set", "model.history=2",
                      "--data", str(pipeline_dir / "data" / "dataset")]
                     + SMALL_MODEL + SMALL_TRAIN) == 0
         short = tmp_path / "short"
@@ -272,6 +294,17 @@ class TestExitCodes:
     def test_bench_value_of_the_wrong_type_is_bad_args(self, tmp_path, capsys, override):
         assert main(["bench", "--out", str(tmp_path), "--set", override]) == 2
         assert f"{override.split('.')[1].split('=')[0]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("bench.n=0", "bench.n must be >= 1, got 0"),
+        ("bench.e_values=[400,-1]", "bench.e_values must all be >= 0, got [400, -1]"),
+        ("bench.trials=4", "bench.trials must be >= 5, got 4")])
+    def test_bench_value_out_of_range_is_bad_args_before_any_output(self, tmp_path, capsys,
+                                                                     override, message):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("stiffness", "x"), ("counts", "ab"), ("zzz", 1)])
     def test_bad_world_spec_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir,
@@ -320,7 +353,7 @@ class TestExitCodes:
         bad = tmp_path / "bad"
         shutil.copytree(pipeline_dir / "data" / "dataset", bad)
         meta = json.loads((bad / "meta.json").read_text())
-        meta["material_ids"] = edit(meta["material_ids"], meta["k"])
+        meta["material_ids"] = edit(meta["material_ids"], len(meta["world_spec"]["counts"]))
         (bad / "meta.json").write_text(json.dumps(meta))
         argv = {"train": SMALL_TRAIN, "eval": ["--model-dir", str(pipeline_dir / "model")]}
         code = main([command, "--out", str(tmp_path / "m"), "--data", str(bad)] + argv[command])
@@ -351,7 +384,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("backbone", ["gnn", "vanilla", "tie"])
     def test_linear_mode_is_unknown_model_key(self, tmp_path, capsys, pipeline_dir, backbone):
         code = main(["train", "--out", str(tmp_path / "m"),
-                     "--data", str(pipeline_dir / "data" / "dataset"), "--backbone", backbone,
+                     "--data", str(pipeline_dir / "data" / "dataset"),
+                     "--set", f"model.backbone={backbone}",
                      "--set", "model.linear_mode=true"] + SMALL_TRAIN)
         assert code == 2
         assert "unknown model key 'linear_mode'" in capsys.readouterr().err

@@ -352,6 +352,37 @@ class TestSerialization:
         for a, b in zip(ds.train + ds.valid, back.train + back.valid):
             assert a.tobytes() == b.tobytes()
 
+    def test_metadata_holds_each_fact_once(self, tmp_path):
+        ds = generate_dataset(WorldSpec(kind="box_wash", counts=(6, 4)), 1, 1, 4)
+        write_dataset(ds, tmp_path / "ds")
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+        assert set(meta) == {"name", "n_frames", "counts", "material_ids", "world_spec"}
+        for key in meta:  # the reader needs every one of them
+            (tmp_path / "ds" / "meta.json").write_text(
+                json.dumps({k: v for k, v in meta.items() if k != key}))
+            with pytest.raises(MetadataError, match=key):
+                read_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("contradictory", [False, True],
+                             ids=["consistent", "contradictory"])
+    def test_metadata_with_the_world_repeated_beside_world_spec_reads(self, tmp_path,
+                                                                      contradictory):
+        # datasets written before meta.json dropped these copies still read;
+        # world_spec alone says what the world is
+        spec = WorldSpec(kind="box_wash", counts=(6, 4))
+        extra = ({"kind": "grip_block", "n": 999, "k": 7, "d_a": 7, "dt": 0.5} if contradictory
+                 else {"kind": spec.kind, "n": spec.n, "k": spec.k, "d_a": spec.k,
+                       "dt": spec.dt})
+        ds = generate_dataset(spec, 2, 1, 4, name="w")
+        write_dataset(ds, tmp_path / "ds")
+        meta_path = tmp_path / "ds" / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **extra}))
+        back = read_dataset(tmp_path / "ds")
+        assert (back.name, back.spec, back.n_frames) == ("w", ds.spec, 4)
+        assert np.array_equal(back.material_ids, ds.material_ids)
+        for a, b in zip(ds.train + ds.valid, back.train + back.valid, strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def test_missing_metadata(self, tmp_path):
         with pytest.raises(MetadataError):
             read_dataset(tmp_path / "nope")
