@@ -1,14 +1,14 @@
 """Command-line entry point: dataset generation, training, rollout,
 evaluation, verification suites, and benchmarks.
 
-One JSON config file with dotted-key overrides; every run writes a
-resolved-config snapshot next to its outputs.  Exit codes: 0 success,
-2 bad arguments, 3 verification failure (an oracle suite, or analytic MACs
-differing from the tape's in `bench`), 4 divergence (of training, or a
-non-finite score for report.json, or of the reference world that gen-data
-steps), 5 I/O error (a dataset without validation rollouts included, for
-train, eval and rollout, and a norm_stats.json with a non-finite entry or
-a std below particles.STD_FLOOR).
+One JSON config file with dotted-key overrides; every run writes the config
+sections it read, resolved, to config.json next to its outputs.  Exit codes:
+0 success, 2 bad arguments, 3 verification failure (an oracle suite, or
+analytic MACs differing from the tape's in `bench`), 4 divergence (of
+training, or a non-finite score for report.json, or of the reference world
+that gen-data steps), 5 I/O error (a dataset without validation rollouts
+included, for train, eval and rollout, and a norm_stats.json with a
+non-finite entry or a std below particles.STD_FLOOR).
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ EXIT_VERIFY_FAIL = 3
 EXIT_DIVERGED = 4
 EXIT_IO = 5
 
+# the world's defaults are WorldSpec's and the training defaults TrainConfig's
 DEFAULT_CONFIG = {
     "dataset": {
-        "kind": "box_splash",
-        "counts": [64],
         "n_frames": 50,
         "train_rollouts": 200,
         "valid_rollouts": 20,
@@ -58,15 +57,6 @@ DEFAULT_CONFIG = {
         "radius": 0.1,
         "history": 1,
         "precision": "f32",
-    },
-    "train": {
-        "lr": 0.0008,
-        "lr_decay": 0.8,
-        "patience": 3,
-        "batch_size": 4,
-        "epochs": 5,
-        "steps_per_epoch": 100,
-        "seed": 0,
     },
     "bench": {
         "n": 512,
@@ -116,14 +106,17 @@ def _validate(config: dict):
             if key not in _SECTION_KEYS[section]:
                 raise BadConfig(f"unknown {section} key {key!r}")
     check_field_types(_DATASET_EXTRA, config.get("dataset", {}))
-    bench = config.get("bench", {})
+    bench = {**DEFAULT_CONFIG["bench"], **config.get("bench", {})}
     check_field_types(_BENCH_TYPES, bench)
-    if bench.get("n", 1) < 1:
-        raise BadConfig(f"bench.n must be >= 1, got {bench['n']}")
-    if any(e < 0 for e in bench.get("e_values", ())):
+    for key, least in (("n", 1), ("d", 1), ("heads", 1), ("blocks", 1), ("trials", 5)):
+        if bench[key] < least:
+            raise BadConfig(f"bench.{key} must be >= {least}, got {bench[key]}")
+    if not bench["e_values"]:
+        raise BadConfig("bench.e_values must name at least one pair count")
+    if min(bench["e_values"]) < 0:
         raise BadConfig(f"bench.e_values must all be >= 0, got {bench['e_values']}")
-    if bench.get("trials", 5) < 5:
-        raise BadConfig(f"bench.trials must be >= 5, got {bench['trials']}")
+    if bench["d"] % bench["heads"]:
+        raise BadConfig(f"bench.heads ({bench['heads']}) must divide bench.d ({bench['d']})")
 
 
 def _parse_override(text: str):
@@ -173,6 +166,7 @@ def load_config(args) -> dict:
 
 
 def snapshot_config(config: dict, out_dir):
+    """config.json in out_dir: the sections the run read, as it used them."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as f:
         json.dump(config, f, indent=2)
@@ -194,8 +188,9 @@ def cmd_gen_data(args) -> int:
     dscfg = config["dataset"]
     spec = WorldSpec(**{k: v for k, v in dscfg.items() if k in _WORLD_FIELDS})
     ds = generate_dataset(spec, dscfg["train_rollouts"], dscfg["valid_rollouts"],
-                          dscfg["n_frames"], seed=dscfg.get("seed", 0))
-    snapshot_config(config, args.out)
+                          dscfg["n_frames"], seed=dscfg["seed"])
+    snapshot_config({"dataset": {**dataclasses.asdict(spec),
+                                 **{k: dscfg[k] for k in _DATASET_EXTRA}}}, args.out)
     write_dataset(ds, os.path.join(args.out, "dataset"))
     print(f"wrote {len(ds.train)} train / {len(ds.valid)} valid rollouts to {args.out}/dataset")
     return EXIT_OK
@@ -225,9 +220,10 @@ def cmd_train(args) -> int:
     config = load_config(args)
     ds = _read_dataset_with_valid(args.data)
     model_cfg = _model_config(config["model"], ds)
-    train_cfg = TrainConfig(**config["train"])
+    train_cfg = TrainConfig(**config.get("train", {}))
     model = build_model(model_cfg, seed=train_cfg.seed)
-    snapshot_config(config, args.out)
+    snapshot_config({"model": config["model"], "train": dataclasses.asdict(train_cfg)},
+                    args.out)
     history, _stats = fit(model, ds, train_cfg, out_dir=args.out)
     if history:
         last = history[-1]
@@ -237,6 +233,8 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(model_dir, ds: RolloutDataset):
+    """The trained model, the `model` and `train` sections of its config.json
+    (the only ones read), and its normalization stats."""
     path = os.path.join(model_dir, "config.json")
     config = _read_config(path)
     _validate(config)
@@ -254,7 +252,7 @@ def _restore_model(model_dir, ds: RolloutDataset):
     if stats.mean.shape != (width,) or stats.std.shape != (width,):
         raise OSError(f"normalization stats {stats_path} have mean/std of shapes "
                       f"{stats.mean.shape}/{stats.std.shape}; the dataset has {width} channels")
-    return model, config, stats
+    return model, {section: config[section] for section in ("model", "train")}, stats
 
 
 def cmd_eval(args) -> int:
@@ -293,7 +291,7 @@ def cmd_rollout(args) -> int:
 def cmd_bench(args) -> int:
     config = load_config(args)
     bcfg = config["bench"]
-    snapshot_config(config, args.out)
+    snapshot_config({"bench": bcfg}, args.out)
     profiles = []
     mismatch = False
     for backbone in ("tie", "vanilla", "gnn"):

@@ -1,6 +1,7 @@
-"""Particle system state, fixed-radius neighbor search (an O(N^2) scan for
-small systems, a sorted cell list for large ones), velocity integration, and
-dataset normalization statistics."""
+"""Particle system state (positions, velocities and step; each particle's
+material is its world's, `worlds.WorldSpec.material_ids()`), fixed-radius
+neighbor search (an O(N^2) scan for small systems, a sorted cell list for
+large ones), velocity integration, and dataset normalization statistics."""
 
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ def sample_rows(n: int, samples: int) -> int:
 class SystemState:
     positions: np.ndarray  # (N, 3)
     velocities: np.ndarray  # (N, 3)
-    attributes: np.ndarray  # (N, d_a)
-    material_ids: np.ndarray  # (N,) ints in [0, K)
     time_step: int = 0
 
     @property

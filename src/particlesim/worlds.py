@@ -7,6 +7,9 @@ They stand in for the simulation engine that produced the learning targets;
 any deterministic local-interaction integrator exercises the same model
 pathways (multi-material systems, moving boundaries, stiff clusters).
 
+Each particle's material id is `WorldSpec.material_ids()`, a function of
+`counts`; no `SystemState`, `RolloutDataset` or meta.json keeps a copy.
+
 The springs are the pairs within force_radius that
 `particles.build_neighbor_graph` finds, the search the model uses: an
 O(N^2) scan for small worlds, a cell list for large ones.  Each particle's
@@ -154,7 +157,7 @@ def step_oracle(spec: WorldSpec, state: SystemState) -> SystemState:
         raise InputError(f"state has {state.n} particles, spec expects {spec.n}")
     p = state.positions.astype(np.float64)
     v = state.velocities.astype(np.float64)
-    ids = state.material_ids
+    ids = spec.material_ids()
     kin = _kinematic_mask(spec)
     g = np.asarray(spec.gravity)
 
@@ -196,7 +199,7 @@ def step_oracle(spec: WorldSpec, state: SystemState) -> SystemState:
     if not np.isfinite(p_new).all() or not np.isfinite(v_new).all():
         raise BlowUpError(f"non-finite state at step {state.time_step}")
 
-    return SystemState(p_new, v_new, state.attributes, ids, state.time_step + 1)
+    return SystemState(p_new, v_new, state.time_step + 1)
 
 
 def _lattice(count: int, spacing: float, center: np.ndarray, rng) -> np.ndarray:
@@ -214,8 +217,6 @@ def one_hot_attributes(material_ids: np.ndarray, k: int) -> np.ndarray:
 
 def initial_state(spec: WorldSpec, seed: int) -> SystemState:
     rng = np.random.default_rng(seed)
-    ids = spec.material_ids()
-    attrs = one_hot_attributes(ids, spec.k)
     lo = np.asarray(spec.box_lo)
     hi = np.asarray(spec.box_hi)
     mid = 0.5 * (lo + hi)
@@ -258,7 +259,7 @@ def initial_state(spec: WorldSpec, seed: int) -> SystemState:
     if spec.kind != "drop_merge" and ((p < lo + 1e-3) | (p > hi - 1e-3)).any():
         raise InputError(f"{spec.kind} counts {list(spec.counts)} at spacing {spec.spacing} "
                          f"do not fit in the box; lower spacing or counts")
-    return SystemState(p, v, attrs, ids, 0)
+    return SystemState(p, v, 0)
 
 
 def generate_rollout(spec: WorldSpec, seed: int, n_steps: int) -> np.ndarray:
@@ -281,12 +282,14 @@ def generate_rollout(spec: WorldSpec, seed: int, n_steps: int) -> np.ndarray:
 
 @dataclass
 class RolloutDataset:
-    name: str
     spec: WorldSpec
     n_frames: int
-    material_ids: np.ndarray
     train: list = field(default_factory=list)  # (T, N, 6) float32 each
     valid: list = field(default_factory=list)
+
+    @property
+    def material_ids(self) -> np.ndarray:
+        return self.spec.material_ids()
 
     @property
     def d_a(self) -> int:
@@ -298,11 +301,13 @@ class RolloutDataset:
 
 
 def generate_dataset(spec: WorldSpec, n_train: int, n_valid: int, n_frames: int,
-                     seed: int = 0, name: str = "") -> RolloutDataset:
+                     seed: int = 0) -> RolloutDataset:
+    if n_frames < 2:
+        raise InputError(f"n_frames must be >= 2, got {n_frames}")
     for split, count in (("train", n_train), ("valid", n_valid)):
         if count < 0:
             raise InputError(f"{split} rollout count must be >= 0, got {count}")
-    ds = RolloutDataset(name or spec.kind, spec, n_frames, spec.material_ids())
+    ds = RolloutDataset(spec, n_frames)
     for i in range(n_train):
         ds.train.append(generate_rollout(spec, seed * 100003 + i, n_frames))
     for i in range(n_valid):
@@ -336,10 +341,8 @@ def read_rollout_file(path, n_frames: int, n: int) -> np.ndarray:
 def write_dataset(ds: RolloutDataset, path):
     os.makedirs(path, exist_ok=True)
     meta = {
-        "name": ds.name,
         "n_frames": ds.n_frames,
         "counts": {"train": len(ds.train), "valid": len(ds.valid)},
-        "material_ids": ds.material_ids.tolist(),
         "world_spec": asdict(ds.spec),
     }
     with open(os.path.join(path, "meta.json"), "w") as f:
@@ -361,7 +364,7 @@ def read_dataset(path) -> RolloutDataset:
         raise MetadataError(f"malformed {meta_path}: {e}") from e
     if not isinstance(meta, dict):
         raise MetadataError(f"{meta_path} is not a JSON object")
-    required = {"name", "n_frames", "counts", "material_ids", "world_spec"}
+    required = {"n_frames", "counts", "world_spec"}
     missing = required - meta.keys()
     if missing:
         raise MetadataError(f"{meta_path} missing keys: {sorted(missing)}")
@@ -378,17 +381,7 @@ def read_dataset(path) -> RolloutDataset:
     n_frames = meta["n_frames"]
     if not isinstance(n_frames, int) or isinstance(n_frames, bool) or n_frames < 2:
         raise MetadataError(f"{meta_path}: n_frames must be an int >= 2, got {n_frames!r}")
-    try:
-        ids = np.asarray(meta["material_ids"], dtype=np.int64)
-    except (TypeError, ValueError) as e:
-        raise MetadataError(f"{meta_path}: bad material_ids: {e}") from e
-    if ids.shape != (spec.n,):
-        raise MetadataError(f"dataset {path}: {ids.size} material_ids for the {spec.n} "
-                            f"particles of its world_spec")
-    if ids.min() < 0 or ids.max() >= spec.k:
-        raise MetadataError(f"dataset {path}: material_ids {ids.min()}..{ids.max()} fall "
-                            f"outside the {spec.k} materials [0, {spec.k}) of its world_spec")
-    ds = RolloutDataset(meta["name"], spec, n_frames, ids)
+    ds = RolloutDataset(spec, n_frames)
     for split in ("train", "valid"):
         for i in range(counts[split]):
             fp = os.path.join(path, split, f"rollout_{i:05d}.bin")

@@ -4,6 +4,7 @@ error)."""
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -16,8 +17,8 @@ import pytest
 
 from particlesim import tensor as T
 from particlesim.cli import main, load_config, BadConfig, build_parser, _restore_model
-from particlesim.training import dataset_norm_stats, one_step_eval
-from particlesim.worlds import read_dataset
+from particlesim.training import TrainConfig, dataset_norm_stats, one_step_eval
+from particlesim.worlds import WorldSpec, read_dataset
 
 
 SMALL_DATA = [
@@ -221,6 +222,17 @@ class TestExitCodes:
         assert "rollout count must be >= 0, got -3" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("train, valid", [(0, 0), (2, 1)])
+    def test_fewer_than_two_frames_is_bad_args_before_any_output(self, tmp_path, capsys,
+                                                                  train, valid):
+        # a dataset of one frame holds no transition, and read_dataset rejects it
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--set", "dataset.counts=[4]",
+                     "--set", "dataset.n_frames=1", "--set", f"dataset.train_rollouts={train}",
+                     "--set", f"dataset.valid_rollouts={valid}"]) == 2
+        assert "n_frames must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lattice_that_does_not_fit_the_box_is_bad_args(self, tmp_path, capsys):
         big = ["--set", "dataset.counts=[4096]", "--set", "dataset.n_frames=2",
                "--set", "dataset.train_rollouts=1", "--set", "dataset.valid_rollouts=0"]
@@ -298,7 +310,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("override, message", [
         ("bench.n=0", "bench.n must be >= 1, got 0"),
         ("bench.e_values=[400,-1]", "bench.e_values must all be >= 0, got [400, -1]"),
-        ("bench.trials=4", "bench.trials must be >= 5, got 4")])
+        ("bench.trials=4", "bench.trials must be >= 5, got 4"),
+        ("bench.e_values=[]", "bench.e_values must name at least one pair count"),
+        ("bench.d=0", "bench.d must be >= 1, got 0"),
+        ("bench.heads=0", "bench.heads must be >= 1, got 0"),
+        ("bench.blocks=0", "bench.blocks must be >= 1, got 0"),
+        ("bench.heads=3", "bench.heads (3) must divide bench.d (128)")])
     def test_bench_value_out_of_range_is_bad_args_before_any_output(self, tmp_path, capsys,
                                                                      override, message):
         out = tmp_path / "bench"
@@ -342,24 +359,6 @@ class TestExitCodes:
         code = main(["train", "--out", str(tmp_path / "m"), "--data", str(bad)] + SMALL_TRAIN)
         assert code == 5
         assert "counts" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("edit", [lambda ids, k: ids[:2], lambda ids, k: ["a"] * len(ids),
-                                      lambda ids, k: ids[:-1] + [k],
-                                      lambda ids, k: ids[:-1] + [-1]],
-                             ids=["short", "not ints", "k", "-1"])
-    def test_bad_material_ids_in_dataset_is_io_error(self, tmp_path, capsys, pipeline_dir,
-                                                     edit, command):
-        bad = tmp_path / "bad"
-        shutil.copytree(pipeline_dir / "data" / "dataset", bad)
-        meta = json.loads((bad / "meta.json").read_text())
-        meta["material_ids"] = edit(meta["material_ids"], len(meta["world_spec"]["counts"]))
-        (bad / "meta.json").write_text(json.dumps(meta))
-        argv = {"train": SMALL_TRAIN, "eval": ["--model-dir", str(pipeline_dir / "model")]}
-        code = main([command, "--out", str(tmp_path / "m"), "--data", str(bad)] + argv[command])
-        assert code == 5
-        err = capsys.readouterr().err
-        assert "material_ids" in err and str(bad) in err
 
     def test_meta_json_that_is_not_an_object_is_io_error(self, tmp_path, capsys, pipeline_dir):
         bad = tmp_path / "bad"
@@ -679,6 +678,53 @@ class TestPipeline:
         assert lines[0] == "epoch,train_loss,valid_loss,lr"
         assert len(lines) == 2  # header + 1 epoch
 
+    def test_each_config_json_holds_the_sections_its_command_read(self, tmp_path,
+                                                                  pipeline_dir, capsys):
+        # as the run used them: the whole world, and every training setting
+        def read(path):
+            return json.loads((path / "config.json").read_text())
+
+        dataset = {**dataclasses.asdict(WorldSpec(counts=(10,))), "n_frames": 8,
+                   "train_rollouts": 3, "valid_rollouts": 2, "seed": 0}
+        assert read(pipeline_dir / "data") == {"dataset": json.loads(json.dumps(dataset))}
+        trained = read(pipeline_dir / "model")
+        assert set(trained) == {"model", "train"}
+        assert trained["model"]["d"] == 16 and trained["model"]["backbone"] == "tie"
+        assert trained["train"] == dataclasses.asdict(
+            TrainConfig(epochs=1, steps_per_epoch=3, batch_size=2, valid_samples=2))
+        for command, argv in (("eval", ["--samples", "2"]),
+                              ("rollout", ["--steps", "2", "--count", "1"])):
+            out = tmp_path / command
+            assert main([command, "--out", str(out), "--model-dir", str(pipeline_dir / "model"),
+                         "--data", str(pipeline_dir / "data" / "dataset")] + argv) == 0
+            assert read(out) == trained
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_model_dir_whose_config_holds_every_section_restores(self, tmp_path, capsys,
+                                                                 pipeline_dir, command):
+        # a model directory whose config.json also holds the dataset and bench
+        # defaults, and a train section without valid_samples, as train wrote
+        # it before each command kept only the sections it read
+        model = tmp_path / "model"
+        shutil.copytree(pipeline_dir / "model", model)
+        config = json.loads((model / "config.json").read_text())
+        del config["train"]["valid_samples"]
+        config["dataset"] = {"kind": "box_splash", "counts": [64], "n_frames": 50,
+                             "train_rollouts": 200, "valid_rollouts": 20, "seed": 0}
+        config["bench"] = {"n": 512, "e_values": [2000, 4000, 8000, 16000], "d": 128,
+                           "blocks": 4, "heads": 4, "trials": 5}
+        (model / "config.json").write_text(json.dumps(config))
+        argv = {"eval": ["--samples", "4"], "rollout": ["--steps", "4", "--count", "1"]}
+        reports = []
+        for i, model_dir in enumerate((pipeline_dir / "model", model)):
+            out = tmp_path / f"out{i}"
+            assert main([command, "--out", str(out), "--model-dir", str(model_dir),
+                         "--data", str(pipeline_dir / "data" / "dataset")] + argv[command]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
     def test_eval(self, pipeline_dir, capsys):
         out = pipeline_dir / "eval"
         code = main(["eval", "--out", str(out),
@@ -731,6 +777,8 @@ class TestPipeline:
         assert lines[0] == ("backbone,n,e,macs,wall_ms_median,wall_ms_iqr,fwd_ms_median,"
                             "minor_faults,peak_alloc_mb,slots_per_pair")
         assert len(lines) == 1 + 3 * 2  # three backbones, two pair counts
+        assert json.loads((out / "config.json").read_text()) == {"bench": {
+            "n": 24, "e_values": [40, 80], "d": 16, "blocks": 1, "heads": 2, "trials": 5}}
 
     def test_bench_csv_reports_minor_faults(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -29,16 +29,14 @@ def spring_potential_energy(spec, p, ids) -> float:
     return float(0.25 * (k * stretch * stretch).sum())
 
 
-def state_of(spec, p, v, t=0):
-    ids = spec.material_ids()
-    return SystemState(np.asarray(p, float), np.asarray(v, float),
-                       one_hot_attributes(ids, spec.k), ids, t)
+def state_of(p, v, t=0):
+    return SystemState(np.asarray(p, float), np.asarray(v, float), t)
 
 
 class TestStepOracle:
     def test_fixed_point_without_forces(self):
         spec = lone_particle_spec(gravity=(0.0, 0.0, 0.0))
-        s0 = state_of(spec, [[0.5, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
+        s0 = state_of([[0.5, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
         s1 = step_oracle(spec, s0)
         assert np.array_equal(s1.positions, s0.positions)
         assert np.array_equal(s1.velocities, s0.velocities)
@@ -46,7 +44,7 @@ class TestStepOracle:
 
     def test_free_fall_one_step(self):
         spec = lone_particle_spec()
-        s0 = state_of(spec, [[0.5, 0.8, 0.5]], [[0.0, 0.0, 0.0]])
+        s0 = state_of([[0.5, 0.8, 0.5]], [[0.0, 0.0, 0.0]])
         s1 = step_oracle(spec, s0)
         # semi-implicit Euler: v1 = dt * g, p1 = p0 + dt * v1
         assert np.allclose(s1.velocities, [[0.0, -9.8 * 0.005, 0.0]], atol=1e-15)
@@ -67,9 +65,9 @@ class TestStepOracle:
         rng = np.random.default_rng(1)
         p = np.array([0.5, 0.6, 0.5]) + 0.03 * rng.standard_normal((6, 3))
         v = 0.05 * rng.standard_normal((6, 3))
-        s0 = state_of(spec, p, v)
+        s0 = state_of(p, v)
         s1 = step_oracle(spec, s0)
-        forces = W._spring_forces(spec, p, v, s0.material_ids).sum(axis=0)
+        forces = W._spring_forces(spec, p, v, spec.material_ids()).sum(axis=0)
         dmom = s1.velocities.sum(axis=0) - s0.velocities.sum(axis=0)
         assert np.allclose(dmom, spec.dt * (forces + 6 * np.asarray(spec.gravity)), atol=1e-9)
 
@@ -78,11 +76,11 @@ class TestStepOracle:
                          damping=6.0, stiffness=100.0)
         rng = np.random.default_rng(2)
         p = 0.5 + 0.035 * rng.standard_normal((8, 3))
-        state = state_of(spec, p, np.zeros((8, 3)))
+        state = state_of(p, np.zeros((8, 3)))
 
         def total_energy(s):
             return (0.5 * (s.velocities ** 2).sum()
-                    + spring_potential_energy(spec, s.positions, s.material_ids))
+                    + spring_potential_energy(spec, s.positions, spec.material_ids()))
 
         def topology(s):
             d = s.positions[:, None, :] - s.positions[None, :, :]
@@ -103,7 +101,7 @@ class TestStepOracle:
 
     def test_floor_bounce_reverses_velocity(self):
         spec = lone_particle_spec(gravity=(0.0, 0.0, 0.0), restitution=0.5)
-        s0 = state_of(spec, [[0.5, 0.001, 0.5]], [[0.0, -1.0, 0.0]])
+        s0 = state_of([[0.5, 0.001, 0.5]], [[0.0, -1.0, 0.0]])
         s1 = step_oracle(spec, s0)
         assert s1.velocities[0, 1] == pytest.approx(0.5)
 
@@ -130,20 +128,19 @@ class TestStepOracle:
 
     def test_blow_up_detection(self):
         spec = lone_particle_spec()
-        s0 = state_of(spec, [[0.5, 0.5, 0.5]], [[1e6, 0.0, 0.0]])
+        s0 = state_of([[0.5, 0.5, 0.5]], [[1e6, 0.0, 0.0]])
         with pytest.raises(BlowUpError):
             step_oracle(spec, s0)
 
     def test_non_finite_state_fails_in_the_spring_search(self):
         spec = lone_particle_spec()
-        s0 = state_of(spec, [[np.nan, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
+        s0 = state_of([[np.nan, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
         with pytest.raises(InputError, match="non-finite positions"):
             step_oracle(spec, s0)
 
     def test_count_mismatch(self):
         spec = lone_particle_spec()
-        bad = state_of(WorldSpec(kind="drop_merge", counts=(2,)),
-                       np.zeros((2, 3)), np.zeros((2, 3)))
+        bad = state_of(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(InputError):
             step_oracle(spec, bad)
 
@@ -187,7 +184,7 @@ class TestDenseSpringOracle:
 
     def assert_matches_dense(self, spec, seed, n_frames):
         state = initial_state(spec, seed)
-        ids = state.material_ids
+        ids = spec.material_ids()
         for _ in range(n_frames):
             p, v = state.positions, state.velocities
             got = W._spring_forces(spec, p, v, ids)
@@ -341,13 +338,12 @@ class TestSerialization:
 
     def test_dataset_round_trip(self, tmp_path):
         spec = WorldSpec(kind="box_wash", counts=(6, 4))
-        ds = generate_dataset(spec, 2, 1, 6, seed=0, name="tiny")
+        ds = generate_dataset(spec, 2, 1, 6, seed=0)
         out = tmp_path / "ds"
         write_dataset(ds, out)
         back = read_dataset(out)
-        assert back.name == "tiny"
         assert back.spec == spec
-        assert np.array_equal(back.material_ids, ds.material_ids)
+        assert np.array_equal(back.material_ids, spec.material_ids())
         assert len(back.train) == 2 and len(back.valid) == 1
         for a, b in zip(ds.train + ds.valid, back.train + back.valid):
             assert a.tobytes() == b.tobytes()
@@ -356,7 +352,7 @@ class TestSerialization:
         ds = generate_dataset(WorldSpec(kind="box_wash", counts=(6, 4)), 1, 1, 4)
         write_dataset(ds, tmp_path / "ds")
         meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-        assert set(meta) == {"name", "n_frames", "counts", "material_ids", "world_spec"}
+        assert set(meta) == {"n_frames", "counts", "world_spec"}
         for key in meta:  # the reader needs every one of them
             (tmp_path / "ds" / "meta.json").write_text(
                 json.dumps({k: v for k, v in meta.items() if k != key}))
@@ -368,18 +364,21 @@ class TestSerialization:
     def test_metadata_with_the_world_repeated_beside_world_spec_reads(self, tmp_path,
                                                                       contradictory):
         # datasets written before meta.json dropped these copies still read;
-        # world_spec alone says what the world is
+        # world_spec alone says what the world is and which material each
+        # particle is
         spec = WorldSpec(kind="box_wash", counts=(6, 4))
-        extra = ({"kind": "grip_block", "n": 999, "k": 7, "d_a": 7, "dt": 0.5} if contradictory
+        extra = ({"kind": "grip_block", "n": 999, "k": 7, "d_a": 7, "dt": 0.5, "name": 3,
+                  "material_ids": [9, -1, "a"]} if contradictory
                  else {"kind": spec.kind, "n": spec.n, "k": spec.k, "d_a": spec.k,
-                       "dt": spec.dt})
-        ds = generate_dataset(spec, 2, 1, 4, name="w")
+                       "dt": spec.dt, "name": spec.kind,
+                       "material_ids": spec.material_ids().tolist()})
+        ds = generate_dataset(spec, 2, 1, 4)
         write_dataset(ds, tmp_path / "ds")
         meta_path = tmp_path / "ds" / "meta.json"
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **extra}))
         back = read_dataset(tmp_path / "ds")
-        assert (back.name, back.spec, back.n_frames) == ("w", ds.spec, 4)
-        assert np.array_equal(back.material_ids, ds.material_ids)
+        assert (back.spec, back.n_frames) == (ds.spec, 4)
+        assert back.material_ids.tolist() == [0] * 6 + [1] * 4
         for a, b in zip(ds.train + ds.valid, back.train + back.valid, strict=True):
             assert a.tobytes() == b.tobytes()
 
