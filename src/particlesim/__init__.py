@@ -17,7 +17,7 @@ from .attention import (ImplicitEdgeModel, VanillaTransformer, build_model,
 from .training import (TrainConfig, Adam, PlateauScheduler, fit, mse, m3se,
                        mse_loss, one_step_eval, constant_velocity_eval, rollout,
                        DivergenceError, dataset_norm_stats)
-from .bench import CostProfile, count_macs, measure_macs, time_iteration, synthesize_pairs
+from .bench import CostProfile, count_macs, time_iteration, synthesize_pairs
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "TrainConfig", "Adam", "PlateauScheduler", "fit", "mse", "m3se", "mse_loss",
     "one_step_eval", "constant_velocity_eval", "rollout", "DivergenceError",
     "dataset_norm_stats",
-    "CostProfile", "count_macs", "measure_macs", "time_iteration", "synthesize_pairs",
+    "CostProfile", "count_macs", "time_iteration", "synthesize_pairs",
 ]

@@ -99,30 +99,6 @@ def synthesize_pairs(n: int, e: int, seed: int = 0):
     return recv[order].astype(np.int64), send[order].astype(np.int64)
 
 
-def _setup(cfg: ModelConfig, n: int, e: int, seed: int):
-    model = build_model(cfg, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal((n, cfg.d_in)).astype(T.DTYPES[cfg.precision])
-    return model, x, *synthesize_pairs(n, e, seed)
-
-
-def _forward_phase_macs(tape: Tape) -> dict:
-    """MACs per tape scope, leaving out entries recorded outside any scope
-    (the forward records all its work inside scopes; a loss does not)."""
-    phases = tape.macs_by_scope()
-    phases.pop("", None)
-    phases["total"] = sum(phases.values())
-    return phases
-
-
-def measure_macs(cfg: ModelConfig, n: int, e: int, seed: int = 0) -> dict:
-    """Instrumented forward-pass MAC tally per tape scope."""
-    model, x, recv, send = _setup(cfg, n, e, seed)
-    with Tape() as tape:
-        model.forward(x, recv, send)
-    return _forward_phase_macs(tape)
-
-
 def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
                    warmup: int = 2, seed: int = 0) -> CostProfile:
     """Median and interquartile range over trials of the wall time of one
@@ -135,7 +111,10 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
     the same pairs."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
-    model, x, recv, send = _setup(cfg, n, e, seed)
+    model = build_model(cfg, seed=seed)
+    x = np.random.default_rng(seed + 1).standard_normal((n, cfg.d_in)).astype(
+        T.DTYPES[cfg.precision])
+    recv, send = synthesize_pairs(n, e, seed)
 
     def iteration() -> Tape:
         with Tape() as tape:
@@ -158,7 +137,11 @@ def time_iteration(cfg: ModelConfig, n: int, e: int, trials: int = 5,
         model.forward(x, recv, send)
         if i >= warmup:
             fwd_times.append((time.perf_counter() - t0) * 1000.0)
-    phases = _forward_phase_macs(tape)
+    # MACs per tape scope; the forward records all its work inside scopes,
+    # the loss outside any
+    phases = tape.macs_by_scope()
+    phases.pop("", None)
+    phases["total"] = sum(phases.values())
     tracing = tracemalloc.is_tracing()  # a caller's own tracing is left running
     tracemalloc.start()
     tracemalloc.reset_peak()

@@ -248,7 +248,7 @@ def _restore_model(model_dir, ds: RolloutDataset):
     model.load_params(params)
     stats_path = os.path.join(model_dir, "norm_stats.json")
     stats = P.load_norm_stats(stats_path)
-    width = 6 + ds.d_a  # position, velocity, attributes
+    width = P.input_dim(1, ds.d_a)  # one frame's channels, then the attributes
     if stats.mean.shape != (width,) or stats.std.shape != (width,):
         raise OSError(f"normalization stats {stats_path} have mean/std of shapes "
                       f"{stats.mean.shape}/{stats.std.shape}; the dataset has {width} channels")

@@ -1,7 +1,9 @@
 """Particle system state (positions, velocities and step; each particle's
 material is its world's, `worlds.WorldSpec.material_ids()`), fixed-radius
 neighbor search (an O(N^2) scan for small systems, a sorted cell list for
-large ones), velocity integration, and dataset normalization statistics."""
+large ones), velocity integration, dataset normalization statistics, and
+the model input: a window of frames and the attributes under one affine
+map."""
 
 from __future__ import annotations
 
@@ -187,21 +189,16 @@ class NormStats:
     std: np.ndarray
 
     @property
-    def pos(self):
-        return self.mean[0:3], self.std[0:3]
-
-    @property
     def vel(self):
         return self.mean[3:6], self.std[3:6]
-
-    @property
-    def attr(self):
-        return self.mean[6:], self.std[6:]
 
 
 def compute_norm_stats(frames: np.ndarray, attributes: np.ndarray) -> NormStats:
     """Stats over all training frames; `frames` is (num_samples, 6) flattened
-    position+velocity rows, `attributes` is (num_particles, d_a)."""
+    position+velocity rows, `attributes` is (num_particles, d_a).  A channel
+    with a std below STD_FLOOR is clamped to it; only a constant position or
+    velocity channel warns, as the one-hot attributes of a one-material world
+    are constant by design."""
     if frames.size == 0:
         raise InputError("cannot compute normalization stats from an empty dataset")
     pv_mean = frames.reshape(-1, 6).mean(axis=0)
@@ -210,9 +207,9 @@ def compute_norm_stats(frames: np.ndarray, attributes: np.ndarray) -> NormStats:
     a_std = attributes.reshape(-1, attributes.shape[-1]).std(axis=0)
     mean = np.concatenate([pv_mean, a_mean])
     std = np.concatenate([pv_std, a_std])
-    if (std < STD_FLOOR).any():
+    if (pv_std < STD_FLOOR).any():
         warnings.warn("constant input channel: std clamped to 1e-8", stacklevel=2)
-        std = np.maximum(std, STD_FLOOR)
+    std = np.maximum(std, STD_FLOOR)
     return NormStats(mean.astype(np.float64), std.astype(np.float64))
 
 
@@ -238,17 +235,6 @@ def load_norm_stats(path) -> NormStats:
     return stats
 
 
-def normalize_frame(positions, velocities, stats: NormStats):
-    pm, ps = stats.pos
-    vm, vs = stats.vel
-    return (positions - pm) / ps, (velocities - vm) / vs
-
-
-def normalize_attributes(attributes, stats: NormStats):
-    am, asd = stats.attr
-    return (attributes - am) / asd
-
-
 def normalize_velocity(v, stats: NormStats):
     vm, vs = stats.vel
     return (v - vm) / vs
@@ -259,19 +245,16 @@ def denormalize_velocity(v_hat, stats: NormStats):
     return v_hat * vs + vm
 
 
-def assemble_inputs(position_history, velocity_history, attributes, stats: NormStats) -> np.ndarray:
-    """Build the per-particle model input: H normalized (position, velocity)
-    frames, newest first, followed by normalized attributes.
-
-    position_history / velocity_history: lists of (N, 3) arrays ordered from
-    newest (time t) to oldest (t - H + 1).
-    """
-    parts = []
-    for p, q in zip(position_history, velocity_history):
-        pn, qn = normalize_frame(p, q, stats)
-        parts.extend([pn, qn])
-    parts.append(normalize_attributes(attributes, stats))
-    return np.concatenate(parts, axis=1)
+def assemble_inputs(window: np.ndarray, attributes: np.ndarray, stats: NormStats) -> np.ndarray:
+    """The per-particle model input: the H frames of `window` ((H, N, 6)
+    [position, velocity] rows, newest first) side by side, then the
+    attributes, under one affine map (x - mean) / std, the first 6 stats
+    tiled H times (`input_dim(H, d_a)` channels)."""
+    h, n, _ = window.shape
+    x = np.concatenate([window.transpose(1, 0, 2).reshape(n, 6 * h), attributes], axis=1)
+    mean = np.concatenate([np.tile(stats.mean[:6], h), stats.mean[6:]])
+    std = np.concatenate([np.tile(stats.std[:6], h), stats.std[6:]])
+    return (x - mean) / std
 
 
 def input_dim(history: int, d_a: int) -> int:

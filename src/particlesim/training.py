@@ -37,19 +37,33 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float((diff * diff).sum(axis=-1).mean())
 
 
-def m3se(pred: np.ndarray, target: np.ndarray, material_ids: np.ndarray) -> float:
-    """Mean over materials of the per-material mean squared velocity error.
-
-    Equals plain MSE when there is a single material.
-    """
+def per_material_mse(pred: np.ndarray, target: np.ndarray,
+                     material_ids: np.ndarray) -> dict[int, float]:
+    """Each material's mean over its particles of the squared L2 velocity
+    error, keyed by material id in ascending order."""
     material_ids = np.asarray(material_ids)
     diff = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
     per_particle = (diff * diff).sum(axis=-1)
-    ks = np.unique(material_ids)
+    return {int(k): float(per_particle[material_ids == k].mean())
+            for k in np.unique(material_ids)}
+
+
+def _material_mean(per_material: dict[int, float]) -> float:
+    # one term at a time in material order: a numpy sum would group the
+    # terms otherwise, and the scores would move in the last bit
     total = 0.0
-    for k in ks:
-        total += per_particle[material_ids == k].mean()
-    return float(total / len(ks))
+    for value in per_material.values():
+        total += value
+    return total / len(per_material)
+
+
+def m3se(pred: np.ndarray, target: np.ndarray, material_ids: np.ndarray) -> float:
+    """Mean over materials of the per-material mean squared velocity error
+    (`per_material_mse`).
+
+    Equals plain MSE when there is a single material.
+    """
+    return _material_mean(per_material_mse(pred, target, material_ids))
 
 
 class Adam:
@@ -157,11 +171,11 @@ def _transitions(ds: RolloutDataset, split: str, history: int, limit=None, seed:
 
 def make_sample(ds: RolloutDataset, frames: np.ndarray, t: int, history: int,
                 stats: P.NormStats, radius: float):
-    """Model input, neighbor pairs, and normalized target for one transition."""
-    ph = [frames[t - i, :, 0:3].astype(np.float64) for i in range(history)]
-    qh = [frames[t - i, :, 3:6].astype(np.float64) for i in range(history)]
-    x = P.assemble_inputs(ph, qh, ds.attributes, stats)
-    graph = P.build_neighbor_graph(ph[0], radius)
+    """Model input, neighbor pairs, and normalized target for one transition:
+    the input reads the window of frames t - history + 1 .. t, newest first."""
+    window = frames[t - history + 1:t + 1][::-1].astype(np.float64)
+    x = P.assemble_inputs(window, ds.attributes, stats)
+    graph = P.build_neighbor_graph(window[0, :, 0:3], radius)
     target = P.normalize_velocity(frames[t + 1, :, 3:6].astype(np.float64), stats)
     return x, graph, target
 
@@ -325,10 +339,10 @@ def _one_step_report(ds: RolloutDataset, predictions) -> EvalReport:
     per_mat: dict[int, list] = {}
     for (ri, t), pred in predictions:
         truth = ds.valid[ri][t + 1, :, 3:6].astype(np.float64)
-        scores.append(m3se(pred, truth, ds.material_ids))
-        diff = ((pred - truth) ** 2).sum(axis=-1)
-        for k in np.unique(ds.material_ids):
-            per_mat.setdefault(int(k), []).append(float(diff[ds.material_ids == k].mean()))
+        per_material = per_material_mse(pred, truth, ds.material_ids)
+        scores.append(_material_mean(per_material))
+        for k, value in per_material.items():
+            per_mat.setdefault(k, []).append(value)
     return EvalReport(per_material={k: float(np.mean(v)) for k, v in per_mat.items()},
                       m3se_mean=float(np.mean(scores)), m3se_std=float(np.std(scores)))
 

@@ -113,7 +113,7 @@ def _kinematic_mask(spec: WorldSpec) -> np.ndarray:
     return np.zeros(spec.n, dtype=bool)
 
 
-def _springs(spec: WorldSpec, p: np.ndarray, ids: np.ndarray):
+def _springs(spec: WorldSpec, p: np.ndarray):
     """The springs: the pairs (i, j) of `build_neighbor_graph` at
     force_radius, in its (receiver, sender) order, with p_i - p_j, its
     length and the pair's stiffness.  The name is bound at import, so a
@@ -126,12 +126,13 @@ def _springs(spec: WorldSpec, p: np.ndarray, ids: np.ndarray):
     dist = np.sqrt(np.einsum("ek,ek->e", diff, diff))
     k = np.full(dist.shape, spec.stiffness)
     if spec.kind == "box_wash":
+        ids = spec.material_ids()
         k[(ids[i] == 1) & (ids[j] == 1)] *= spec.rigid_stiffness_factor
     return i, j, diff, dist, k
 
 
-def _spring_forces(spec: WorldSpec, p: np.ndarray, v: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    i, j, diff, dist, k = _springs(spec, p, ids)
+def _spring_forces(spec: WorldSpec, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    i, j, diff, dist, k = _springs(spec, p)
     dirs = diff / dist[:, None]
     f_spring = -(k * (dist - spec.rest_length))[:, None] * dirs
     vrel = np.einsum("ek,ek->e", v.take(i, axis=0) - v.take(j, axis=0), dirs)
@@ -157,11 +158,10 @@ def step_oracle(spec: WorldSpec, state: SystemState) -> SystemState:
         raise InputError(f"state has {state.n} particles, spec expects {spec.n}")
     p = state.positions.astype(np.float64)
     v = state.velocities.astype(np.float64)
-    ids = spec.material_ids()
     kin = _kinematic_mask(spec)
     g = np.asarray(spec.gravity)
 
-    v_new = v + spec.dt * (_spring_forces(spec, p, v, ids) + g)
+    v_new = v + spec.dt * (_spring_forces(spec, p, v) + g)
 
     if spec.kind == "grip_block":
         # plates move inward along x, then reverse
@@ -170,26 +170,24 @@ def step_oracle(spec: WorldSpec, state: SystemState) -> SystemState:
         v_new[kin] = 0.0
         v_new[kin, 0] = direction * spec.plate_speed * sides[kin]
 
-    if spec.kind in ("box_splash", "box_wash", "grip_block"):
-        lo = np.asarray(spec.box_lo, dtype=np.float64).copy()
-        hi = np.asarray(spec.box_hi, dtype=np.float64)
-        wall_v = 0.0
-        if spec.kind == "box_splash":
-            lo[0] = _wall_position(spec, state.time_step)
-            wall_v = _wall_velocity(spec, state.time_step)
-        p_pred = p + spec.dt * v_new
-        for ax in range(3):
-            wv = wall_v if ax == 0 else 0.0
-            low_hit = (~kin) & (p_pred[:, ax] < lo[ax]) & (v_new[:, ax] < wv)
-            v_new[low_hit, ax] = wv - spec.restitution * (v_new[low_hit, ax] - wv)
-            high_hit = (~kin) & (p_pred[:, ax] > hi[ax]) & (v_new[:, ax] > 0)
-            v_new[high_hit, ax] = -spec.restitution * v_new[high_hit, ax]
-    elif spec.kind == "drop_merge":
-        # free space above a floor plane at y = box_lo[1]
-        p_pred = p + spec.dt * v_new
-        floor = spec.box_lo[1]
-        hit = (p_pred[:, 1] < floor) & (v_new[:, 1] < 0)
-        v_new[hit, 1] = -spec.restitution * v_new[hit, 1]
+    # each world is a box with restitution walls; drop_merge's is open but
+    # for the floor plane y = box_lo[1]
+    lo = np.asarray(spec.box_lo, dtype=np.float64).copy()
+    hi = np.asarray(spec.box_hi, dtype=np.float64)
+    wall_v = 0.0
+    if spec.kind == "drop_merge":
+        lo[[0, 2]] = -np.inf
+        hi = np.full(3, np.inf)
+    elif spec.kind == "box_splash":
+        lo[0] = _wall_position(spec, state.time_step)
+        wall_v = _wall_velocity(spec, state.time_step)
+    p_pred = p + spec.dt * v_new
+    for ax in range(3):
+        wv = wall_v if ax == 0 else 0.0
+        low_hit = (~kin) & (p_pred[:, ax] < lo[ax]) & (v_new[:, ax] < wv)
+        v_new[low_hit, ax] = wv - spec.restitution * (v_new[low_hit, ax] - wv)
+        high_hit = (~kin) & (p_pred[:, ax] > hi[ax]) & (v_new[:, ax] > 0)
+        v_new[high_hit, ax] = -spec.restitution * v_new[high_hit, ax]
 
     p_new = p + spec.dt * v_new
 

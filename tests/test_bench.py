@@ -6,17 +6,32 @@ linear in it)."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from particlesim import tensor as T
+from particlesim.attention import build_model
 from particlesim.nn import ModelConfig
-from particlesim.bench import count_macs, measure_macs, synthesize_pairs, time_iteration
+from particlesim.bench import count_macs, synthesize_pairs, time_iteration
 
 
 def cfg_for(backbone, normalized=True, d=32, heads=4, blocks=2):
     return ModelConfig(backbone=backbone, d_in=9, d=d, heads=heads, blocks=blocks,
                        mlp_hidden=2 * d, normalized_attention=normalized,
                        precision="f32")
+
+
+def taped_macs(cfg, n, e, seed=0) -> dict:
+    """MACs per tape scope of one taped forward over `synthesize_pairs(n,
+    e, seed)`, entries outside any scope left out, and their total."""
+    x = np.random.default_rng(seed + 1).standard_normal((n, cfg.d_in))
+    recv, send = synthesize_pairs(n, e, seed)
+    with T.Tape() as tape:
+        build_model(cfg, seed=seed).forward(x.astype(T.DTYPES[cfg.precision]), recv, send)
+    phases = tape.macs_by_scope()
+    phases.pop("", None)
+    phases["total"] = sum(phases.values())
+    return phases
 
 
 class TestSynthesizePairs:
@@ -47,28 +62,28 @@ class TestAnalyticEqualsInstrumented:
     def test_exact_total(self, backbone, normalized, n, e):
         cfg = cfg_for(backbone, normalized)
         analytic = count_macs(cfg, n, e)
-        measured = measure_macs(cfg, n, e)
+        measured = taped_macs(cfg, n, e)
         assert analytic["total"] == measured["total"], \
             f"{backbone}: analytic {analytic} != measured {measured}"
 
     def test_exact_per_phase(self):
         cfg = cfg_for("tie", True)
         analytic = count_macs(cfg, 30, 120)
-        measured = measure_macs(cfg, 30, 120)
+        measured = taped_macs(cfg, 30, 120)
         for phase, macs in analytic.items():
             assert measured.get(phase, 0) == macs, f"phase {phase}"
 
     def test_vanilla_per_phase(self):
         cfg = cfg_for("vanilla")
         analytic = count_macs(cfg, 30, 120)
-        measured = measure_macs(cfg, 30, 120)
+        measured = taped_macs(cfg, 30, 120)
         for phase, macs in analytic.items():
             assert measured.get(phase, 0) == macs, f"phase {phase}"
 
     def test_gnn_per_phase(self):
         cfg = cfg_for("gnn")
         analytic = count_macs(cfg, 30, 120)
-        measured = measure_macs(cfg, 30, 120)
+        measured = taped_macs(cfg, 30, 120)
         for phase, macs in analytic.items():
             assert measured.get(phase, 0) == macs, f"phase {phase}"
 
@@ -117,7 +132,7 @@ class TestTiming:
         assert prof.analytic_macs == prof.measured_macs
         assert prof.wall_ms_median > 0 and prof.wall_ms_iqr >= 0
         assert prof.fwd_ms_median > 0  # of an untaped forward
-        assert prof.phase_macs == measure_macs(prof_cfg, 12, 30)
+        assert prof.phase_macs == taped_macs(prof_cfg, 12, 30)
         assert prof.backbone == "tie" and prof.n == 12 and prof.e == 30
         recv, send = synthesize_pairs(12, 30, seed=0)
         index = T.PairIndex(recv, send, 12)

@@ -221,27 +221,28 @@ class TestNormalization:
         rng = np.random.default_rng(6)
         frames = 3.0 + 2.0 * rng.standard_normal((500, 6))
         stats = P.compute_norm_stats(frames, rng.standard_normal((4, 1)))
-        pn, qn = P.normalize_frame(frames[:, 0:3], frames[:, 3:6], stats)
-        both = np.concatenate([pn, qn], axis=1)
+        both = P.assemble_inputs(frames[None], np.zeros((500, 1)), stats)[:, :6]
         assert np.allclose(both.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(both.std(axis=0), 1.0, atol=1e-10)
 
     def test_assemble_inputs_layout(self):
+        # H = 3 frames of 4 particles of two materials; each of the 6 H + 2
+        # columns is (x - mean) / std of its own channel, in the order
+        # [p_t, q_t, p_t-1, q_t-1, p_t-2, q_t-2, attributes]
         rng = np.random.default_rng(7)
         frames = rng.standard_normal((40, 6))
-        attrs = rng.standard_normal((3, 2))
+        attrs = np.eye(2)[[0, 0, 1, 1]]
         stats = P.compute_norm_stats(frames, attrs)
-        p0, q0 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        p1, q1 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        x = P.assemble_inputs([p0, p1], [q0, q1], attrs, stats)
-        assert x.shape == (3, P.input_dim(2, 2))
-        pn0, qn0 = P.normalize_frame(p0, q0, stats)
-        pn1, qn1 = P.normalize_frame(p1, q1, stats)
-        assert np.allclose(x[:, 0:3], pn0)
-        assert np.allclose(x[:, 3:6], qn0)
-        assert np.allclose(x[:, 6:9], pn1)
-        assert np.allclose(x[:, 9:12], qn1)
-        assert np.allclose(x[:, 12:], P.normalize_attributes(attrs, stats))
+        window = rng.standard_normal((3, 4, 6))  # newest first
+        x = P.assemble_inputs(window, attrs, stats)
+        assert x.shape == (4, P.input_dim(3, 2))
+        for h in range(3):
+            for c in range(6):
+                want = (window[h, :, c] - frames[:, c].mean()) / frames[:, c].std()
+                assert np.allclose(x[:, 6 * h + c], want, rtol=1e-12, atol=1e-12)
+        for c in range(2):
+            want = (attrs[:, c] - attrs[:, c].mean()) / attrs[:, c].std()
+            assert np.allclose(x[:, 18 + c], want, rtol=1e-12, atol=1e-12)
 
     def test_malformed_norm_stats_file_raises_os_error(self, tmp_path):
         path = tmp_path / "norm_stats.json"

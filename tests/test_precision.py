@@ -5,7 +5,6 @@ shape and on a desk training batch's neighbor graph, stays within a stated
 norm-wise bound of its f64 call."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -129,9 +128,7 @@ def desk_batch_pairs():
     have settled and the widest sender tables reach 64 entries."""
     ds = worlds.generate_dataset(worlds.WorldSpec(kind="box_splash", counts=(64,), dt=0.01),
                                  4, 1, 25, seed=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        stats = training.dataset_norm_stats(ds)
+    stats = training.dataset_norm_stats(ds)
     x, recv, send, _ = training.make_batch(ds, ds.train, [(b, 20 + b) for b in range(4)],
                                            1, stats, 0.1)
     return recv, send, x.shape[0]

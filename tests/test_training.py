@@ -1,6 +1,7 @@
 """Losses, optimizer, learning-rate schedule, and the training loop."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,10 +151,17 @@ def tiny_config(**kw):
 
 @pytest.fixture(scope="module")
 def shared_dataset():
-    import warnings
+    return tiny_dataset()
+
+
+def test_one_material_world_stats_do_not_warn():
+    # the one-hot attribute column of a one-material world is constant by
+    # design: its std is clamped without a warning
+    ds = generate_dataset(WorldSpec(kind="box_splash", counts=(12,)), 2, 0, 6, seed=0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return tiny_dataset()
+        warnings.simplefilter("error")
+        stats = dataset_norm_stats(ds)
+    assert stats.std[6] == P.STD_FLOOR
 
 
 class TestFit:
@@ -482,10 +490,7 @@ class TestEvaluation:
         # the rollout searches through the module attribute, which at N=200
         # runs the O(N^2) scan; swapping in the cell list must leave every
         # frame and per-step M3SE byte-identical
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ds = generate_dataset(WorldSpec(kind="box_splash", counts=(200,)), 1, 1, 5, seed=3)
+        ds = generate_dataset(WorldSpec(kind="box_splash", counts=(200,)), 1, 1, 5, seed=3)
         model = build_model(tiny_config(), seed=0)
         stats = dataset_norm_stats(ds)
         frames, rep = rollout(model, ds, stats, 0, 4)
@@ -536,7 +541,8 @@ def reference_rollout(model, ds, stats, rollout_idx, n_steps, split="valid"):
     divergent = False
     for step in range(n_steps):
         t = H - 1 + step
-        x = P.assemble_inputs(ph, qh, ds.attributes, stats)
+        x = P.assemble_inputs(np.stack([np.concatenate(f, axis=1) for f in zip(ph, qh)]),
+                              ds.attributes, stats)
         graph = P.build_neighbor_graph(ph[0], model.cfg.radius)
         q_hat = P.denormalize_velocity(
             model.forward(x, graph.receivers, graph.senders, ds.material_ids).data, stats)
@@ -556,10 +562,7 @@ def reference_rollout(model, ds, stats, rollout_idx, n_steps, split="valid"):
 
 @pytest.fixture(scope="module")
 def two_material_dataset():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return generate_dataset(WorldSpec(kind="box_wash", counts=(8, 6)), 3, 2, 9, seed=4)
+    return generate_dataset(WorldSpec(kind="box_wash", counts=(8, 6)), 3, 2, 9, seed=4)
 
 
 # (backbone, abstract rows): the three backbones, and TIE with per-sample abstract rows

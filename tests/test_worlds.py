@@ -21,9 +21,9 @@ def lone_particle_spec(**kw):
     return WorldSpec(**kw)
 
 
-def spring_potential_energy(spec, p, ids) -> float:
+def spring_potential_energy(spec, p) -> float:
     """Total pair potential of the springs of `worlds._springs`."""
-    _, _, _, dist, k = W._springs(spec, p, ids)
+    _, _, _, dist, k = W._springs(spec, p)
     stretch = dist - spec.rest_length
     # ordered pairs double-count each spring; 1/2 k s^2 per undirected pair
     return float(0.25 * (k * stretch * stretch).sum())
@@ -55,7 +55,7 @@ class TestStepOracle:
         rng = np.random.default_rng(0)
         p = 0.5 + 0.04 * rng.standard_normal((8, 3))
         v = 0.1 * rng.standard_normal((8, 3))
-        f = W._spring_forces(spec, p, v, spec.material_ids())
+        f = W._spring_forces(spec, p, v)
         assert np.abs(f).max() > 0.1  # the springs act
         assert np.abs(f.sum(axis=0)).max() <= 1e-9
 
@@ -67,7 +67,7 @@ class TestStepOracle:
         v = 0.05 * rng.standard_normal((6, 3))
         s0 = state_of(p, v)
         s1 = step_oracle(spec, s0)
-        forces = W._spring_forces(spec, p, v, spec.material_ids()).sum(axis=0)
+        forces = W._spring_forces(spec, p, v).sum(axis=0)
         dmom = s1.velocities.sum(axis=0) - s0.velocities.sum(axis=0)
         assert np.allclose(dmom, spec.dt * (forces + 6 * np.asarray(spec.gravity)), atol=1e-9)
 
@@ -80,7 +80,7 @@ class TestStepOracle:
 
         def total_energy(s):
             return (0.5 * (s.velocities ** 2).sum()
-                    + spring_potential_energy(spec, s.positions, spec.material_ids()))
+                    + spring_potential_energy(spec, s.positions))
 
         def topology(s):
             d = s.positions[:, None, :] - s.positions[None, :, :]
@@ -105,6 +105,16 @@ class TestStepOracle:
         s1 = step_oracle(spec, s0)
         assert s1.velocities[0, 1] == pytest.approx(0.5)
 
+    def test_drop_merge_is_open_but_for_its_floor(self):
+        # past box_hi on every axis, and past box_lo on x and z, a particle
+        # keeps its velocity; only the floor y = box_lo[1] reflects it
+        spec = lone_particle_spec(gravity=(0.0, 0.0, 0.0), restitution=0.5)
+        for p, v in (([0.999, 0.999, 0.999], [1.0, 1.0, 1.0]),
+                     ([0.001, 0.5, 0.001], [-1.0, 0.0, -1.0])):
+            s1 = step_oracle(spec, state_of([p], [v]))
+            assert np.array_equal(s1.velocities, [v])
+            assert np.array_equal(s1.positions, np.add([p], spec.dt * np.asarray([v])))
+
     def test_grip_block_plates_are_scripted(self):
         spec = WorldSpec(kind="grip_block", counts=(8, 8))
         state = initial_state(spec, seed=0)
@@ -122,8 +132,7 @@ class TestStepOracle:
         p[4, 0], p[5, 0] = 0.6, 0.68
         p[2, 0], p[3, 0], p[6, 0], p[7, 0] = 0.05, 0.1, 0.9, 0.95
         p[2, 1], p[3, 1], p[6, 1], p[7, 1] = 0.9, 0.8, 0.9, 0.8
-        ids = spec.material_ids()
-        f = W._spring_forces(spec, p, np.zeros((8, 3)), ids)
+        f = W._spring_forces(spec, p, np.zeros((8, 3)))
         assert abs(f[4, 0]) == pytest.approx(abs(f[0, 0]) * spec.rigid_stiffness_factor)
 
     def test_blow_up_detection(self):
@@ -187,11 +196,11 @@ class TestDenseSpringOracle:
         ids = spec.material_ids()
         for _ in range(n_frames):
             p, v = state.positions, state.velocities
-            got = W._spring_forces(spec, p, v, ids)
+            got = W._spring_forces(spec, p, v)
             want = dense_spring_forces(spec, p, v, ids)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-            assert spring_potential_energy(spec, p, ids) == dense_potential_energy(spec, p, ids)
+            assert spring_potential_energy(spec, p) == dense_potential_energy(spec, p, ids)
             state = step_oracle(spec, state)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
